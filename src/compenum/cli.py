@@ -346,6 +346,8 @@ def _build_parser():
 
 
 def main(argv=None):
+    if hasattr(sys, "set_int_max_str_digits"):  # exact counts pass 4300 digits
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -8,9 +8,9 @@ the power series expansion is well defined.
 
 GCDs are computed with the primitive-part Euclidean algorithm:
 pseudo-remainders keep intermediate results inside the integers, and
-Gauss's lemma makes the final cancellation divisions exact.  Degrees in
-this project stay small (tens, not thousands), so no asymptotically
-clever multiplication is needed.
+Gauss's lemma makes the final cancellation divisions exact.
+coefficient_mod packs each polynomial product into one big integer
+(Kronecker substitution), so int multiplication does the convolution.
 """
 
 from __future__ import annotations
@@ -307,3 +307,38 @@ class RationalGF:
 
     def __str__(self):
         return f"({self.num}) / ({self.den})"
+
+
+def coefficient_mod(gf, n, m):
+    """[x^n] of the series of gf, in [0, m), for any modulus m >= 2.
+
+    Bostan-Mori halving (arXiv:2008.08822): N(x)D(-x) / D(x)D(-x) has an
+    even denominator, so [x^n] needs only the numerator terms of n's
+    parity; halve n and repeat.  D(0) stays 1, so m need not be prime.
+    """
+    if n < 0 or m < 2:
+        raise ValueError("need n >= 0 and modulus m >= 2")
+    num = [c % m for c in gf.num.coeffs]
+    den = [c % m for c in gf.den.coeffs]
+    # a product coefficient sums at most len(den) terms below m^2
+    width = (2 * m.bit_length() + len(den).bit_length() + 8) // 8
+    while n and num:
+        mirror = _pack([-c % m if i & 1 else c for i, c in enumerate(den)], width)
+        num = _unpack(_pack(num, width) * mirror, len(num) + len(den) - 1, n & 1, width, m)
+        den = _unpack(_pack(den, width) * mirror, 2 * len(den) - 1, 0, width, m)
+        n >>= 1
+    return num[0] if num else 0
+
+
+def _pack(coeffs, width):
+    # Kronecker substitution: coefficient i fills bytes [i*width, (i+1)*width)
+    return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in coeffs), "little")
+
+
+def _unpack(value, count, parity, width, m):
+    # slots parity, parity + 2, ... of a packed product of `count` slots, mod m
+    raw = value.to_bytes(count * width, "little")
+    return [
+        int.from_bytes(raw[i : i + width], "little") % m
+        for i in range(parity * width, count * width, 2 * width)
+    ]

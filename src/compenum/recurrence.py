@@ -10,15 +10,17 @@ coefficients d_i, the numerator corrections, and a seed of initial terms
 long enough to cover both the order and every correction; replaying past
 the seed never consults the corrections again.
 
-The fast modular path (nth_mod) is polynomial modular exponentiation:
-compute x^n modulo the characteristic polynomial over Z_p and combine
-with the seed, O(order^2 log n) word operations.
+The fast modular path (nth_mod) turns the recurrence back into N/D, with
+N read off the seed, and hands it to polyring.coefficient_mod: Bostan-Mori
+halving, about log2(n) steps of two packed big-integer products each.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+
+from .polyring import IntPolynomial, RationalGF, coefficient_mod
 
 
 @dataclass(frozen=True)
@@ -94,15 +96,10 @@ class LinearRecurrence:
         return window[-1]
 
     def nth_mod(self, n, p):
-        """f(n) mod p in O(order^2 log n) modular multiplications.
-
-        The seed extends past every correction, so the tail handled here
-        is purely homogeneous: with s = len(initial_terms) - order, the
-        shifted sequence g(j) = f(j+s) obeys the bare recurrence for all
-        j >= order.  Writing x^(n-s) = sum q_j x^j modulo the
-        characteristic polynomial x^k - d_1 x^(k-1) - ... - d_k (mod p)
-        gives f(n) = g(n-s) = sum q_j g(j), and g(0)..g(k-1) are the
-        last k seed values.
+        """f(n) mod p, for any p >= 2: coefficient_mod on N/D, where
+        D = 1 - d_1 x - ... - d_k x^k and N = D * seed mod x^len(seed).
+        N comes from the seed, not the corrections, because the family
+        constructors fold their boundary terms into their seeds.
         """
         if n < 0:
             raise ValueError("n must be nonnegative")
@@ -110,37 +107,10 @@ class LinearRecurrence:
             raise ValueError("modulus must be >= 2")
         if n < len(self.initial_terms):
             return self.initial_terms[n] % p
-        k = self.order
-        if k == 0:
-            return 0
-        shift = len(self.initial_terms) - k  # >= 1 by the length invariant
-        seed = [t % p for t in self.initial_terms[shift:]]
-        ds = [d % p for d in self.coeffs]  # x^k == d_1 x^(k-1) + ... + d_k
-
-        def mul(a, b):
-            prod = [0] * (len(a) + len(b) - 1)
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        prod[i + j] = (prod[i + j] + ai * bj) % p
-            for i in range(len(prod) - 1, k - 1, -1):
-                c = prod[i]
-                if c:
-                    prod[i] = 0
-                    for j in range(1, k + 1):
-                        prod[i - j] = (prod[i - j] + c * ds[j - 1]) % p
-            return prod[:k]
-
-        result = [1]
-        base = [0, 1] if k > 1 else [ds[0]]
-        e = n - shift
-        while e:
-            if e & 1:
-                result = mul(result, base)
-            e >>= 1
-            if e:
-                base = mul(base, base)
-        return sum(q * g for q, g in zip(result, seed)) % p
+        den = IntPolynomial((1,) + tuple(-d for d in self.coeffs))
+        seed = self.initial_terms
+        num = IntPolynomial((den * IntPolynomial(seed)).coeffs[: len(seed)])
+        return coefficient_mod(RationalGF(num, den), n, p)
 
     def replay_consistent(self):
         """True when every seed term past f(0) is reproduced by the
@@ -191,22 +161,16 @@ def recurrence_from_gf(gf):
 
     With den = 1 - sum d_i x^i the coefficients are read off directly;
     corrections are the nonzero numerator coefficients at index >= 1 and
-    f(0) = num(0).  The seed is replayed through max(order, deg num) so
-    the tail is homogeneous.  A constant denominator yields an order-0
+    f(0) = num(0).  The seed is the series through max(order, deg num),
+    so the tail is homogeneous.  A constant denominator yields an order-0
     recurrence whose terms are just the numerator coefficients.
     """
     num, den = gf.num, gf.den
     k = den.degree  # den(0) = 1, so k >= 0 and d_k != 0 when k >= 1
     coeffs = tuple(-den[i] for i in range(1, k + 1))
     corrections = tuple((i, num[i]) for i in range(1, num.degree + 1) if num[i])
-    top = max(k, num.degree, 0)
-    seed = []
-    for n in range(top + 1):
-        c = num[n]
-        for i in range(1, min(n, k) + 1):
-            c += coeffs[i - 1] * seed[n - i]
-        seed.append(c)
-    return LinearRecurrence(k, coeffs, corrections, tuple(seed))
+    seed = gf.series(max(k, num.degree, 0))
+    return LinearRecurrence(k, coeffs, corrections, seed)
 
 
 def no_multiples_recurrence(k):

@@ -7,6 +7,7 @@ import pytest
 from compenum.cli import main
 from compenum.genfun import count
 from compenum.partset import parse_setspec
+from compenum.recurrence import no_multiples_recurrence
 
 TABLE_20 = """\
 1,0,1,1
@@ -95,6 +96,31 @@ def test_nth_direct_and_modular(capsys):
         capsys, "nth", "not:mod:3:0", "1000000000000", "--mod", "1000000007"
     )
     assert code == 0 and out == "297441196\n"
+
+
+def test_nth_mod_from_recurrence_file_uses_its_seed(tmp_path, capsys):
+    # this seed folds the boundary -1 in and does not replay from its
+    # (empty) corrections, so N must come from the seed
+    path = tmp_path / "rec.json"
+    path.write_text(json.dumps(no_multiples_recurrence(4).to_dict()))
+    A = parse_setspec("not:mod:4:0")
+    file_args = ("--recurrence-file", str(path))
+    for p in (2, 10**9 + 7, 10**12):
+        for n in (0, 4, 5, 6, 50, 1000):
+            code, out, _ = run_cli(capsys, "nth", str(n), "--mod", str(p), *file_args)
+            assert code == 0 and out == f"{count(A, n) % p}\n"
+    code, out, _ = run_cli(capsys, "nth", str(10**15 + 7), "--mod", str(10**12), *file_args)
+    assert code == 0 and out == "629620523060\n"
+
+
+def test_results_past_4300_digits(capsys):
+    code, out, _ = run_cli(capsys, "count", "all", "14400")
+    assert code == 0 and out == f"{2**14399}\n"
+    a, b = 0, 1
+    for _ in range(25000):
+        a, b = b, a + b
+    code, out, _ = run_cli(capsys, "nth", "mod:2:1", "25000")
+    assert code == 0 and out == f"{a}\n"
 
 
 def test_eval_closed(capsys):

@@ -7,6 +7,7 @@ from compenum.polyring import (
     ONE,
     IntPolynomial,
     RationalGF,
+    coefficient_mod,
     divmod_fractions,
     poly_gcd,
 )
@@ -75,6 +76,26 @@ def test_gf_reduce_and_equality():
 def test_gf_series_geometric():
     gf = RationalGF(ONE, poly(1, -2))
     assert gf.series(6) == (1, 2, 4, 8, 16, 32, 64)
+
+
+@given(
+    coeff_lists,
+    coeff_lists,
+    st.integers(0, 60),
+    st.sampled_from((2, 3, 4, 10**12, 2**64, 2**89 - 1)),
+)
+def test_coefficient_mod_matches_series(num, den, n, m):
+    gf = RationalGF(IntPolynomial(tuple(num)), IntPolynomial((1, *den)))
+    assert coefficient_mod(gf, n, m) == gf.series(n)[n] % m
+
+
+def test_coefficient_mod_rejects_bad_arguments():
+    gf = RationalGF(ONE, poly(1, -1, -1))
+    assert coefficient_mod(gf, 10, 1000) == 89
+    with pytest.raises(ValueError):
+        coefficient_mod(gf, -1, 1000)
+    with pytest.raises(ValueError):
+        coefficient_mod(gf, 10, 1)
 
 
 @given(coeff_lists, coeff_lists)

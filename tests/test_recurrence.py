@@ -15,6 +15,7 @@ from compenum.recurrence import (
 )
 
 PRIMES = (97, 2**31 - 1, 10**9 + 7)
+MODULI = PRIMES + (2, 10**12, 2**89 - 1)  # any modulus >= 2 works
 
 
 def test_from_gf_fields_frozen():
@@ -103,10 +104,19 @@ def test_nth_matches_terms():
 
 
 def test_nth_mod_matches_exact():
-    for spec in ("not:mod:3:0", "not:ap:2:3", "mod:2:1", "all"):
-        rec = recurrence_from_gf(composition_gf(parse_setspec(spec)))
+    recs = [
+        recurrence_from_gf(composition_gf(parse_setspec(spec)))
+        for spec in ("not:mod:3:0", "not:ap:2:3", "mod:2:1", "all")
+    ]
+    # seeds that fold in boundary terms; d_k = 2 vanishes mod 2; order 0
+    recs += [
+        no_multiples_recurrence(4),
+        avoid_residue_recurrence(5, 2),
+        LinearRecurrence(0, (), ((0, 1),), (1,)),
+    ]
+    for rec in recs:
         terms = rec.terms(2000)
-        for p in PRIMES:
+        for p in MODULI:
             for n in (0, 1, 2, 3, 50, 777, 2000):
                 assert rec.nth_mod(n, p) == terms[n] % p
 
@@ -114,6 +124,14 @@ def test_nth_mod_matches_exact():
 def test_nth_mod_tribonacci_spot():
     rec = recurrence_from_gf(composition_gf(parse_setspec("not:mod:3:0")))
     assert rec.nth_mod(20, 10**9 + 7) == 101902
+    assert rec.nth_mod(10**12, 10**9 + 7) == 297441196
+
+
+def test_nth_mod_order_60_frozen():
+    # value from the earlier x^n mod charpoly evaluator
+    rec = recurrence_from_gf(composition_gf(parse_setspec("not:mod:60:0")))
+    assert rec.order == 60
+    assert rec.nth_mod(10**18 + 3, 2**61 - 1) == 1279753486602326295
 
 
 def test_nth_mod_rejects_tiny_modulus():
@@ -131,7 +149,7 @@ def test_gf_recurrence_agrees_with_dp(seed, n):
     assert rec.terms(n)[-1] == dp_count_series(A, n)[n]
 
 
-@given(st.integers(0, 10_000), st.sampled_from(PRIMES))
+@given(st.integers(0, 10_000), st.sampled_from(MODULI))
 @settings(max_examples=30, deadline=None)
 def test_nth_mod_agrees_with_terms_random(seed, p):
     rng = random.Random(seed)
