@@ -3,8 +3,8 @@
 Part sets are eventually periodic subsets of the positive integers
 (residue classes modulo k with finitely many exceptions).  For any such
 set the package derives the rational generating function of the
-composition counts exactly, turns it into a linear recurrence with big
-integer terms and a fast modular evaluator, expands it into a numeric
+composition counts exactly, reads exact counts and fast modular terms
+off it, saves it as a JSON linear recurrence, expands it into a numeric
 closed form over the denominator poles, and cross-checks everything
 against brute-force enumeration and direct dynamic programming.
 """

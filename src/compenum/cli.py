@@ -22,6 +22,7 @@ from mpmath import mp
 from . import closedform, genfun, oracle
 from .bivariate import bivariate_table
 from .partset import SetSpecError, parse_setspec
+from .polyring import coefficient_mod
 from .recurrence import LinearRecurrence, recurrence_from_gf
 
 DISPLAY_DIGITS = 12
@@ -54,10 +55,6 @@ def _complex_str(z):
     return mp.nstr(z, DISPLAY_DIGITS)
 
 
-def _gf_recurrence(setspec):
-    return recurrence_from_gf(genfun.composition_gf(parse_setspec(setspec)))
-
-
 # -- subcommand handlers ----------------------------------------------------
 
 
@@ -81,7 +78,7 @@ def cmd_series(args, parser):
 
 
 def cmd_recurrence(args, parser):
-    rec = _gf_recurrence(args.setspec)
+    rec = recurrence_from_gf(genfun.composition_gf(parse_setspec(args.setspec)))
     if args.format == "json":
         print(json.dumps(rec.to_dict()))
     else:
@@ -147,19 +144,19 @@ def cmd_nth(args, parser):
         if len(args.operands) != 1:
             parser.error("with --recurrence-file, give just n")
         with open(args.recurrence_file, encoding="utf-8") as fh:
-            rec = LinearRecurrence.from_dict(json.load(fh))
+            gf = LinearRecurrence.from_dict(json.load(fh)).to_gf()
         n = _parse_operand_n(args.operands[0], parser)
     else:
         if len(args.operands) != 2:
             parser.error("expected: nth <setspec> <n> (or nth <n> --recurrence-file F)")
-        rec = _gf_recurrence(args.operands[0])
+        gf = genfun.composition_gf(parse_setspec(args.operands[0]))
         n = _parse_operand_n(args.operands[1], parser)
     if args.mod is not None:
         if args.mod < 2:
             parser.error("--mod must be >= 2")
-        print(rec.nth_mod(n, args.mod))
+        print(coefficient_mod(gf, n, args.mod))
     else:
-        print(rec.nth(n))
+        print(gf.coefficient(n))
     return 0
 
 
@@ -184,7 +181,7 @@ def cmd_table(args, parser):
     limit = args.limit
     columns = []
     for spec in ("not:ap:1:3", "not:ap:2:3", "not:mod:3:0"):
-        columns.append(_gf_recurrence(spec).terms(limit))
+        columns.append(genfun.composition_series(parse_setspec(spec), limit))
     for n in range(1, limit + 1):
         print(f"{n},{columns[0][n]},{columns[1][n]},{columns[2][n]}")
     return 0

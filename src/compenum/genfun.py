@@ -16,7 +16,6 @@ recurrence.
 from __future__ import annotations
 
 from .polyring import IntPolynomial, RationalGF
-from . import recurrence as _recurrence
 
 _ONE = IntPolynomial((1,))
 
@@ -48,14 +47,12 @@ def composition_series(A, order):
 def count(A, n):
     """c_A(n): the number of compositions of n with all parts in A.
 
-    c_A(0) = 1 by the empty-composition convention.  Computed through
-    the GF-derived recurrence, not by direct set iteration; the plain DP
-    form lives in the oracle module as an independent cross-check.
+    c_A(0) = 1 by the empty-composition convention.  Read off the
+    generating function with RationalGF.coefficient, not by direct set
+    iteration; the plain DP form lives in the oracle module as an
+    independent cross-check.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    rec = _recurrence.recurrence_from_gf(composition_gf(A))
-    return rec.terms(n)[n]
+    return composition_gf(A).coefficient(n)
 
 
 def length_slice_series(A, m, order):

@@ -94,9 +94,6 @@ class PartSet:
         out.update(v for v in self.added if v <= n)
         return sorted(out)
 
-    def is_empty_upto(self, n):
-        return not self.members_upto(n)
-
     # -- algebra -------------------------------------------------------
 
     def complement(self):

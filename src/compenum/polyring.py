@@ -16,7 +16,10 @@ coefficient_mod packs each polynomial product into one big integer
 from __future__ import annotations
 
 import math
+from collections import deque
 from fractions import Fraction
+from itertools import chain, islice, repeat
+from operator import mul
 
 
 class IntPolynomial:
@@ -278,19 +281,31 @@ class RationalGF:
             num, den = -num, -den
         return RationalGF(num, den)
 
+    def _expand(self):
+        # c_0, c_1, ... without end; the window holds c_{n-k}..c_{n-1},
+        # zeros before the start, lined up with d_k..d_1
+        d = [-c for c in reversed(self.den.coeffs[1:])]
+        window = deque([0] * len(d), maxlen=len(d))
+        for c in chain(self.num.coeffs, repeat(0)):
+            c += sum(map(mul, d, window))
+            window.append(c)
+            yield c
+
     def series(self, order):
         """Truncated expansion c_0..c_order (a tuple of length order+1)."""
         if order < 0:
             raise ValueError("order must be nonnegative")
-        num, den = self.num, self.den
-        k = den.degree
-        out = []
-        for n in range(order + 1):
-            c = num[n]
-            for i in range(1, min(n, k) + 1):
-                c -= den[i] * out[n - i]
-            out.append(c)
-        return tuple(out)
+        return tuple(islice(self._expand(), order + 1))
+
+    def coefficient(self, n):
+        """c_n exactly, holding only the den.degree terms before it.
+
+        O(n * den.degree) big-integer operations; use coefficient_mod
+        for a residue at astronomically large n.
+        """
+        if n < 0:
+            raise ValueError("n must be nonnegative")
+        return next(islice(self._expand(), n, None))
 
     def __eq__(self, other):
         if not isinstance(other, RationalGF):

@@ -1,4 +1,4 @@
-"""C-finite recurrences extracted from rational generating functions.
+"""C-finite recurrences: the JSON exchange format for count sequences.
 
 A reduced generating function N(x)/D(x) with D = 1 - d_1 x - ... - d_k x^k
 satisfies, by comparing coefficients of x^n,
@@ -7,17 +7,15 @@ satisfies, by comparing coefficients of x^n,
 
 so beyond deg N the sequence is homogeneous.  LinearRecurrence stores the
 coefficients d_i, the numerator corrections, and a seed of initial terms
-long enough to cover both the order and every correction; replaying past
-the seed never consults the corrections again.
-
-The fast modular path (nth_mod) turns the recurrence back into N/D, with
-N read off the seed, and hands it to polyring.coefficient_mod: Bostan-Mori
-halving, about log2(n) steps of two packed big-integer products each.
+long enough to cover both the order and every correction, and writes
+them as JSON with to_dict / from_dict.  It evaluates nothing itself:
+to_gf() turns it back into N/D, with N read off the seed, and every
+method answers through that RationalGF (series, coefficient, and
+polyring.coefficient_mod for residues at huge n).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .polyring import IntPolynomial, RationalGF, coefficient_mod
@@ -35,6 +33,9 @@ class LinearRecurrence:
     family constructors below bake their seed values in with no
     corrections, so replay_consistent is False for them whenever a
     boundary adjustment got folded into the seed.
+
+    This is the exchange format (to_dict / from_dict); to_gf() is the
+    generating function every evaluation method goes through.
     """
 
     order: int
@@ -63,75 +64,48 @@ class LinearRecurrence:
 
     # -- evaluation ------------------------------------------------------
 
+    def to_gf(self):
+        """N/D with D = 1 - d_1 x - ... - d_k x^k, N = D * seed mod x^len(seed).
+
+        N comes from the seed, not the corrections, because the family
+        constructors fold their boundary terms into their seeds.  The
+        seed covers the order, so the series repeats the seed and then
+        follows the homogeneous recurrence.
+        """
+        den = IntPolynomial((1,) + tuple(-d for d in self.coeffs))
+        seed = self.initial_terms
+        return RationalGF(IntPolynomial((den * IntPolynomial(seed)).coeffs[: len(seed)]), den)
+
     def terms(self, n):
         """f(0)..f(n) as exact integers (tuple of length n+1)."""
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        out = list(self.initial_terms[: n + 1])
-        cs = self.coeffs
-        k = self.order
-        for i in range(len(out), n + 1):
-            acc = 0
-            for j in range(1, k + 1):
-                acc += cs[j - 1] * out[i - j]
-            out.append(acc)
-        return tuple(out)
+        return self.to_gf().series(n)
 
     def nth(self, n):
         """f(n) exactly, O(order) memory (for large single lookups)."""
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        if n < len(self.initial_terms):
-            return self.initial_terms[n]
-        k = self.order
-        if k == 0:
-            return 0
-        cs = self.coeffs
-        window = deque(self.initial_terms[-k:], maxlen=k)
-        for _ in range(len(self.initial_terms), n + 1):
-            acc = 0
-            for j in range(1, k + 1):
-                acc += cs[j - 1] * window[-j]
-            window.append(acc)
-        return window[-1]
+        return self.to_gf().coefficient(n)
 
     def nth_mod(self, n, p):
-        """f(n) mod p, for any p >= 2: coefficient_mod on N/D, where
-        D = 1 - d_1 x - ... - d_k x^k and N = D * seed mod x^len(seed).
-        N comes from the seed, not the corrections, because the family
-        constructors fold their boundary terms into their seeds.
-        """
+        """f(n) mod p, for any p >= 2, by coefficient_mod on to_gf()."""
         if n < 0:
             raise ValueError("n must be nonnegative")
         if p < 2:
             raise ValueError("modulus must be >= 2")
-        if n < len(self.initial_terms):
-            return self.initial_terms[n] % p
-        den = IntPolynomial((1,) + tuple(-d for d in self.coeffs))
-        seed = self.initial_terms
-        num = IntPolynomial((den * IntPolynomial(seed)).coeffs[: len(seed)])
-        return coefficient_mod(RationalGF(num, den), n, p)
+        return coefficient_mod(self.to_gf(), n, p)
 
     def replay_consistent(self):
         """True when every seed term past f(0) is reproduced by the
-        recurrence plus corrections (with f(j) = 0 for j < 0; f(0) is
-        the anchor, its generating function counterpart is the
+        recurrence plus corrections (with f(j) = 0 for j < 0), that is
+        when to_gf()'s numerator matches the corrections from x^1 on.
+        f(0) is the anchor: its generating function counterpart is the
         numerator constant, which lives in the seed rather than the
-        corrections).  Holds for recurrence_from_gf outputs by
+        corrections.  Holds for recurrence_from_gf outputs by
         construction; the theorem-shaped constructors fail it on
         purpose, since their seeds absorb the boundary adjustment that
         a GF correction would otherwise carry.
         """
+        num = self.to_gf().num
         corr = dict(self.corrections)
-        for i, expected in enumerate(self.initial_terms):
-            if i == 0:
-                continue
-            acc = corr.get(i, 0)
-            for j in range(1, min(i, self.order) + 1):
-                acc += self.coeffs[j - 1] * self.initial_terms[i - j]
-            if acc != expected:
-                return False
-        return True
+        return all(num[i] == corr.get(i, 0) for i in range(1, len(self.initial_terms)))
 
     # -- serialization -----------------------------------------------------
 
@@ -210,13 +184,9 @@ def avoid_residue_recurrence(k, m):
     cs = [1] * k
     cs[m - 1] = 0
     cs[k - 1] = 2
-    seed = [1]
-    for j in range(1, k + 1):
-        acc = -1 if j == k else 0
-        for i in range(1, j + 1):
-            acc += cs[i - 1] * seed[j - i]
-        seed.append(acc)
-    return LinearRecurrence(k, tuple(cs), (), tuple(seed))
+    den = IntPolynomial((1,) + tuple(-c for c in cs))
+    seed = RationalGF(1 - IntPolynomial.monomial(k), den).series(k)
+    return LinearRecurrence(k, tuple(cs), (), seed)
 
 
 def avoid_residue_seed_formula(k, m):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 from hypothesis import given, settings, strategies as st
 
@@ -29,6 +30,19 @@ def test_counts_pinned():
     assert count(parse_setspec("set:"), 5) == 0
     assert count(parse_setspec("set:"), 0) == 1
     assert count(PartSet.everything(), 30) == 2**29
+
+
+def test_count_holds_only_a_window_of_terms():
+    # c(n) = F(n), 20827 bits at n = 30000; all 30001 terms take about 43 MB
+    A = parse_setspec("mod:2:1")
+    tracemalloc.start()
+    try:
+        value = count(A, 30000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value.bit_length() == 20827
+    assert peak < 1_000_000
 
 
 def test_series_prefix():

@@ -87,6 +87,7 @@ def test_gf_series_geometric():
 def test_coefficient_mod_matches_series(num, den, n, m):
     gf = RationalGF(IntPolynomial(tuple(num)), IntPolynomial((1, *den)))
     assert coefficient_mod(gf, n, m) == gf.series(n)[n] % m
+    assert gf.coefficient(n) == gf.series(n)[n]
 
 
 def test_coefficient_mod_rejects_bad_arguments():
@@ -96,6 +97,8 @@ def test_coefficient_mod_rejects_bad_arguments():
         coefficient_mod(gf, -1, 1000)
     with pytest.raises(ValueError):
         coefficient_mod(gf, 10, 1)
+    with pytest.raises(ValueError):
+        gf.coefficient(-1)
 
 
 @given(coeff_lists, coeff_lists)

@@ -164,6 +164,9 @@ def test_json_round_trip():
     again = LinearRecurrence.from_dict(rec.to_dict())
     assert again == rec
     assert again.terms(25) == rec.terms(25)
+    gf = composition_gf(parse_setspec("not:ap:1:3"))
+    back = recurrence_from_gf(gf).to_gf()
+    assert (back.num.coeffs, back.den.coeffs) == (gf.num.coeffs, gf.den.coeffs)
 
 
 def test_from_dict_rejects_malformed():
