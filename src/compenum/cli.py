@@ -109,12 +109,12 @@ def _poly_part_str(poly_part):
 def cmd_closed_form(args, parser):
     gf = genfun.composition_gf(parse_setspec(args.setspec))
     pf = closedform.partial_fractions(gf, args.digits)
-    print(f"generating function: {gf.reduce()}")
+    print(f"generating function: {gf}")
     print(f"polynomial part: {_poly_part_str(pf.poly_part)}")
     if not pf.poles:
         print("poles: none (coefficients terminate)")
         return 0
-    report = closedform.dominance_report(gf, args.digits)
+    report = closedform.dominance_report(pf)
     rows = zip(pf.poles, pf.residue_coeffs, report.classifications)
     for i, (pole, res, label) in enumerate(rows, start=1):
         print(

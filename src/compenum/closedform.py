@@ -13,8 +13,9 @@ or not the fraction is proper because N and the division remainder agree
 at every root of D.
 
 All numerics run through mpmath at a caller-chosen precision plus guard
-digits.  Roots come from a Durand-Kerner sweep started on a
-deterministic staggered circle, so repeated runs give identical output.
+digits.  Roots come from mpmath.polyroots, which is deterministic, so
+repeated runs give identical output; each root is then certified by its
+residual and conjugate roots are paired exactly.
 Only squarefree denominators are supported; a repeated factor makes the
 simple-pole formula wrong, and find_roots refuses with
 RepeatedRootError instead of returning garbage.
@@ -80,13 +81,13 @@ class ComplexRoot:
 def find_roots(poly, digits=50):
     """All complex roots of an integer polynomial, certified to `digits`.
 
-    Deterministic Durand-Kerner: start the iterates on a circle of
-    Cauchy-bound radius with an irrational angular offset (breaks the
-    conjugate symmetry that can stall the sweep), refine until the
-    largest correction sits well under the target precision, snap
-    near-real roots onto the axis, and average conjugate pairs so the
-    returned set is exactly closed under conjugation.  Output is sorted
-    by (modulus, |arg|, arg), which puts the growth-dominant root first.
+    The roots come from mpmath.polyroots (deterministic, so repeated
+    runs agree).  Near-real roots are snapped onto the axis, conjugate
+    pairs are averaged so the returned set is exactly closed under
+    conjugation, and every root must pass a residual bound.  Output is
+    sorted by (modulus, |arg|, arg), which puts the growth-dominant root
+    first; moduli within the certification tolerance count as equal, so
+    rounding noise never decides the order of equal-modulus roots.
     """
     _check_digits(digits)
     if not poly:
@@ -99,39 +100,10 @@ def find_roots(poly, digits=50):
         raise RepeatedRootError(f"repeated factor (gcd with derivative is {common})")
     maxc = max(abs(c) for c in poly.coeffs)
     with mp.workdps(digits + GUARD_DIGITS):
-        lead = mp.mpf(poly[deg])
-        radius = 1 + mp.mpf(max(abs(poly[i]) for i in range(deg))) / abs(lead)
-        zs = [
-            radius * mp.expjpi(mp.mpf(2 * i) / deg + mp.mpf(1) / 7)
-            for i in range(deg)
-        ]
-        scale = max(mp.mpf(1), radius)
-        target = mp.mpf(10) ** (-(digits + 8)) * scale
-        settled = 0
-        for sweep in range(400):
-            worst = mp.mpf(0)
-            for i in range(deg):
-                zi = zs[i]
-                denom = lead
-                for j in range(deg):
-                    if j != i:
-                        denom *= zi - zs[j]
-                if denom == 0:
-                    # two iterates collided, nudge one deterministically
-                    zs[i] = zi + scale * mp.mpf(10) ** (-2 - sweep)
-                    worst = scale
-                    continue
-                step = poly(zi) / denom
-                zs[i] = zi - step
-                worst = max(worst, abs(step))
-            if worst <= target:
-                settled += 1
-                if settled >= 2:  # two clean sweeps in a row
-                    break
-            else:
-                settled = 0
-        else:
-            raise ConvergenceError("root iteration did not settle")
+        try:
+            zs = mp.polyroots(poly.coeffs[::-1], maxsteps=400, extraprec=20)
+        except mp.NoConvergence:
+            raise ConvergenceError("root iteration did not settle") from None
 
         imag_snap = mp.mpf(10) ** (-(digits - 8))
         snapped = []
@@ -145,7 +117,7 @@ def find_roots(poly, digits=50):
         lower = [z for z in snapped if z.imag < 0]
         if len(upper) != len(lower):
             raise ConvergenceError("complex roots do not split into conjugate pairs")
-        pair_tol = mp.mpf(10) ** (-(digits - 10))
+        tol = mp.mpf(10) ** (-(digits - 10))
         taken = [False] * len(lower)
         paired = []
         for z in upper:
@@ -157,20 +129,31 @@ def find_roots(poly, digits=50):
                 gap = abs(z - mp.conj(w))
                 if best is None or gap < best_gap:
                     best, best_gap = idx, gap
-            if best is None or best_gap > pair_tol * (1 + abs(z)):
+            if best is None or best_gap > tol * (1 + abs(z)):
                 raise ConvergenceError("complex roots do not split into conjugate pairs")
             taken[best] = True
             avg = (z + mp.conj(lower[best])) / 2
             paired.extend((avg, mp.conj(avg)))
 
-        bound = mp.mpf(10) ** (-(digits - 10)) * max(1, maxc)
+        bound = tol * max(1, maxc)
         roots = []
         for z in reals + paired:
             resid = abs(poly(z))
             if resid > bound:
                 raise ConvergenceError(f"residual {mp.nstr(resid, 5)} above certification bound")
             roots.append(ComplexRoot(mp.mpc(z), resid))
-        roots.sort(key=lambda r: (r.modulus, abs(mp.arg(r.value)), mp.arg(r.value)))
+        roots.sort(key=lambda r: r.modulus)
+        tied = []  # runs of roots whose moduli agree within tol
+        for r in roots:
+            if tied and r.modulus - tied[-1][0].modulus <= tol:
+                tied[-1].append(r)
+            else:
+                tied.append([r])
+        roots = [
+            r
+            for run in tied
+            for r in sorted(run, key=lambda r: (abs(mp.arg(r.value)), mp.arg(r.value)))
+        ]
     return tuple(roots)
 
 
@@ -275,15 +258,17 @@ class DominanceReport:
     tolerance: object = field(default=None, repr=False)
 
 
-def dominance_report(gf, digits=50):
-    """Classify the poles of a RationalGF against the unit circle."""
-    _check_digits(digits)
-    g = gf.reduce()
-    if g.den.degree < 1:
+def dominance_report(pf):
+    """Classify the poles of a PartialFraction against the unit circle.
+
+    Reads pf.poles at pf.precision_digits, so the roots found for the
+    partial fraction are the ones classified.
+    """
+    if not pf.poles:
         return DominanceReport((), (), mp.mpf(0), False, False, mp.mpf(0))
-    poles = find_roots(g.den, digits)
-    with mp.workdps(digits + GUARD_DIGITS):
-        tol = mp.mpf(10) ** (-(digits - GUARD_DIGITS))
+    poles = pf.poles
+    with mp.workdps(pf.precision_digits + GUARD_DIGITS):
+        tol = mp.mpf(10) ** (-(pf.precision_digits - GUARD_DIGITS))
         labels = []
         for p in poles:
             m = p.modulus

@@ -145,7 +145,7 @@ def test_criterion_07_nearest_integer_dominance():
         "not:ap:2:3": False,
     }
     for spec, valid in validity.items():
-        rep = dominance_report(composition_gf(parse_setspec(spec)))
+        rep = dominance_report(partial_fractions(composition_gf(parse_setspec(spec))))
         assert rep.nearest_integer_valid is valid
 
 

@@ -142,6 +142,33 @@ def test_closed_form_report(capsys):
     assert "nearest-integer rounding valid: no" in out
 
 
+def test_closed_form_finds_roots_once(capsys, monkeypatch):
+    from compenum import closedform
+
+    calls = []
+    real = closedform.find_roots
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(closedform, "find_roots", counted)
+    code, _, _ = run_cli(capsys, "closed-form", "not:mod:3:0")
+    assert code == 0 and len(calls) == 1
+
+
+def test_closed_form_root_iteration_failure_exits_two(capsys, monkeypatch):
+    from mpmath import mp
+
+    def no_convergence(*args, **kwargs):
+        raise mp.NoConvergence("Didn't converge")
+
+    monkeypatch.setattr(mp, "polyroots", no_convergence)
+    code, out, err = run_cli(capsys, "closed-form", "not:mod:3:0")
+    assert code == 2 and out == ""
+    assert err == "error: root iteration did not settle\n"
+
+
 def test_bylength(capsys):
     code, out, _ = run_cli(capsys, "bylength", "mod:2:1", "5")
     assert out == "0 0\n1 1\n2 0\n3 3\n4 0\n5 1\n"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from compenum.closedform import (
+    ConvergenceError,
     RepeatedRootError,
     dominance_report,
     eval_closed,
@@ -69,7 +70,7 @@ def test_constant_denominator_degenerates_gracefully():
     assert pf.poles == () and pf.poly_part == (Fraction(1),)
     assert eval_closed(pf, 0).value == 1
     assert eval_closed(pf, 3).value == 0
-    rep = dominance_report(composition_gf(parse_setspec("set:")))
+    rep = dominance_report(partial_fractions(composition_gf(parse_setspec("set:"))))
     assert rep.poles == () and not rep.nearest_integer_valid
 
 
@@ -81,6 +82,23 @@ def test_find_roots_input_validation():
     with pytest.raises(ValueError):
         find_roots(poly([1, -1]), digits=True)
     assert find_roots(poly([7])) == ()
+
+
+@pytest.mark.parametrize("digits", [16, 20, 32, 50, 80])
+def test_equal_modulus_roots_ordered_by_argument(digits):
+    # 1 - x^2 - x^6 has the real roots +-0.826..., of equal modulus
+    roots = find_roots(poly([1, 0, -1, 0, 0, 0, -1]), digits)
+    assert roots[0].value.imag == 0 and roots[0].value.real > 0
+    assert abs(roots[1].value + roots[0].value) < 1e-12
+
+
+def test_root_iteration_failure_raises(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise mp.mp.NoConvergence("Didn't converge")
+
+    monkeypatch.setattr(mp.mp, "polyroots", no_convergence)
+    with pytest.raises(ConvergenceError, match="root iteration did not settle"):
+        find_roots(poly([1, -1, -1]))
 
 
 def test_repeated_root_detected():
@@ -111,27 +129,27 @@ def test_eval_closed_pinned_values():
 
 
 def test_dominance_three_way_split():
-    rep = dominance_report(composition_gf(parse_setspec("not:mod:3:0")))
+    rep = dominance_report(partial_fractions(composition_gf(parse_setspec("not:mod:3:0"))))
     assert rep.classifications == ("inside", "outside", "outside")
     assert rep.unique_dominant and rep.nearest_integer_valid
     assert abs(rep.growth_rate - 1.8392867552) < 1e-9
 
     for spec in ("not:ap:1:3", "not:ap:2:3"):
-        rep = dominance_report(composition_gf(parse_setspec(spec)))
+        rep = dominance_report(partial_fractions(composition_gf(parse_setspec(spec))))
         assert rep.classifications == ("inside", "inside", "inside")
         assert rep.unique_dominant
         assert not rep.nearest_integer_valid
 
 
 def test_dominance_tie_on_unit_circle():
-    rep = dominance_report(composition_gf(parse_setspec("set:2")))
+    rep = dominance_report(partial_fractions(composition_gf(parse_setspec("set:2"))))
     assert rep.classifications == ("on", "on")
     assert not rep.unique_dominant
     assert not rep.nearest_integer_valid
 
 
 def test_dominance_single_pole():
-    rep = dominance_report(composition_gf(parse_setspec("all")))
+    rep = dominance_report(partial_fractions(composition_gf(parse_setspec("all"))))
     assert rep.classifications == ("inside",)
     assert rep.unique_dominant and rep.nearest_integer_valid
     assert abs(rep.growth_rate - 2) < 1e-40
