@@ -9,12 +9,7 @@ closed form over the denominator poles, and cross-checks everything
 against brute-force enumeration and direct dynamic programming.
 """
 
-from .bivariate import (
-    BivariateTable,
-    bivariate_table,
-    odd_parts_by_length,
-    row_check_against_slices,
-)
+from .bivariate import BivariateTable, bivariate_table, length_row, odd_parts_by_length
 from .closedform import (
     ClosedFormError,
     ComplexRoot,
@@ -28,7 +23,7 @@ from .closedform import (
     find_roots,
     partial_fractions,
 )
-from .genfun import composition_gf, composition_series, count, length_slice_series
+from .genfun import composition_gf, composition_series, count, length_gf
 from .oracle import (
     DEFAULT_ENUM_LIMIT,
     Check,
@@ -38,8 +33,11 @@ from .oracle import (
     compositions,
     dp_count,
     dp_count_series,
+    dp_length_table,
     expected_discrepancy,
+    length_slice_series,
     random_partset,
+    row_check_against_slices,
     run_verification_suite,
     suite_passed,
     verify_cayley_shift,
@@ -88,9 +86,12 @@ __all__ = [
     "dominance_report",
     "dp_count",
     "dp_count_series",
+    "dp_length_table",
     "eval_closed",
     "expected_discrepancy",
     "find_roots",
+    "length_gf",
+    "length_row",
     "length_slice_series",
     "no_multiples_recurrence",
     "odd_parts_by_length",

@@ -1,15 +1,15 @@
 """Joint counting of compositions by total and by number of parts.
 
 c(n, m) is the number of compositions of n using exactly m parts, all
-drawn from the part set.  The table is a dense DP triangle: prepending
-a part p to a composition of n - p with m - 1 parts gives
-
-    c(n, m) = sum over p in A, p <= n, of c(n - p, m - 1)
-
-seeded by c(0, 0) = 1.  Summing a row over m recovers the plain count,
-and column m matches the coefficients of the m-th power of the part
-series; both cross-checks are exercised by the test suite and the
-second one is exposed here as row_check_against_slices.
+drawn from the part set.  Row n is the x^n coefficient of the bivariate
+generating function C(x, y) = 1/(1 - y*S(x)), a polynomial in y.  Every
+entry of row n is a count of at most c(n) <= 2^(n-1), so substituting
+y = 2^(8w) with w = n//8 + 1 bytes turns C into a univariate RationalGF
+(genfun.length_gf) whose c_n holds the row packed in w-byte slots, with
+no carries between them.  One exact series expansion does all the work;
+the row is decoded by slicing the bytes of c_n.  The O(n^2 * |A|)
+dynamic program and the S(x)^m slices live in the oracle module, as
+independent cross-checks.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .genfun import length_slice_series
+from .genfun import length_gf
 
 
 @dataclass(frozen=True)
@@ -53,41 +53,30 @@ class BivariateTable:
         return sum(self.row(n))
 
 
+def _packed_gf(A, n):
+    # rows up to n hold counts <= 2^(n-1) < 2^(8 * width): one width-byte slot each
+    width = n // 8 + 1
+    return length_gf(A, 1 << 8 * width), width
+
+
+def _unpack_row(value, slots, width):
+    raw = value.to_bytes(slots * width, "little")
+    return tuple(int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width))
+
+
+def length_row(A, n):
+    """Row n, c(n, 0..n), off one coefficient of C(x, 2^(8w)); the
+    expander holds only a window of den.degree packed rows."""
+    gf, width = _packed_gf(A, n)
+    return _unpack_row(gf.coefficient(n), n + 1, width)
+
+
 def bivariate_table(A, limit):
-    """DP fill of the joint table for part set A up to the given total."""
+    """Rows 0..limit of the joint table, off one series of C(x, 2^(8w))."""
     if limit < 0:
         raise ValueError("limit must be nonnegative")
-    members = A.members_upto(limit)
-    rows = [[0] * (limit + 1) for _ in range(limit + 1)]
-    rows[0][0] = 1
-    for n in range(1, limit + 1):
-        row = rows[n]
-        for p in members:
-            if p > n:
-                break
-            prev = rows[n - p]
-            # parts are >= 1, so a composition of n-p has at most n-p parts
-            for m in range(1, n - p + 2):
-                if prev[m - 1]:
-                    row[m] += prev[m - 1]
-    return BivariateTable(limit, tuple(tuple(r) for r in rows))
-
-
-def row_check_against_slices(A, n):
-    """True iff row n of the DP table matches the series slices.
-
-    The slice route is independent of the DP: the number of m-part
-    compositions of n is the x^n coefficient of the m-th power of the
-    part series, computed by polynomial convolution.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    table = bivariate_table(A, n)
-    row = table.row(n)
-    for m in range(n + 1):
-        if row[m] != length_slice_series(A, m, n)[n]:
-            return False
-    return True
+    gf, width = _packed_gf(A, limit)
+    return BivariateTable(limit, tuple(_unpack_row(c, limit + 1, width) for c in gf.series(limit)))
 
 
 def odd_parts_by_length(n, m):

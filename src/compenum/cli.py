@@ -13,6 +13,7 @@ deterministic for identical inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -20,7 +21,7 @@ import sys
 from mpmath import mp
 
 from . import closedform, genfun, oracle
-from .bivariate import bivariate_table
+from .bivariate import length_row
 from .partset import SetSpecError, parse_setspec
 from .polyring import coefficient_mod
 from .recurrence import LinearRecurrence, recurrence_from_gf
@@ -168,9 +169,7 @@ def _parse_operand_n(text, parser):
 
 
 def cmd_bylength(args, parser):
-    A = parse_setspec(args.setspec)
-    row = bivariate_table(A, args.n).row(args.n)
-    for m, c in enumerate(row):
+    for m, c in enumerate(length_row(parse_setspec(args.setspec), args.n)):
         print(m, c)
     return 0
 
@@ -270,6 +269,7 @@ def cmd_verify(args, parser):
 # -- parser -----------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="compenum",

@@ -10,33 +10,30 @@ generating function
 
 For eventually periodic A the indicator series is rational, so C is a
 ratio of integer polynomials and the counts satisfy a fixed-depth linear
-recurrence.
+recurrence.  C(x, y) = 1/(1 - y*S(x)) also counts by number of parts
+(length_gf); the slices S(x)^m by convolution live in the oracle module.
 """
 
 from __future__ import annotations
 
 from .polyring import IntPolynomial, RationalGF
 
-_ONE = IntPolynomial((1,))
 
-
-def composition_gf(A):
-    """C(x) = 1/(1 - S(x)) as a reduced RationalGF.
-
-    With the part series in the form S = P + Q/(1 - x^k), clearing the
-    denominator gives
-
-        C = (1 - x^k) / ((1 - x^k)(1 - P) - Q).
-
-    P(0) = Q(0) = 0 makes the denominator constant term 1, so the series
-    expansion and the recurrence view are both well defined.  The result
-    is reduced: numerator and denominator share no nonconstant factor,
-    which the closed-form machinery relies on (every denominator root
-    must be a genuine pole).
+def length_gf(A, y=1):
+    """C(x, y) = 1/(1 - y*S(x)) at an integer y, unreduced: [x^n] is
+    sum_m c(n, m) y^m.  With S = P + Q/(1 - x^k), clearing denominators
+    gives C = (1 - x^k) / ((1 - x^k) - y*((1 - x^k)P + Q)), and
+    P(0) = Q(0) = 0 makes the denominator constant term 1.
     """
     P, Q, k = A.series_form()
     cyc = IntPolynomial((1,) + (0,) * (k - 1) + (-1,))  # 1 - x^k
-    return RationalGF(cyc, cyc * (_ONE - P) - Q).reduce()
+    return RationalGF(cyc, cyc - (cyc * P + Q) * y)
+
+
+def composition_gf(A):
+    """C(x) = 1/(1 - S(x)), the y = 1 view of length_gf, reduced: with
+    no common factor left, every denominator root is a genuine pole."""
+    return length_gf(A).reduce()
 
 
 def composition_series(A, order):
@@ -53,28 +50,3 @@ def count(A, n):
     independent cross-check.
     """
     return composition_gf(A).coefficient(n)
-
-
-def length_slice_series(A, m, order):
-    """Coefficients of S(x)^m up to x^order: compositions with exactly m parts.
-
-    m = 0 yields the series 1 (the empty composition).  Plain truncated
-    convolution; the bivariate module cross-checks these slices against
-    its dynamic program.
-    """
-    if m < 0:
-        raise ValueError("number of parts must be nonnegative")
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    members = A.members_upto(order)
-    acc = [1] + [0] * order
-    for _ in range(m):
-        nxt = [0] * (order + 1)
-        for i, c in enumerate(acc):
-            if c:
-                for v in members:
-                    if i + v > order:
-                        break
-                    nxt[i + v] += c
-        acc = nxt
-    return tuple(acc)

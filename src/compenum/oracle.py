@@ -1,14 +1,16 @@
 """Ground truth and verification.
 
-Two independent reference implementations live here: exhaustive
-enumeration (exponential, capped) and the direct tabulation
+Independent reference implementations live here: exhaustive
+enumeration (exponential, capped), the direct tabulation
 
-    c(0) = 1,  c(n) = sum over p in A with p <= n of c(n - p)
+    c(0) = 1,  c(n) = sum over p in A with p <= n of c(n - p),
 
-neither of which touches the polynomial pipeline.  On top of them sit
-the verifiers: each builds a report of named checks whose rows carry
-(n, lhs, rhs) so a failure is inspectable, plus free-text findings for
-anything worth flagging that is not itself a pass/fail row.
+its refinement by number of parts (dp_length_table) and the slices
+S(x)^m by convolution; none of them touches the polynomial pipeline.
+On top of them sit the verifiers: each builds a report of named checks
+whose rows carry (n, lhs, rhs) so a failure is inspectable, plus
+free-text findings for anything worth flagging that is not itself a
+pass/fail row.
 
 Some checks are expected to fail by design and are documented in the
 reports rather than patched: the closed-form initial values for the
@@ -108,6 +110,57 @@ def dp_count_series(A, order):
 
 def dp_count(A, n):
     return dp_count_series(A, n)[n]
+
+
+def dp_length_table(A, limit):
+    """Rows 0..limit (each of limit + 1 entries) of c(n, m), compositions
+    of n with m parts: c(0, 0) = 1, c(n, m) = sum over p in A, p <= n,
+    of c(n - p, m - 1), since prepending p to one gives one of n."""
+    if limit < 0:
+        raise ValueError("limit must be nonnegative")
+    members = A.members_upto(limit)
+    rows = [[1] + [0] * limit]
+    for n in range(1, limit + 1):
+        row = [0] * (limit + 1)
+        for p in members:
+            if p > n:
+                break
+            prev = rows[n - p]
+            # parts are >= 1, so a composition of n-p has at most n-p parts
+            for m in range(1, n - p + 2):
+                row[m] += prev[m - 1]
+        rows.append(row)
+    return tuple(tuple(r) for r in rows)
+
+
+def length_slice_series(A, m, order):
+    """Coefficients of S(x)^m up to x^order: compositions with exactly m parts.
+
+    m = 0 yields the series 1 (the empty composition).  Plain truncated
+    convolution, independent of the length DP.
+    """
+    if m < 0:
+        raise ValueError("number of parts must be nonnegative")
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    members = A.members_upto(order)
+    acc = [1] + [0] * order
+    for _ in range(m):
+        nxt = [0] * (order + 1)
+        for i, c in enumerate(acc):
+            if c:
+                for v in members:
+                    if i + v > order:
+                        break
+                    nxt[i + v] += c
+        acc = nxt
+    return tuple(acc)
+
+
+def row_check_against_slices(A, n):
+    """True iff row n of dp_length_table has [x^n] S(x)^m at every m."""
+    row = dp_length_table(A, n)[n]
+    return all(row[m] == length_slice_series(A, m, n)[n] for m in range(n + 1))
 
 
 # -- report plumbing -------------------------------------------------------

@@ -1,15 +1,18 @@
 import random
 from collections import Counter
+from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from compenum.bivariate import (
-    bivariate_table,
-    odd_parts_by_length,
+from compenum.bivariate import bivariate_table, length_row, odd_parts_by_length
+from compenum.genfun import count
+from compenum.oracle import (
+    compositions,
+    dp_length_table,
+    random_partset,
     row_check_against_slices,
 )
-from compenum.genfun import count
-from compenum.oracle import compositions, random_partset
 from compenum.partset import PartSet, parse_setspec
 
 ODD = parse_setspec("mod:2:1")
@@ -100,3 +103,34 @@ def test_odd_parts_by_length_edges():
     assert odd_parts_by_length(5, 3) == 3
     with pytest.raises(ValueError):
         odd_parts_by_length(-1, 0)
+
+
+@given(st.integers(0, 10_000), st.integers(0, 60))
+@settings(max_examples=150, deadline=None)
+def test_packed_rows_match_the_length_dp(seed, n):
+    A = random_partset(random.Random(seed))
+    row = length_row(A, n)
+    t = bivariate_table(A, n)
+    assert row == t.row(n) == dp_length_table(A, n)[n]
+    assert t.marginal(n) == count(A, n)
+
+
+def test_packed_rows_at_the_edges():
+    assert length_row(PartSet.everything(), 0) == (1,)
+    assert length_row(parse_setspec("set:"), 0) == (1,)
+    for n in (1, 2, 9, 40):
+        assert length_row(parse_setspec("set:"), n) == (0,) * (n + 1)
+    seven = parse_setspec("set:7")
+    for n in range(7):
+        assert length_row(seven, n) == ((1,) if n == 0 else (0,) * (n + 1))
+    assert length_row(seven, 14) == (0, 0, 1) + (0,) * 12
+    # ge:5 has P = -x - x^2 - x^3 - x^4: negative series coefficients
+    ge5 = parse_setspec("ge:5")
+    for n in range(61):
+        assert length_row(ge5, n) == dp_length_table(ge5, n)[n]
+    # c(60, 30) = C(59, 29) is about 2^55.7: a 4-byte slot cannot hold it
+    row = length_row(PartSet.everything(), 60)
+    assert row == dp_length_table(PartSet.everything(), 60)[60]
+    assert max(row) == comb(59, 29)
+    with pytest.raises(ValueError):
+        length_row(ODD, -1)

@@ -1,9 +1,12 @@
 import json
 import subprocess
 import sys
+from math import comb
 
 import pytest
 
+from compenum import cli
+from compenum.bivariate import odd_parts_by_length
 from compenum.cli import main
 from compenum.genfun import count
 from compenum.partset import parse_setspec
@@ -172,6 +175,33 @@ def test_closed_form_root_iteration_failure_exits_two(capsys, monkeypatch):
 def test_bylength(capsys):
     code, out, _ = run_cli(capsys, "bylength", "mod:2:1", "5")
     assert out == "0 0\n1 1\n2 0\n3 3\n4 0\n5 1\n"
+
+
+def bylength_counts(capsys, setspec, n):
+    code, out, _ = run_cli(capsys, "bylength", setspec, str(n))
+    assert code == 0
+    lines = [line.split() for line in out.splitlines()]
+    assert [int(m) for m, _ in lines] == list(range(n + 1))
+    return [int(c) for _, c in lines]
+
+
+def test_bylength_odd_parts_at_600(capsys):
+    counts = bylength_counts(capsys, "mod:2:1", 600)
+    assert counts == [odd_parts_by_length(600, m) for m in range(601)]
+
+
+def test_bylength_all_parts_at_400(capsys):
+    counts = bylength_counts(capsys, "all", 400)
+    assert counts == [0] + [comb(399, m - 1) for m in range(1, 401)]
+
+
+def test_parser_is_built_once(capsys):
+    parser = cli._build_parser()
+    code, out, err = run_cli(capsys, "bylength", "mod:2:1", "-1")
+    assert code == 2 and out == "" and "must be nonnegative" in err
+    code, out, err = run_cli(capsys, "bylength", "mod:2:1", "5")
+    assert code == 0 and out == "0 0\n1 1\n2 0\n3 3\n4 0\n5 1\n" and err == ""
+    assert cli._build_parser() is parser
 
 
 def test_verify_exit_codes(capsys):

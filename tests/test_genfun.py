@@ -3,8 +3,8 @@ import tracemalloc
 
 from hypothesis import given, settings, strategies as st
 
-from compenum.genfun import composition_gf, composition_series, count, length_slice_series
-from compenum.oracle import dp_count_series, random_partset
+from compenum.genfun import composition_gf, composition_series, count
+from compenum.oracle import dp_count_series, length_slice_series, random_partset
 from compenum.partset import PartSet, parse_setspec
 
 
