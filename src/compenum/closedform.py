@@ -12,10 +12,15 @@ from r_j = -N(alpha_j) / (alpha_j * D'(alpha_j)), which is valid whether
 or not the fraction is proper because N and the division remainder agree
 at every root of D.
 
-All numerics run through mpmath at a caller-chosen precision plus guard
-digits.  Roots come from mpmath.polyroots, which is deterministic, so
-repeated runs give identical output; each root is then certified by its
-residual and conjugate roots are paired exactly.
+All numerics run at a caller-chosen precision plus guard digits.  An
+Aberth-Ehrlich iteration in double precision seeds every root, Newton
+steps in fixed-point Gaussian integers refine each one to the working
+precision, and conjugate roots are paired exactly.  The set is then
+certified by Gerschgorin-type inclusion disks (Carstensen 1991), whose
+radii are rigorous upper bounds: pairwise disjoint disks hold exactly
+one root each.  A seeded set that does not certify is replaced by the
+roots of mpmath.polyroots, which must pass the same checks.  Both routes
+are deterministic, so repeated runs give identical output.
 Only squarefree denominators are supported; a repeated factor makes the
 simple-pole formula wrong, and find_roots refuses with
 RepeatedRootError instead of returning garbage.
@@ -23,13 +28,18 @@ RepeatedRootError instead of returning garbage.
 Since the generating functions here have den(0) = 1, a root inside the
 unit circle means exponential coefficient growth at rate 1/|alpha|; the
 dominance report says when rounding the single leading term recovers
-the exact integer counts.
+the exact integer counts.  It reads the disks: a pole lies inside or
+outside the unit circle when its whole disk does, and "on" when the disk
+meets the circle, which is either a pole on the circle or a precision
+too low to tell.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp
@@ -37,6 +47,9 @@ from mpmath import mp
 from .polyring import divmod_fractions, poly_gcd
 
 GUARD_DIGITS = 15
+ABERTH_SWEEPS = 100
+NEWTON_STEPS = 20
+NEWTON_GUARD_BITS = 16
 
 
 class ClosedFormError(Exception):
@@ -58,11 +71,13 @@ def _check_digits(digits):
 
 @dataclass(frozen=True)
 class ComplexRoot:
-    """One denominator root: value (mpc), |poly(value)| residual, and
-    multiplicity (always 1 here, squarefree inputs only)."""
+    """One denominator root: value (mpc), residual >= |poly(value)|, radius
+    of an inclusion disk |z - value| <= radius that holds this root and
+    no other, and multiplicity (always 1 here, squarefree inputs only)."""
 
     value: object
     residual: object
+    radius: object
     multiplicity: int = 1
 
     @property
@@ -78,71 +93,245 @@ class ComplexRoot:
         return self.value.imag
 
 
+def _aberth_seeds(coeffs):
+    """Double-precision approximations to all roots of sum(coeffs[k] x^k)
+    by the Aberth-Ehrlich iteration, or None when the iteration leaves
+    the float range or two approximations collide."""
+    d = len(coeffs) - 1
+    try:
+        cs = [float(c) for c in reversed(coeffs)]
+        radius = abs(cs[-1] / cs[0]) ** (1 / d) or 1.0
+        # the angular offset breaks the start's symmetry under conjugation
+        zs = [radius * cmath.exp(1j * (2 * math.pi * k / d + 0.4)) for k in range(d)]
+        for _ in range(ABERTH_SWEEPS):
+            moved = False
+            for i, z in enumerate(zs):
+                p = dp = 0j
+                for c in cs:
+                    dp = dp * z + p
+                    p = p * z + c
+                ratio = p / dp
+                pull = sum(1 / (z - w) for j, w in enumerate(zs) if j != i)
+                step = ratio / (1 - ratio * pull)
+                zs[i] = z - step
+                moved = moved or abs(step) > 1e-14 * abs(z)
+            if not moved:
+                break
+    except (OverflowError, ZeroDivisionError):
+        return None
+    return zs if all(cmath.isfinite(z) for z in zs) else None
+
+
+def _newton(coeffs, z, bits):
+    """Refine the float root approximation z by Newton steps in fixed
+    point, z = (a + bi) / 2^w, doubling w up to `bits`.  Returns (a, b)
+    at w = bits, or None where p' vanishes."""
+    w = 50
+    a, b = round(math.ldexp(z.real, w)), round(math.ldexp(z.imag, w))
+    lead, rest = coeffs[-1], coeffs[-2::-1]
+    for _ in range(NEWTON_STEPS):
+        grow = min(w, bits - w)
+        a, b, w = a << grow, b << grow, w + grow
+        pr, pi, dr, di = lead << w, 0, 0, 0
+        for c in rest:
+            dr, di = ((dr * a - di * b) >> w) + pr, ((dr * b + di * a) >> w) + pi
+            pr, pi = ((pr * a - pi * b) >> w) + (c << w), (pr * b + pi * a) >> w
+        norm = dr * dr + di * di
+        if not norm:
+            return None
+        step_re = ((pr * dr + pi * di) << w) // norm
+        step_im = ((pi * dr - pr * di) << w) // norm
+        a, b = a - step_re, b - step_im
+        # a step below 2^(-w/2) leaves an error near 2^-w: converged
+        if w == bits and max(abs(step_re), abs(step_im)) >> (w // 2) == 0:
+            break
+    return a, b
+
+
+def _float_seeded_roots(poly):
+    """Aberth seeds refined by Newton to the working precision plus
+    guard bits, rounded to it, with parts below mp.eps set to zero as
+    mpmath.polyroots does; None when the seed fails."""
+    seeds = _aberth_seeds(poly.coeffs)
+    if seeds is None:
+        return None
+    bits = mp.prec + NEWTON_GUARD_BITS
+    zs = []
+    for seed in seeds:
+        ab = _newton(poly.coeffs, seed, bits)
+        if ab is None:
+            return None
+        z = mp.mpc(mp.ldexp(ab[0], -bits), mp.ldexp(ab[1], -bits))
+        if abs(z) < mp.eps:
+            z = mp.mpc(0)
+        elif abs(z.imag) < mp.eps:
+            z = mp.mpc(z.real, 0)
+        elif abs(z.real) < mp.eps:
+            z = mp.mpc(0, z.imag)
+        zs.append(z)
+    return zs
+
+
+def _value_bound(coeffs, a, b, s):
+    """An integer m and a scale w with |p(z)| <= m / 2^w at the dyadic
+    point z = (a + bi) / 2^s, by Horner's rule in fixed point at w bits,
+    64 bits past the working precision and the rounding error below.
+
+    Each step floors both parts of v * z, an error below 2 units of
+    2^-w, so the result is off by less than 2 * sum_{j<d} |z|^j units;
+    that sum is bounded above in integers through radius / 2^8 >= |z|.
+    """
+    radius = math.isqrt(((a * a + b * b) << 16) >> (2 * s)) + 1
+    term, total = 1 << 8, 0  # total / 2^8 >= sum_{j<d} (radius / 2^8)^j
+    for _ in range(len(coeffs) - 1):
+        total += term
+        term = -(-term * radius >> 8)
+    slack = -(-2 * total >> 8)
+    w = max(s, mp.prec) + 64 + slack.bit_length()
+    vr, vi = coeffs[-1] << w, 0
+    for c in coeffs[-2::-1]:
+        vr, vi = ((vr * a - vi * b) >> s) + (c << w), (vr * b + vi * a) >> s
+    return math.isqrt(vr * vr + vi * vi) + 1 + slack, w
+
+
+def _inclusion_disks(poly, zs):
+    """Pairs (r_i, e_i) with radius r_i >= d |p(z_i)| / (|lc| prod_{j != i}
+    |z_i - z_j|) and residual e_i >= |p(z_i)|, or None unless the disks
+    |z - z_i| <= r_i are pairwise disjoint.
+
+    The union of these disks holds every root of p, and a connected
+    component of m of them holds exactly m roots (Braess and Hadeler
+    1973; Carstensen, Numer. Math. 1991), so pairwise disjoint disks
+    hold one root each.  Every z_i is a dyadic Gaussian rational, so the
+    gaps |z_i - z_j|^2 are exact integers at a common scale 4^s.  |p(z_i)|
+    is bounded above by _value_bound, the product of gaps is rounded
+    down and each radius is rounded up to a 41-bit dyadic, so every r_i
+    is a rigorous upper bound.
+    """
+    d, cs = poly.degree, poly.coeffs
+    lc = cs[-1]
+    s = max([0] + [-x.man_exp[1] for z in zs for x in (z.real, z.imag) if x])
+    pts = [(int(mp.ldexp(z.real, s)), int(mp.ldexp(z.imag, s))) for z in zs]
+    gaps = [[(a - c) ** 2 + (b - e) ** 2 for c, e in pts] for a, b in pts]
+    mantissas, exponents, residuals = [], [], []  # r_i <= mantissas[i] * 2^-exponents[i]
+    for i, (a, b) in enumerate(pts):
+        value, w = _value_bound(cs, a, b, s)
+        residuals.append(mp.ldexp(mp.mpf(value, rounding="u"), -w))
+        low, shift = 1, 0  # low * 2^shift <= prod_{j != i} gaps[i][j]
+        for j, g in enumerate(gaps[i]):
+            if j != i:
+                low *= g
+                excess = low.bit_length() - 64
+                if excess > 0:
+                    low, shift = low >> excess, shift + excess
+        if not low:
+            return None
+        # r_i^2 <= num / den * 2^e, scaled by 4^t to about 2^80
+        num, den = d * d * value * value, lc * lc * low
+        e = 2 * s * (d - 1) - 2 * w - shift
+        t = (80 - num.bit_length() + den.bit_length() - e) // 2
+        k = 2 * t + e
+        q = -(-(num << max(k, 0)) // (den << max(-k, 0)))
+        root = math.isqrt(q)
+        mantissas.append(root + (root * root < q))
+        exponents.append(t)
+    for i in range(d):
+        for j in range(i):
+            m = max(exponents[i], exponents[j], s)
+            reach = (mantissas[i] << (m - exponents[i])) + (mantissas[j] << (m - exponents[j]))
+            if reach * reach >= gaps[i][j] << (2 * (m - s)):
+                return None
+    return [(mp.ldexp(u, -t), e) for u, t, e in zip(mantissas, exponents, residuals)]
+
+
+def _certify(poly, zs, digits):
+    """Snap near-real roots onto the axis, pair conjugates exactly, and
+    certify the result by inclusion disks and residuals."""
+    imag_snap = mp.mpf(10) ** (-(digits - 8))
+    snapped = []
+    for z in zs:
+        if abs(z.imag) <= imag_snap * (1 + abs(z)):
+            snapped.append(mp.mpc(z.real, 0))
+        else:
+            snapped.append(z)
+    reals = [z for z in snapped if z.imag == 0]
+    upper = [z for z in snapped if z.imag > 0]
+    lower = [z for z in snapped if z.imag < 0]
+    if len(upper) != len(lower):
+        raise ConvergenceError("complex roots do not split into conjugate pairs")
+    tol = mp.mpf(10) ** (-(digits - 10))
+    taken = [False] * len(lower)
+    paired = []
+    for z in upper:
+        best = None
+        best_gap = None
+        for idx, w in enumerate(lower):
+            if taken[idx]:
+                continue
+            gap = abs(z - mp.conj(w))
+            if best is None or gap < best_gap:
+                best, best_gap = idx, gap
+        if best is None or best_gap > tol * (1 + abs(z)):
+            raise ConvergenceError("complex roots do not split into conjugate pairs")
+        taken[best] = True
+        avg = (z + mp.conj(lower[best])) / 2
+        paired.extend((avg, mp.conj(avg)))
+
+    zs = [mp.mpc(z) for z in reals + paired]
+    disks = _inclusion_disks(poly, zs)
+    if disks is None:
+        raise ConvergenceError("root inclusion disks overlap")
+    bound = tol * max(1, max(abs(c) for c in poly.coeffs))
+    roots = []
+    for z, (radius, resid) in zip(zs, disks):
+        if resid > bound:
+            raise ConvergenceError(f"residual {mp.nstr(resid, 5)} above certification bound")
+        roots.append(ComplexRoot(z, resid, radius))
+    return roots
+
+
 def find_roots(poly, digits=50):
     """All complex roots of an integer polynomial, certified to `digits`.
 
-    The roots come from mpmath.polyroots (deterministic, so repeated
-    runs agree).  Near-real roots are snapped onto the axis, conjugate
+    An Aberth-Ehrlich iteration in double precision seeds every root,
+    and Newton steps in fixed-point Gaussian integers refine each one,
+    doubling the precision up to the working precision (digits plus
+    GUARD_DIGITS).  Near-real roots are snapped onto the axis, conjugate
     pairs are averaged so the returned set is exactly closed under
-    conjugation, and every root must pass a residual bound.  Output is
-    sorted by (modulus, |arg|, arg), which puts the growth-dominant root
-    first; moduli within the certification tolerance count as equal, so
+    conjugation, and the set is certified by inclusion disks (see
+    _inclusion_disks), which must be pairwise disjoint, and by a
+    residual bound.  If the seeded set fails any of this, the roots come
+    from mpmath.polyroots instead and pass the same checks or raise
+    ConvergenceError.  Both routes are deterministic, so repeated runs
+    agree.  Each root carries its disk radius.  Output is sorted by
+    (modulus, |arg|, arg), which puts the growth-dominant root first;
+    moduli within the certification tolerance count as equal, so
     rounding noise never decides the order of equal-modulus roots.
     """
     _check_digits(digits)
     if not poly:
         raise ValueError("zero polynomial has no root set")
-    deg = poly.degree
-    if deg < 1:
+    if poly.degree < 1:
         return ()
     common = poly_gcd(poly, poly.derivative())
     if common.degree >= 1:
         raise RepeatedRootError(f"repeated factor (gcd with derivative is {common})")
-    maxc = max(abs(c) for c in poly.coeffs)
     with mp.workdps(digits + GUARD_DIGITS):
-        try:
-            zs = mp.polyroots(poly.coeffs[::-1], maxsteps=400, extraprec=20)
-        except mp.NoConvergence:
-            raise ConvergenceError("root iteration did not settle") from None
-
-        imag_snap = mp.mpf(10) ** (-(digits - 8))
-        snapped = []
-        for z in zs:
-            if abs(z.imag) <= imag_snap * (1 + abs(z)):
-                snapped.append(mp.mpc(z.real, 0))
-            else:
-                snapped.append(z)
-        reals = [z for z in snapped if z.imag == 0]
-        upper = [z for z in snapped if z.imag > 0]
-        lower = [z for z in snapped if z.imag < 0]
-        if len(upper) != len(lower):
-            raise ConvergenceError("complex roots do not split into conjugate pairs")
-        tol = mp.mpf(10) ** (-(digits - 10))
-        taken = [False] * len(lower)
-        paired = []
-        for z in upper:
-            best = None
-            best_gap = None
-            for idx, w in enumerate(lower):
-                if taken[idx]:
-                    continue
-                gap = abs(z - mp.conj(w))
-                if best is None or gap < best_gap:
-                    best, best_gap = idx, gap
-            if best is None or best_gap > tol * (1 + abs(z)):
-                raise ConvergenceError("complex roots do not split into conjugate pairs")
-            taken[best] = True
-            avg = (z + mp.conj(lower[best])) / 2
-            paired.extend((avg, mp.conj(avg)))
-
-        bound = tol * max(1, maxc)
-        roots = []
-        for z in reals + paired:
-            resid = abs(poly(z))
-            if resid > bound:
-                raise ConvergenceError(f"residual {mp.nstr(resid, 5)} above certification bound")
-            roots.append(ComplexRoot(mp.mpc(z), resid))
+        roots = None
+        seeded = _float_seeded_roots(poly)
+        if seeded is not None:
+            try:
+                roots = _certify(poly, seeded, digits)
+            except ConvergenceError:
+                pass
+        if roots is None:
+            try:
+                zs = mp.polyroots(poly.coeffs[::-1], maxsteps=400, extraprec=20)
+            except mp.NoConvergence:
+                raise ConvergenceError("root iteration did not settle") from None
+            roots = _certify(poly, zs, digits)
         roots.sort(key=lambda r: r.modulus)
+        tol = mp.mpf(10) ** (-(digits - 10))
         tied = []  # runs of roots whose moduli agree within tol
         for r in roots:
             if tied and r.modulus - tied[-1][0].modulus <= tol:
@@ -240,14 +429,18 @@ def eval_closed(pf, n):
 
 @dataclass(frozen=True)
 class DominanceReport:
-    """Pole layout relative to the unit circle.
+    """Pole layout relative to the unit circle, read off the inclusion
+    disks.
 
-    classifications[i] labels poles[i] as "inside", "on", or "outside".
-    growth_rate is 1/min|alpha|.  nearest_integer_valid is True exactly
-    when one pole alone has minimal modulus and every other pole lies
-    strictly outside the unit circle, which makes the non-dominant terms
-    decay to zero so rounding the dominant term eventually recovers the
-    exact counts.
+    classifications[i] labels poles[i] "inside" or "outside" when its
+    disk lies wholly on that side of |z| = 1, and "on" when the disk
+    meets the circle: either the pole lies on it, or the precision is
+    too low to tell.  growth_rate is 1/min|alpha|.  unique_dominant says
+    the modulus intervals [|z| - r, |z| + r] of the first two poles are
+    disjoint.  nearest_integer_valid is True exactly when the dominant
+    pole is unique and every other pole lies outside the unit circle,
+    which makes the non-dominant terms decay to zero so rounding the
+    dominant term eventually recovers the exact counts.
     """
 
     poles: tuple
@@ -255,31 +448,36 @@ class DominanceReport:
     growth_rate: object
     unique_dominant: bool
     nearest_integer_valid: bool
-    tolerance: object = field(default=None, repr=False)
+
+
+def _modulus_interval(root):
+    """Fractions lo <= |z| - r and hi >= |z| + r for a root's disk, from
+    its parts as exact integers at a common scale 2^k."""
+    parts = (root.value.real, root.value.imag, root.radius)
+    k = mp.prec + max([0] + [-x.man_exp[1] for x in parts if x])
+    a, b, r = (int(mp.ldexp(x, k)) for x in parts)
+    square = a * a + b * b
+    low = math.isqrt(square)
+    high = low + (low * low < square)
+    return Fraction(low - r, 1 << k), Fraction(high + r, 1 << k)
 
 
 def dominance_report(pf):
     """Classify the poles of a PartialFraction against the unit circle.
 
-    Reads pf.poles at pf.precision_digits, so the roots found for the
-    partial fraction are the ones classified.
+    Reads pf.poles and their disk radii, so the roots found for the
+    partial fraction are the ones classified, and every label and the
+    uniqueness verdict hold for the true poles.
     """
     if not pf.poles:
-        return DominanceReport((), (), mp.mpf(0), False, False, mp.mpf(0))
+        return DominanceReport((), (), mp.mpf(0), False, False)
     poles = pf.poles
     with mp.workdps(pf.precision_digits + GUARD_DIGITS):
-        tol = mp.mpf(10) ** (-(pf.precision_digits - GUARD_DIGITS))
-        labels = []
-        for p in poles:
-            m = p.modulus
-            if m < 1 - tol:
-                labels.append("inside")
-            elif m > 1 + tol:
-                labels.append("outside")
-            else:
-                labels.append("on")
-        low = poles[0].modulus
-        unique = len(poles) == 1 or poles[1].modulus - low > tol
-        valid = unique and all(p.modulus > 1 + tol for p in poles[1:])
-        growth = 1 / low
-    return DominanceReport(poles, tuple(labels), growth, unique, valid, tol)
+        spans = [_modulus_interval(p) for p in poles]
+        labels = tuple(
+            "inside" if high < 1 else "outside" if low > 1 else "on" for low, high in spans
+        )
+        unique = len(poles) == 1 or spans[0][1] < spans[1][0] or spans[1][1] < spans[0][0]
+        valid = unique and all(label == "outside" for label in labels[1:])
+        growth = 1 / poles[0].modulus
+    return DominanceReport(poles, labels, growth, unique, valid)

@@ -163,9 +163,13 @@ def test_closed_form_finds_roots_once(capsys, monkeypatch):
 def test_closed_form_root_iteration_failure_exits_two(capsys, monkeypatch):
     from mpmath import mp
 
+    from compenum import closedform
+
     def no_convergence(*args, **kwargs):
         raise mp.NoConvergence("Didn't converge")
 
+    # equal seeds refine to one root, so the seeded set does not certify
+    monkeypatch.setattr(closedform, "_aberth_seeds", lambda cs: [0.5] * (len(cs) - 1))
     monkeypatch.setattr(mp, "polyroots", no_convergence)
     code, out, err = run_cli(capsys, "closed-form", "not:mod:3:0")
     assert code == 2 and out == ""

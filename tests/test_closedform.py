@@ -1,10 +1,13 @@
+import random
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from compenum import closedform
 from compenum.closedform import (
+    GUARD_DIGITS,
     ConvergenceError,
     RepeatedRootError,
     dominance_report,
@@ -13,6 +16,7 @@ from compenum.closedform import (
     partial_fractions,
 )
 from compenum.genfun import composition_gf, count
+from compenum.oracle import random_partset
 from compenum.partset import parse_setspec
 from compenum.polyring import IntPolynomial
 
@@ -96,9 +100,78 @@ def test_root_iteration_failure_raises(monkeypatch):
     def no_convergence(*args, **kwargs):
         raise mp.mp.NoConvergence("Didn't converge")
 
+    # equal seeds refine to one root, so the seeded set does not certify
+    monkeypatch.setattr(closedform, "_aberth_seeds", lambda cs: [0.5] * (len(cs) - 1))
     monkeypatch.setattr(mp.mp, "polyroots", no_convergence)
     with pytest.raises(ConvergenceError, match="root iteration did not settle"):
         find_roots(poly([1, -1, -1]))
+
+
+def test_uncertified_seed_falls_back_to_polyroots(monkeypatch):
+    p = poly([1, 0, -1, 0, 0, 0, -1])  # real roots +-0.826...
+    expected = find_roots(p)
+    seeded = closedform._float_seeded_roots
+
+    def near_duplicate(q):
+        # move the seed of -0.826 to 1e-60 from +0.826: both residuals
+        # pass, but the two disks overlap
+        zs = seeded(q)
+        lo = min(range(len(zs)), key=lambda i: zs[i].real)
+        zs[lo] = max(zs, key=lambda z: z.real) + mp.mpf(10) ** -60
+        return zs
+
+    calls = []
+    polyroots = mp.mp.polyroots
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return polyroots(*args, **kwargs)
+
+    monkeypatch.setattr(closedform, "_float_seeded_roots", near_duplicate)
+    monkeypatch.setattr(mp.mp, "polyroots", counted)
+    roots = find_roots(p)
+    assert len(calls) == 1 and len(roots) == len(expected)
+    for got, want in zip(roots, expected):
+        assert abs(got.value - want.value) < 1e-45
+        assert got.radius < 1e-45 and want.radius < 1e-45
+
+
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from((16, 20, 32, 50, 80)),
+    st.sampled_from((1e-6, 1e-2, 0.3, 2.0)),
+)
+@settings(max_examples=40, deadline=None)
+def test_roots_match_polyroots_inside_their_disks(seed, digits, nudge):
+    rng = random.Random(seed)
+    den = composition_gf(random_partset(rng)).den
+    assume(den.degree >= 1)
+    try:
+        roots = find_roots(den, digits)
+    except RepeatedRootError:
+        assume(False)
+    with mp.workdps(2 * digits + 60):
+        # the independent route, far more precise than the disks
+        exact = mp.polyroots(den.coeffs[::-1], maxsteps=2000, extraprec=200)
+        unmatched = list(exact)
+        for r in roots:
+            xi = min(unmatched, key=lambda w: abs(w - r.value))
+            unmatched.remove(xi)
+            assert abs(xi - r.value) <= mp.mpf(10) ** -digits * (1 + abs(xi))
+            assert abs(xi - r.value) <= r.radius
+    # the certificate holds for any centres: move each by `nudge` times
+    # the gap to its nearest neighbour, and whenever the disks come out
+    # disjoint each must hold exactly one root
+    with mp.workdps(digits + GUARD_DIGITS):
+        moved = []
+        for r in roots:
+            gap = min((abs(r.value - o.value) for o in roots if o is not r), default=1)
+            moved.append(r.value + nudge * gap * mp.expjpi(2 * rng.random()))
+        disks = closedform._inclusion_disks(den, moved)
+    if disks is not None:
+        with mp.workdps(2 * digits + 60):
+            for z, (radius, _) in zip(moved, disks):
+                assert sum(abs(xi - z) <= radius for xi in exact) == 1
 
 
 def test_repeated_root_detected():
@@ -146,6 +219,25 @@ def test_dominance_tie_on_unit_circle():
     assert rep.classifications == ("on", "on")
     assert not rep.unique_dominant
     assert not rep.nearest_integer_valid
+
+
+# spec -> (inside, outside, on, unique dominant, rounding valid)
+DISK_LABELS = {
+    "not:mod:30:0": (1, 29, 0, True, True),
+    "not:mod:60:0": (1, 59, 0, True, True),
+    "set:1,30": (11, 19, 0, True, False),
+    "set:2": (0, 0, 2, False, False),  # +-1
+    "set:4": (0, 0, 4, False, False),  # +-1, +-i
+}
+
+
+@pytest.mark.parametrize("digits", [16, 20, 32, 50, 80])
+@pytest.mark.parametrize("spec", sorted(DISK_LABELS))
+def test_dominance_labels_from_disks_at_every_precision(spec, digits):
+    rep = dominance_report(partial_fractions(composition_gf(parse_setspec(spec)), digits))
+    labels = rep.classifications
+    counts = tuple(labels.count(k) for k in ("inside", "outside", "on"))
+    assert counts + (rep.unique_dominant, rep.nearest_integer_valid) == DISK_LABELS[spec]
 
 
 def test_dominance_single_pole():
