@@ -15,6 +15,7 @@ independent cross-checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import comb
 
 from .genfun import length_gf
@@ -66,9 +67,16 @@ def _unpack_row(value, slots, width):
 
 def length_row(A, n):
     """Row n, c(n, 0..n), off one coefficient of C(x, 2^(8w)); the
-    expander holds only a window of den.degree packed rows."""
+    expander holds only a window of den.degree packed rows.
+
+    The row streams through RationalGF.terms, not the halving kernel of
+    RationalGF.coefficient: at y = 2^(8w) the denominator coefficients
+    are about n bits each, and halving squares them at every step.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     gf, width = _packed_gf(A, n)
-    return _unpack_row(gf.coefficient(n), n + 1, width)
+    return _unpack_row(next(islice(gf.terms(), n, None)), n + 1, width)
 
 
 def bivariate_table(A, limit):

@@ -6,8 +6,9 @@ closed forms, the three-column mod-3 table, joint length counts, and
 the verification suites.
 
 Exit status: 0 on success, 1 when a verification report fails, 2 on
-usage or parse errors (diagnostics on standard error).  Output is
-deterministic for identical inputs.
+usage or parse errors and on exact results over MAX_EXACT_BITS
+(diagnostics on standard error).  Output is deterministic for
+identical inputs.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import random
 import sys
 
@@ -27,6 +29,10 @@ from .polyring import coefficient_mod
 from .recurrence import LinearRecurrence, recurrence_from_gf
 
 DISPLAY_DIGITS = 12
+# Exact results are refused above this many bits, before any work: the
+# decimal print is quadratic in the size (on CPython 3.11 it takes seconds
+# at 10^6 bits and a quarter minute at 3 * 10^6), and memory grows with it.
+MAX_EXACT_BITS = 2_000_000
 
 
 def _nonneg(text):
@@ -56,11 +62,30 @@ def _complex_str(z):
     return mp.nstr(z, DISPLAY_DIGITS)
 
 
+def _refuse_oversized(bits, n):
+    """ValueError (exit 2) when an exact term bounded by `bits` bits is too large."""
+    if bits > MAX_EXACT_BITS:
+        digits = int(bits * math.log10(2)) + 1
+        raise ValueError(
+            f"the exact term at n = {n} may have up to {digits} decimal digits, "
+            f"more than the {int(MAX_EXACT_BITS * math.log10(2)) + 1}-digit limit; "
+            "use `nth <setspec> <n> --mod M` for a residue"
+        )
+
+
+def _recurrence_bits(gf, n):
+    # with D = 1 - sum d_i x^i, |c_n| <= sum|N_i| * (1 + sum|d_i|)^n by
+    # induction on c_n = N_n + sum d_i c_{n-i}
+    growth = 1 + sum(map(abs, gf.den.coeffs[1:]))
+    return n * growth.bit_length() + sum(map(abs, gf.num.coeffs)).bit_length()
+
+
 # -- subcommand handlers ----------------------------------------------------
 
 
 def cmd_count(args, parser):
     A = parse_setspec(args.setspec)
+    _refuse_oversized(args.n, args.n)  # c(n) <= 2^(n-1): at most n bits
     print(genfun.count(A, args.n))
     return 0
 
@@ -147,16 +172,19 @@ def cmd_nth(args, parser):
         with open(args.recurrence_file, encoding="utf-8") as fh:
             gf = LinearRecurrence.from_dict(json.load(fh)).to_gf()
         n = _parse_operand_n(args.operands[0], parser)
+        bits = _recurrence_bits(gf, n)
     else:
         if len(args.operands) != 2:
             parser.error("expected: nth <setspec> <n> (or nth <n> --recurrence-file F)")
         gf = genfun.composition_gf(parse_setspec(args.operands[0]))
         n = _parse_operand_n(args.operands[1], parser)
+        bits = n  # c(n) <= 2^(n-1)
     if args.mod is not None:
         if args.mod < 2:
             parser.error("--mod must be >= 2")
         print(coefficient_mod(gf, n, args.mod))
     else:
+        _refuse_oversized(bits, n)
         print(gf.coefficient(n))
     return 0
 

@@ -45,8 +45,9 @@ def count(A, n):
     """c_A(n): the number of compositions of n with all parts in A.
 
     c_A(0) = 1 by the empty-composition convention.  Read off the
-    generating function with RationalGF.coefficient, not by direct set
-    iteration; the plain DP form lives in the oracle module as an
-    independent cross-check.
+    generating function by the Bostan-Mori halving of
+    RationalGF.coefficient, in about log2(n) big-integer products, not
+    by direct set iteration; the plain DP form lives in the oracle
+    module as an independent cross-check.
     """
     return composition_gf(A).coefficient(n)

@@ -9,8 +9,13 @@ the power series expansion is well defined.
 GCDs are computed with the primitive-part Euclidean algorithm:
 pseudo-remainders keep intermediate results inside the integers, and
 Gauss's lemma makes the final cancellation divisions exact.
-coefficient_mod packs each polynomial product into one big integer
-(Kronecker substitution), so int multiplication does the convolution.
+
+A single coefficient c_n, exact (RationalGF.coefficient) or mod m
+(coefficient_mod), comes from one Bostan-Mori halving kernel that packs
+each polynomial product into one big integer (Kronecker substitution),
+so int multiplication does the convolution.  RationalGF.terms streams
+c_0, c_1, ... by the linear recurrence, for series and for callers
+whose denominator coefficients are themselves huge.
 """
 
 from __future__ import annotations
@@ -281,9 +286,15 @@ class RationalGF:
             num, den = -num, -den
         return RationalGF(num, den)
 
-    def _expand(self):
-        # c_0, c_1, ... without end; the window holds c_{n-k}..c_{n-1},
-        # zeros before the start, lined up with d_k..d_1
+    def terms(self):
+        """c_0, c_1, ... without end, by the recurrence above.
+
+        Holds only the den.degree terms before the current one: streaming
+        to c_n takes O(n * den.degree) big-integer operations and memory
+        that does not grow with n.
+        """
+        # the window holds c_{n-k}..c_{n-1}, zeros before the start,
+        # lined up with d_k..d_1
         d = [-c for c in reversed(self.den.coeffs[1:])]
         window = deque([0] * len(d), maxlen=len(d))
         for c in chain(self.num.coeffs, repeat(0)):
@@ -295,17 +306,20 @@ class RationalGF:
         """Truncated expansion c_0..c_order (a tuple of length order+1)."""
         if order < 0:
             raise ValueError("order must be nonnegative")
-        return tuple(islice(self._expand(), order + 1))
+        return tuple(islice(self.terms(), order + 1))
 
     def coefficient(self, n):
-        """c_n exactly, holding only the den.degree terms before it.
+        """c_n exactly, by Bostan-Mori halving over Z.
 
-        O(n * den.degree) big-integer operations; use coefficient_mod
-        for a residue at astronomically large n.
+        About log2(n) steps of two packed big-integer products each;
+        coefficient_mod runs the same kernel mod m.  The last steps
+        multiply a few slots about the size of c_n, so the cost follows
+        bits(c_n) and den.degree, not n * den.degree as streaming
+        terms() does.
         """
         if n < 0:
             raise ValueError("n must be nonnegative")
-        return next(islice(self._expand(), n, None))
+        return _halve(list(self.num.coeffs), list(self.den.coeffs), n, 0)
 
     def __eq__(self, other):
         if not isinstance(other, RationalGF):
@@ -327,33 +341,58 @@ class RationalGF:
 def coefficient_mod(gf, n, m):
     """[x^n] of the series of gf, in [0, m), for any modulus m >= 2.
 
-    Bostan-Mori halving (arXiv:2008.08822): N(x)D(-x) / D(x)D(-x) has an
-    even denominator, so [x^n] needs only the numerator terms of n's
-    parity; halve n and repeat.  D(0) stays 1, so m need not be prime.
+    The halving kernel of RationalGF.coefficient, run on residues mod m;
+    D(0) stays 1, so m need not be prime.
     """
     if n < 0 or m < 2:
         raise ValueError("need n >= 0 and modulus m >= 2")
-    num = [c % m for c in gf.num.coeffs]
-    den = [c % m for c in gf.den.coeffs]
-    # a product coefficient sums at most len(den) terms below m^2
-    width = (2 * m.bit_length() + len(den).bit_length() + 8) // 8
+    return _halve([c % m for c in gf.num.coeffs], [c % m for c in gf.den.coeffs], n, m)
+
+
+def _halve(num, den, n, m):
+    # Bostan-Mori halving (arXiv:2008.08822) of coefficient lists with
+    # den[0] = 1, over Z when m = 0 and mod m otherwise: N(x)D(-x) /
+    # D(x)D(-x) has an even denominator, so [x^n] needs only the numerator
+    # terms of n's parity; halve n and repeat.  [x^n] N/D depends only on
+    # N and D mod x^(n+1), so no list keeps more than n + 1 terms.
+    num, den = num[: n + 1], den[: n + 1]
     while n and num:
-        mirror = _pack([-c % m if i & 1 else c for i, c in enumerate(den)], width)
-        num = _unpack(_pack(num, width) * mirror, len(num) + len(den) - 1, n & 1, width, m)
-        den = _unpack(_pack(den, width) * mirror, 2 * len(den) - 1, 0, width, m)
+        # a product coefficient sums at most len(den) products of two
+        # coefficients below 2^bits; the slot adds one bit, the sign's
+        bits = (m or max(map(abs, chain(num, den)))).bit_length()
+        width = (2 * bits + len(den).bit_length() + 8) // 8
+        mirror = _pack([(-c % m if m else -c) if i & 1 else c for i, c in enumerate(den)], width, m)
+        num = _unpack(_pack(num, width, m) * mirror, len(num) + len(den) - 1, n & 1, n, width, m)
+        if n > 1:  # once n halves to 0, the denominator is not read again
+            den = _unpack(_pack(den, width, m) * mirror, 2 * len(den) - 1, 0, n, width, m)
         n >>= 1
     return num[0] if num else 0
 
 
-def _pack(coeffs, width):
-    # Kronecker substitution: coefficient i fills bytes [i*width, (i+1)*width)
-    return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in coeffs), "little")
+def _pack(coeffs, width, m):
+    # Kronecker substitution: coefficient i fills bytes [i*width, (i+1)*width).
+    # A residue fills its slot as it is; a signed c is stored as c + half,
+    # and the halves of all slots come off the total.
+    if m:
+        return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in coeffs), "little")
+    half = 1 << 8 * width - 1
+    packed = b"".join((c + half).to_bytes(width, "little") for c in coeffs)
+    return int.from_bytes(packed, "little") - _halves(len(coeffs), width)
 
 
-def _unpack(value, count, parity, width, m):
-    # slots parity, parity + 2, ... of a packed product of `count` slots, mod m
-    raw = value.to_bytes(count * width, "little")
-    return [
-        int.from_bytes(raw[i : i + width], "little") % m
-        for i in range(parity * width, count * width, 2 * width)
-    ]
+def _unpack(value, count, parity, n, width, m):
+    # slots parity, parity + 2, ... up to n of a packed product of `count`
+    # slots: mod m, or exactly once every slot's half is added back
+    starts = range(parity * width, min(count, n + 1) * width, 2 * width)
+    if m:
+        raw = value.to_bytes(count * width, "little")
+        return [int.from_bytes(raw[i : i + width], "little") % m for i in starts]
+    half = 1 << 8 * width - 1
+    raw = (value + _halves(count, width)).to_bytes(count * width, "little")
+    return [int.from_bytes(raw[i : i + width], "little") - half for i in starts]
+
+
+def _halves(count, width):
+    # 2^(8*width - 1) in each of `count` slots, built from bytes: the
+    # division (2^(8*width*count) - 1) // (2^(8*width) - 1) is far slower
+    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")

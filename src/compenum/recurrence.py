@@ -81,7 +81,7 @@ class LinearRecurrence:
         return self.to_gf().series(n)
 
     def nth(self, n):
-        """f(n) exactly, O(order) memory (for large single lookups)."""
+        """f(n) exactly, by the halving kernel of RationalGF.coefficient."""
         return self.to_gf().coefficient(n)
 
     def nth_mod(self, n, p):

@@ -115,6 +115,14 @@ def test_packed_rows_match_the_length_dp(seed, n):
     assert t.marginal(n) == count(A, n)
 
 
+@pytest.mark.parametrize("spec", ["all", "mod:2:1", "not:mod:3:0", "ge:5", "set:1,2,3,5,8,13,21"])
+def test_streamed_rows_match_the_length_dp_to_200(spec):
+    A = parse_setspec(spec)
+    table = dp_length_table(A, 200)
+    for n in (*range(0, 200, 13), 199, 200):
+        assert length_row(A, n) == table[n][: n + 1]
+
+
 def test_packed_rows_at_the_edges():
     assert length_row(PartSet.everything(), 0) == (1,)
     assert length_row(parse_setspec("set:"), 0) == (1,)

@@ -126,6 +126,22 @@ def test_results_past_4300_digits(capsys):
     assert code == 0 and out == f"{a}\n"
 
 
+def test_oversized_exact_results_refused_up_front(tmp_path, capsys):
+    for argv in (("count", "all", "100000000"), ("nth", "not:mod:3:0", "2000001")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "decimal digits" in err and "--mod" in err
+    code, out, _ = run_cli(capsys, "nth", "not:mod:3:0", "100000000", "--mod", "97")
+    assert code == 0 and 0 <= int(out) < 97  # a residue is never refused
+    # a recurrence file is bounded by its own coefficients, not by 2^(n-1)
+    path = tmp_path / "rec.json"
+    path.write_text(json.dumps(no_multiples_recurrence(4).to_dict()))
+    code, out, err = run_cli(capsys, "nth", "1000000", "--recurrence-file", str(path))
+    assert code == 2 and out == "" and "decimal digits" in err
+    code, out, _ = run_cli(capsys, "nth", "1000", "--recurrence-file", str(path))
+    assert code == 0 and out == f"{count(parse_setspec('not:mod:4:0'), 1000)}\n"
+
+
 def test_eval_closed(capsys):
     code, out, _ = run_cli(capsys, "eval-closed", "not:mod:3:0", "20")
     assert code == 0 and out == "101902.0\n"

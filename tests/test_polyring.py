@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from compenum.genfun import composition_gf, count
+from compenum.partset import parse_setspec
 from compenum.polyring import (
     ONE,
     IntPolynomial,
@@ -88,6 +90,51 @@ def test_coefficient_mod_matches_series(num, den, n, m):
     gf = RationalGF(IntPolynomial(tuple(num)), IntPolynomial((1, *den)))
     assert coefficient_mod(gf, n, m) == gf.series(n)[n] % m
     assert gf.coefficient(n) == gf.series(n)[n]
+
+
+# magnitudes at slot boundaries: 2^k - 1 fills k bits, -2^k needs k + 1 signed
+wide = st.one_of(
+    st.integers(-(2**200), 2**200),
+    st.builds(lambda k, s: s * (2**k - 1), st.integers(1, 200), st.sampled_from((1, -1))),
+    st.builds(lambda k, s: s * 2**k, st.integers(0, 200), st.sampled_from((1, -1))),
+)
+
+
+@given(
+    st.lists(wide, max_size=12),
+    st.lists(wide, max_size=12),
+    st.one_of(st.integers(0, 13), st.integers(0, 400)),
+    st.sampled_from((2, 97, 2**61 - 1, 10**40 + 1)),
+)
+@settings(max_examples=150, deadline=None)
+def test_wide_signed_coefficients_match_series(num, den, n, m):
+    # n below deg N and deg D exercises the truncation to n + 1 terms
+    gf = RationalGF(IntPolynomial(tuple(num)), IntPolynomial((1, *den)))
+    want = gf.series(n)[n]
+    assert gf.coefficient(n) == want
+    assert coefficient_mod(gf, n, m) == want % m
+
+
+def test_products_that_fill_their_slots():
+    # all coefficients +-(2^b - 1), signed so that every product term of
+    # N(x)D(-x) is positive: with 8..15 terms per product coefficient they
+    # reach the top bit of a slot sized 2b + bitlen(len D) + 1
+    for b in (*range(1, 12), 198, 199, 200):
+        big = 2**b - 1
+        for length in range(1, 17):
+            for sign in (1, -1):
+                den = IntPolynomial((1, *(sign * (-1) ** i * big for i in range(1, length))))
+                gf = RationalGF(IntPolynomial((sign * big,) * length), den)
+                for n in (length - 1, 2 * length, 61):
+                    assert gf.coefficient(n) == gf.series(n)[n]
+
+
+def test_exact_term_at_1e5_frozen():
+    gf = composition_gf(parse_setspec("not:mod:3:0"))
+    value = count(parse_setspec("not:mod:3:0"), 10**5)
+    assert value.bit_length() == 87914
+    for m in (2**61 - 1, 10**9 + 7):
+        assert value % m == coefficient_mod(gf, 10**5, m)
 
 
 def test_coefficient_mod_rejects_bad_arguments():
