@@ -6,8 +6,9 @@ closed forms, the three-column mod-3 table, joint length counts, and
 the verification suites.
 
 Exit status: 0 on success, 1 when a verification report fails, 2 on
-usage or parse errors and on exact results over MAX_EXACT_BITS
-(diagnostics on standard error).  Output is deterministic for
+usage or parse errors, on exact results over MAX_EXACT_BITS and on
+--digits outside 16..closedform.MAX_DIGITS (diagnostics on standard
+error).  Output is deterministic for
 identical inputs.
 """
 
@@ -73,6 +74,16 @@ def _refuse_oversized(bits, n):
         )
 
 
+def _composition_bits(A, n):
+    # with a the smallest part, each block of a consecutive cut positions
+    # holds at most one cut, so c(n) <= (a + 1)^ceil((n - 1) / a), and
+    # log2(a + 1) <= bitlen(a); for a = 1 this is c(n) <= 2^(n - 1)
+    a = A.least()
+    if a is None or n == 0:
+        return 1  # c(0) = 1, and with no parts c(n) = 0 after it
+    return -(-(n - 1) // a) * a.bit_length() + 1
+
+
 def _recurrence_bits(gf, n):
     # with D = 1 - sum d_i x^i, |c_n| <= sum|N_i| * (1 + sum|d_i|)^n by
     # induction on c_n = N_n + sum d_i c_{n-i}
@@ -85,7 +96,7 @@ def _recurrence_bits(gf, n):
 
 def cmd_count(args, parser):
     A = parse_setspec(args.setspec)
-    _refuse_oversized(args.n, args.n)  # c(n) <= 2^(n-1): at most n bits
+    _refuse_oversized(_composition_bits(A, args.n), args.n)
     print(genfun.count(A, args.n))
     return 0
 
@@ -133,6 +144,7 @@ def _poly_part_str(poly_part):
 
 
 def cmd_closed_form(args, parser):
+    closedform._check_digits(args.digits)  # refuse oversized precision before any work
     gf = genfun.composition_gf(parse_setspec(args.setspec))
     pf = closedform.partial_fractions(gf, args.digits)
     print(f"generating function: {gf}")
@@ -158,6 +170,7 @@ def cmd_closed_form(args, parser):
 
 
 def cmd_eval_closed(args, parser):
+    closedform._check_digits(args.digits)  # refuse oversized precision before any work
     gf = genfun.composition_gf(parse_setspec(args.setspec))
     pf = closedform.partial_fractions(gf, args.digits)
     value, _ = closedform.eval_closed(pf, args.n)
@@ -176,9 +189,10 @@ def cmd_nth(args, parser):
     else:
         if len(args.operands) != 2:
             parser.error("expected: nth <setspec> <n> (or nth <n> --recurrence-file F)")
-        gf = genfun.composition_gf(parse_setspec(args.operands[0]))
+        A = parse_setspec(args.operands[0])
+        gf = genfun.composition_gf(A)
         n = _parse_operand_n(args.operands[1], parser)
-        bits = n  # c(n) <= 2^(n-1)
+        bits = _composition_bits(A, n)
     if args.mod is not None:
         if args.mod < 2:
             parser.error("--mod must be >= 2")

@@ -12,15 +12,22 @@ from r_j = -N(alpha_j) / (alpha_j * D'(alpha_j)), which is valid whether
 or not the fraction is proper because N and the division remainder agree
 at every root of D.
 
-All numerics run at a caller-chosen precision plus guard digits.  An
-Aberth-Ehrlich iteration in double precision seeds every root, Newton
-steps in fixed-point Gaussian integers refine each one to the working
-precision, and conjugate roots are paired exactly.  The set is then
-certified by Gerschgorin-type inclusion disks (Carstensen 1991), whose
-radii are rigorous upper bounds: pairwise disjoint disks hold exactly
-one root each.  A seeded set that does not certify is replaced by the
-roots of mpmath.polyroots, which must pass the same checks.  Both routes
-are deterministic, so repeated runs give identical output.
+All numerics run at a caller-chosen precision (at most MAX_DIGITS) plus
+guard digits.  An Aberth-Ehrlich iteration in double precision seeds
+every root, and Newton steps in fixed-point Gaussian integers refine
+each one to the working precision.  From then on each root is the exact
+dyadic point (a + bi) / 2^s that Newton produced, held as two integers:
+the real snap, the exact conjugate pairing, the Gerschgorin-type
+inclusion disks (Carstensen 1991), the sort, the pole separation check
+and the residues (fixed-point Horner plus one exact division) all run on
+integers.  The disk radii are rigorous upper bounds, and pairwise
+disjoint disks hold exactly one root each.  A seeded set that does not
+certify is replaced by the roots of mpmath.polyroots, which enter the
+same integer path and must pass the same checks.  mpmath numbers are
+built only for what is returned: root values, radii, residuals and
+residues, each rounded to the working precision exactly as mpmath
+arithmetic would round it.  Both routes are deterministic, so repeated
+runs give identical output.
 Only squarefree denominators are supported; a repeated factor makes the
 simple-pole formula wrong, and find_roots refuses with
 RepeatedRootError instead of returning garbage.
@@ -41,12 +48,18 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from mpmath import mp
 
 from .polyring import divmod_fractions, poly_gcd
 
 GUARD_DIGITS = 15
+# Requested precision above this is refused before any work.  The cost
+# grows faster than the square of the digits: on a 2-core host with
+# CPython 3.11 and mpmath without gmpy2, `closed-form not:mod:12:0` took
+# 0.35 s at 2000 digits, 1.3 s at 5000 and 3.3 s at 10000.
+MAX_DIGITS = 10_000
 ABERTH_SWEEPS = 100
 NEWTON_STEPS = 20
 NEWTON_GUARD_BITS = 16
@@ -65,15 +78,18 @@ class ConvergenceError(ClosedFormError):
 
 
 def _check_digits(digits):
-    if isinstance(digits, bool) or not isinstance(digits, int) or digits < 16:
-        raise ValueError("digits must be an integer >= 16")
+    if isinstance(digits, bool) or not isinstance(digits, int) or not 16 <= digits <= MAX_DIGITS:
+        raise ValueError(f"digits must be an integer from 16 to {MAX_DIGITS}")
 
 
 @dataclass(frozen=True)
 class ComplexRoot:
     """One denominator root: value (mpc), residual >= |poly(value)|, radius
     of an inclusion disk |z - value| <= radius that holds this root and
-    no other, and multiplicity (always 1 here, squarefree inputs only)."""
+    no other, and multiplicity (always 1 here, squarefree inputs only).
+    value is an exact dyadic at the working precision, residual and
+    radius are mpf upper bounds; the modulus is computed at the precision
+    in effect where it is read and is not used for sorting."""
 
     value: object
     residual: object
@@ -148,74 +164,113 @@ def _newton(coeffs, z, bits):
     return a, b
 
 
-def _float_seeded_roots(poly):
-    """Aberth seeds refined by Newton to the working precision plus
-    guard bits, rounded to it, with parts below mp.eps set to zero as
-    mpmath.polyroots does; None when the seed fails."""
+def _round(x, prec):
+    """The integer x rounded to prec significant bits, to nearest with
+    ties to even: the rounding of every mpmath operation."""
+    m = abs(x)
+    n = m.bit_length() - prec
+    if n <= 0:
+        return x
+    low, m = m & ((1 << n) - 1), m >> n
+    half = 1 << (n - 1)
+    if low > half or (low == half and m & 1):
+        m += 1
+    return m << n if x > 0 else -(m << n)
+
+
+def _fixed(values):
+    """mpmath numbers as exact integer points (a, b) at one scale 2^s,
+    the smallest that holds them all."""
+    s = max([0] + [-x.man_exp[1] for z in values for x in (z.real, z.imag) if x])
+    return [(int(mp.ldexp(z.real, s)), int(mp.ldexp(z.imag, s))) for z in values], s
+
+
+def _float_seeded_roots(poly, prec):
+    """Aberth seeds refined by Newton to prec plus guard bits, as points
+    (a, b) at the scale 2^s of Newton, s = prec + NEWTON_GUARD_BITS.
+    Each part is rounded to prec bits, and parts below mp.eps = 2^(1 -
+    prec) are set to zero as mpmath.polyroots does.  None when the seed
+    fails."""
     seeds = _aberth_seeds(poly.coeffs)
     if seeds is None:
         return None
-    bits = mp.prec + NEWTON_GUARD_BITS
-    zs = []
+    s = prec + NEWTON_GUARD_BITS
+    eps = 1 << (s + 1 - prec)
+    pts = []
     for seed in seeds:
-        ab = _newton(poly.coeffs, seed, bits)
+        ab = _newton(poly.coeffs, seed, s)
         if ab is None:
             return None
-        z = mp.mpc(mp.ldexp(ab[0], -bits), mp.ldexp(ab[1], -bits))
-        if abs(z) < mp.eps:
-            z = mp.mpc(0)
-        elif abs(z.imag) < mp.eps:
-            z = mp.mpc(z.real, 0)
-        elif abs(z.real) < mp.eps:
-            z = mp.mpc(0, z.imag)
-        zs.append(z)
-    return zs
+        a, b = _round(ab[0], prec), _round(ab[1], prec)
+        if a * a + b * b < eps * eps:
+            a = b = 0
+        elif abs(b) < eps:
+            b = 0
+        elif abs(a) < eps:
+            a = 0
+        pts.append((a, b))
+    return pts, s
 
 
-def _value_bound(coeffs, a, b, s):
-    """An integer m and a scale w with |p(z)| <= m / 2^w at the dyadic
-    point z = (a + bi) / 2^s, by Horner's rule in fixed point at w bits,
-    64 bits past the working precision and the rounding error below.
-
-    Each step floors both parts of v * z, an error below 2 units of
-    2^-w, so the result is off by less than 2 * sum_{j<d} |z|^j units;
-    that sum is bounded above in integers through radius / 2^8 >= |z|.
-    """
-    radius = math.isqrt(((a * a + b * b) << 16) >> (2 * s)) + 1
-    term, total = 1 << 8, 0  # total / 2^8 >= sum_{j<d} (radius / 2^8)^j
-    for _ in range(len(coeffs) - 1):
-        total += term
-        term = -(-term * radius >> 8)
-    slack = -(-2 * total >> 8)
-    w = max(s, mp.prec) + 64 + slack.bit_length()
+def _horner(coeffs, a, b, s, w):
+    """p((a + bi) / 2^s) as integers (vr, vi) at scale 2^w, by Horner's
+    rule with both parts of every product floored."""
     vr, vi = coeffs[-1] << w, 0
     for c in coeffs[-2::-1]:
         vr, vi = ((vr * a - vi * b) >> s) + (c << w), (vr * b + vi * a) >> s
+    return vr, vi
+
+
+def _horner_scale(d, a, b, s, prec):
+    """A scale w for _horner on a polynomial of degree <= d at z = (a +
+    bi) / 2^s, 64 bits past s, prec and the rounding error, and that
+    error as an integer bound in units of 2^-w.
+
+    Each step floors both parts of v * z, an error below 2 units, so the
+    result is off by less than 2 * sum_{j<d} |z|^j units; that sum is
+    bounded above in integers through radius / 2^8 >= |z|.
+    """
+    radius = math.isqrt(((a * a + b * b) << 16) >> (2 * s)) + 1
+    term, total = 1 << 8, 0  # total / 2^8 >= sum_{j<d} (radius / 2^8)^j
+    for _ in range(d):
+        total += term
+        term = -(-term * radius >> 8)
+    slack = -(-2 * total >> 8)
+    return max(s, prec) + 64 + slack.bit_length(), slack
+
+
+def _value_bound(coeffs, a, b, s, prec):
+    """An integer m and a scale w with |p(z)| <= m / 2^w at the dyadic
+    point z = (a + bi) / 2^s: _horner plus its rounding error bound."""
+    w, slack = _horner_scale(len(coeffs) - 1, a, b, s, prec)
+    vr, vi = _horner(coeffs, a, b, s, w)
     return math.isqrt(vr * vr + vi * vi) + 1 + slack, w
 
 
-def _inclusion_disks(poly, zs):
+def _inclusion_disks(poly, pts, s, prec):
     """Pairs (r_i, e_i) with radius r_i >= d |p(z_i)| / (|lc| prod_{j != i}
-    |z_i - z_j|) and residual e_i >= |p(z_i)|, or None unless the disks
-    |z - z_i| <= r_i are pairwise disjoint.
+    |z_i - z_j|) and residual e_i >= |p(z_i)|, as mpf, at the points z_i
+    = (a_i + b_i i) / 2^s, or None unless the disks |z - z_i| <= r_i are
+    pairwise disjoint.
 
     The union of these disks holds every root of p, and a connected
     component of m of them holds exactly m roots (Braess and Hadeler
     1973; Carstensen, Numer. Math. 1991), so pairwise disjoint disks
-    hold one root each.  Every z_i is a dyadic Gaussian rational, so the
-    gaps |z_i - z_j|^2 are exact integers at a common scale 4^s.  |p(z_i)|
-    is bounded above by _value_bound, the product of gaps is rounded
-    down and each radius is rounded up to a 41-bit dyadic, so every r_i
-    is a rigorous upper bound.
+    hold one root each.  The points are first brought to the smallest
+    scale that holds them all, so the result depends only on their
+    values.  The gaps |z_i - z_j|^2 are exact integers at scale 4^s.
+    |p(z_i)| is bounded above by _value_bound, the product of gaps is
+    rounded down and each radius is rounded up to a 41-bit dyadic, so
+    every r_i is a rigorous upper bound.
     """
     d, cs = poly.degree, poly.coeffs
     lc = cs[-1]
-    s = max([0] + [-x.man_exp[1] for z in zs for x in (z.real, z.imag) if x])
-    pts = [(int(mp.ldexp(z.real, s)), int(mp.ldexp(z.imag, s))) for z in zs]
+    least = max([0] + [s - (x & -x).bit_length() + 1 for p in pts for x in p if x])
+    pts, s = [(a >> (s - least), b >> (s - least)) for a, b in pts], least
     gaps = [[(a - c) ** 2 + (b - e) ** 2 for c, e in pts] for a, b in pts]
     mantissas, exponents, residuals = [], [], []  # r_i <= mantissas[i] * 2^-exponents[i]
     for i, (a, b) in enumerate(pts):
-        value, w = _value_bound(cs, a, b, s)
+        value, w = _value_bound(cs, a, b, s, prec)
         residuals.append(mp.ldexp(mp.mpf(value, rounding="u"), -w))
         low, shift = 1, 0  # low * 2^shift <= prod_{j != i} gaps[i][j]
         for j, g in enumerate(gaps[i]):
@@ -244,49 +299,81 @@ def _inclusion_disks(poly, zs):
     return [(mp.ldexp(u, -t), e) for u, t, e in zip(mantissas, exponents, residuals)]
 
 
-def _certify(poly, zs, digits):
-    """Snap near-real roots onto the axis, pair conjugates exactly, and
-    certify the result by inclusion disks and residuals."""
-    imag_snap = mp.mpf(10) ** (-(digits - 8))
-    snapped = []
-    for z in zs:
-        if abs(z.imag) <= imag_snap * (1 + abs(z)):
-            snapped.append(mp.mpc(z.real, 0))
+def _pair(pts, s, digits, prec):
+    """Snap near-real points onto the axis and pair conjugates exactly.
+    Returns the real points, then each averaged pair z, conj(z), and
+    their scale s + 1, with each sum rounded to prec bits as mpmath
+    would round it; ConvergenceError when the points do not pair."""
+    one = 1 << s
+    snap, tol = 10 ** (digits - 8), 10 ** (digits - 10)
+    reals, upper, lower = [], [], []
+    for a, b in pts:
+        # |Im z| <= 10^-(digits-8) (1 + |z|) puts z on the axis
+        over = abs(b) * snap - one
+        if over <= 0 or over * over <= a * a + b * b:
+            reals.append((a << 1, 0))
+        elif b > 0:
+            upper.append((a, b))
         else:
-            snapped.append(z)
-    reals = [z for z in snapped if z.imag == 0]
-    upper = [z for z in snapped if z.imag > 0]
-    lower = [z for z in snapped if z.imag < 0]
+            lower.append((a, b))
     if len(upper) != len(lower):
         raise ConvergenceError("complex roots do not split into conjugate pairs")
-    tol = mp.mpf(10) ** (-(digits - 10))
     taken = [False] * len(lower)
     paired = []
-    for z in upper:
-        best = None
-        best_gap = None
-        for idx, w in enumerate(lower):
-            if taken[idx]:
-                continue
-            gap = abs(z - mp.conj(w))
-            if best is None or gap < best_gap:
+    for a, b in upper:
+        best = best_gap = None
+        for idx, (c, e) in enumerate(lower):
+            gap = (a - c) ** 2 + (b + e) ** 2  # |z - conj(w)|^2 at scale 4^s
+            if not taken[idx] and (best is None or gap < best_gap):
                 best, best_gap = idx, gap
-        if best is None or best_gap > tol * (1 + abs(z)):
+        # a pair must agree within 10^-(digits-10) (1 + |z|)
+        if best is None or best_gap * tol * tol > (one + math.isqrt(a * a + b * b)) ** 2:
             raise ConvergenceError("complex roots do not split into conjugate pairs")
         taken[best] = True
-        avg = (z + mp.conj(lower[best])) / 2
-        paired.extend((avg, mp.conj(avg)))
+        c, e = lower[best]
+        re, im = _round(a + c, prec), _round(b - e, prec)
+        paired.extend(((re, im), (re, -im)))
+    return reals + paired, s + 1
 
-    zs = [mp.mpc(z) for z in reals + paired]
-    disks = _inclusion_disks(poly, zs)
+
+def _order(pts, s, digits):
+    """Indices of pts by modulus, each run of moduli that agree within
+    10^-(digits-10) sorted by (|arg|, arg), all from exact integer keys:
+    |arg| grows as Re z / |z| falls, and of two conjugates the one with
+    Im z < 0 has the smaller arg."""
+    norms = [a * a + b * b for a, b in pts]
+    moduli = [math.isqrt(m) for m in norms]  # within 2^-s of |z|
+    one, tol = 1 << s, 10 ** (digits - 10)
+    runs = []
+    for i in sorted(range(len(pts)), key=norms.__getitem__):
+        if runs and (moduli[i] - moduli[runs[-1][0]]) * tol <= one:
+            runs[-1].append(i)
+        else:
+            runs.append([i])
+
+    def angle(i):
+        a, b = pts[i]
+        cos = Fraction(a * abs(a), norms[i]) if norms[i] else 1  # sign(cos) cos^2
+        return -cos, (b > 0) - (b < 0)
+
+    return [i for run in runs for i in sorted(run, key=angle)]
+
+
+def _certify(poly, pts, s, digits, prec):
+    """Pair the points at scale 2^s, certify them by inclusion disks and
+    residuals, and return them sorted as ComplexRoots."""
+    pts, s = _pair(pts, s, digits, prec)
+    disks = _inclusion_disks(poly, pts, s, prec)
     if disks is None:
         raise ConvergenceError("root inclusion disks overlap")
-    bound = tol * max(1, max(abs(c) for c in poly.coeffs))
-    roots = []
-    for z, (radius, resid) in zip(zs, disks):
+    bound = mp.mpf(10) ** (-(digits - 10)) * max(1, max(abs(c) for c in poly.coeffs))
+    for _, resid in disks:
         if resid > bound:
             raise ConvergenceError(f"residual {mp.nstr(resid, 5)} above certification bound")
-        roots.append(ComplexRoot(z, resid, radius))
+    roots = []
+    for i in _order(pts, s, digits):
+        (a, b), (radius, resid) = pts[i], disks[i]
+        roots.append(ComplexRoot(mp.mpc(mp.ldexp(a, -s), mp.ldexp(b, -s)), resid, radius))
     return roots
 
 
@@ -296,9 +383,10 @@ def find_roots(poly, digits=50):
     An Aberth-Ehrlich iteration in double precision seeds every root,
     and Newton steps in fixed-point Gaussian integers refine each one,
     doubling the precision up to the working precision (digits plus
-    GUARD_DIGITS).  Near-real roots are snapped onto the axis, conjugate
-    pairs are averaged so the returned set is exactly closed under
-    conjugation, and the set is certified by inclusion disks (see
+    GUARD_DIGITS).  From there on every root is an exact dyadic point
+    (a + bi) / 2^s.  Near-real roots are snapped onto the axis,
+    conjugate pairs are averaged so the returned set is exactly closed
+    under conjugation, and the set is certified by inclusion disks (see
     _inclusion_disks), which must be pairwise disjoint, and by a
     residual bound.  If the seeded set fails any of this, the roots come
     from mpmath.polyroots instead and pass the same checks or raise
@@ -306,7 +394,8 @@ def find_roots(poly, digits=50):
     agree.  Each root carries its disk radius.  Output is sorted by
     (modulus, |arg|, arg), which puts the growth-dominant root first;
     moduli within the certification tolerance count as equal, so
-    rounding noise never decides the order of equal-modulus roots.
+    rounding noise never decides the order of equal-modulus roots.  The
+    keys are exact integers of the dyadic points (see _order).
     """
     _check_digits(digits)
     if not poly:
@@ -317,33 +406,18 @@ def find_roots(poly, digits=50):
     if common.degree >= 1:
         raise RepeatedRootError(f"repeated factor (gcd with derivative is {common})")
     with mp.workdps(digits + GUARD_DIGITS):
-        roots = None
-        seeded = _float_seeded_roots(poly)
+        prec = mp.prec
+        seeded = _float_seeded_roots(poly, prec)
         if seeded is not None:
             try:
-                roots = _certify(poly, seeded, digits)
+                return tuple(_certify(poly, *seeded, digits, prec))
             except ConvergenceError:
                 pass
-        if roots is None:
-            try:
-                zs = mp.polyroots(poly.coeffs[::-1], maxsteps=400, extraprec=20)
-            except mp.NoConvergence:
-                raise ConvergenceError("root iteration did not settle") from None
-            roots = _certify(poly, zs, digits)
-        roots.sort(key=lambda r: r.modulus)
-        tol = mp.mpf(10) ** (-(digits - 10))
-        tied = []  # runs of roots whose moduli agree within tol
-        for r in roots:
-            if tied and r.modulus - tied[-1][0].modulus <= tol:
-                tied[-1].append(r)
-            else:
-                tied.append([r])
-        roots = [
-            r
-            for run in tied
-            for r in sorted(run, key=lambda r: (abs(mp.arg(r.value)), mp.arg(r.value)))
-        ]
-    return tuple(roots)
+        try:
+            zs = mp.polyroots(poly.coeffs[::-1], maxsteps=400, extraprec=20)
+        except mp.NoConvergence:
+            raise ConvergenceError("root iteration did not settle") from None
+        return tuple(_certify(poly, *_fixed(zs), digits, prec))
 
 
 @dataclass(frozen=True)
@@ -358,13 +432,48 @@ class PartialFraction:
     precision_digits: int = 50
 
 
+def _check_separation(pts, s, digits):
+    """ConvergenceError when two points (a, b) at scale 2^s lie within
+    10^-(digits-10) of each other: gap^2 * 10^(2(digits-10)) <= 4^s.
+    Points are swept by real part, so only neighbours that close in
+    Re z are compared."""
+    scale, one = 10 ** (digits - 10), 1 << s
+    order = sorted(pts)
+    for i, (a, b) in enumerate(order):
+        for c, e in islice(order, i + 1, None):
+            if (c - a) * scale > one:
+                break
+            if ((c - a) ** 2 + (e - b) ** 2) * scale * scale <= one * one:
+                raise ConvergenceError("poles too close to separate at this precision")
+
+
+def _residue(num, dprime, a, b, s, prec):
+    """r = -N(z) / (z D'(z)) at z = (a + bi) / 2^s as integers (re, im,
+    k) with r = (re + im i) / 2^k to about prec + 32 bits: fixed-point
+    Horner for N and D', then one exact complex division, floored."""
+    w, _ = _horner_scale(max(num.degree, dprime.degree), a, b, s, prec)
+    nr, ni = _horner(num.coeffs, a, b, s, w)
+    dr, di = _horner(dprime.coeffs, a, b, s, w)
+    qr, qi = a * dr - b * di, a * di + b * dr  # z D'(z) at scale 2^(s + w)
+    norm = qr * qr + qi * qi
+    # r = -(nr + ni i)(qr - qi i) 2^s / |q|^2; keep prec + 32 bits of it
+    t = max(0, prec + 32 + max(abs(qr), abs(qi)).bit_length() - max(abs(nr), abs(ni)).bit_length())
+    re = -((nr * qr + ni * qi) << t) // norm
+    im = -((ni * qr - nr * qi) << t) // norm
+    return re, im, t - s
+
+
 def partial_fractions(gf, digits=50):
     """Simple-pole expansion of a RationalGF at the given precision.
 
     Reduces the fraction first (a shared factor would show up as a
     spurious pole with zero residue, or worse as a repeated root), then
     checks that the poles are numerically separable and that the
-    residues reproduce the n = 0 coefficient.
+    residues reproduce the n = 0 coefficient.  Between the roots and the
+    returned mpc residues everything runs on the poles as exact dyadic
+    points: the separation check compares exact integer gaps, and each
+    residue comes from fixed-point Horner evaluations of N and D' at
+    64 bits past the working precision and one exact division.
     """
     _check_digits(digits)
     g = gf.reduce()
@@ -380,25 +489,21 @@ def partial_fractions(gf, digits=50):
     quot, _ = divmod_fractions(num, den)
     poles = find_roots(den, digits)
     with mp.workdps(digits + GUARD_DIGITS):
-        sep = mp.mpf(10) ** (-(digits - 10))
-        for i in range(len(poles)):
-            for j in range(i + 1, len(poles)):
-                if abs(poles[i].value - poles[j].value) <= sep:
-                    raise ConvergenceError("poles too close to separate at this precision")
+        prec = mp.prec
+        pts, s = _fixed([pole.value for pole in poles])
+        _check_separation(pts, s, digits)
         dprime = den.derivative()
-        residues = []
-        for pole in poles:
-            a = pole.value
-            residues.append(-num(a) / (a * dprime(a)))
+        parts = [_residue(num, dprime, a, b, s, prec) for a, b in pts]
+        top = max(k for _, _, k in parts)
+        real = sum(re << (top - k) for re, _, k in parts)
+        imag = sum(im << (top - k) for _, im, k in parts)
         head = quot[0] if quot else Fraction(0)
-        recon = mp.mpf(head.numerator) / head.denominator + mp.fsum(
-            r.real for r in residues
-        )
-        stray = abs(mp.fsum(r.imag for r in residues))
-        tol = mp.mpf(10) ** (-(digits - GUARD_DIGITS))
-        if abs(recon - num[0]) > tol or stray > tol:
+        # c(0) = head + sum r_j within 10^-(digits - GUARD_DIGITS)
+        tol = 10 ** (digits - GUARD_DIGITS)
+        if abs(Fraction(real, 1 << top) + head - num[0]) * tol > 1 or abs(imag) * tol > 1 << top:
             raise ConvergenceError("residues fail the n = 0 normalization check")
-    return PartialFraction(tuple(quot), poles, tuple(residues), digits)
+        residues = tuple(mp.mpc(mp.ldexp(re, -k), mp.ldexp(im, -k)) for re, im, k in parts)
+    return PartialFraction(tuple(quot), poles, residues, digits)
 
 
 EvalResult = namedtuple("EvalResult", ["value", "imag_residual"])

@@ -14,6 +14,7 @@ equal field by field.  Values are immutable and hashable.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .polyring import IntPolynomial
@@ -82,6 +83,12 @@ class PartSet:
         if v in self.removed:
             return False
         return v % self.modulus in self.residues
+
+    def least(self):
+        """The smallest member, or None for the empty set."""
+        if not self.residues:
+            return min(self.added, default=None)
+        return next(v for v in itertools.count(1) if v in self)
 
     def members_upto(self, n):
         """Sorted members <= n, walking residue classes rather than scanning."""

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -140,6 +141,50 @@ def test_oversized_exact_results_refused_up_front(tmp_path, capsys):
     assert code == 2 and out == "" and "decimal digits" in err
     code, out, _ = run_cli(capsys, "nth", "1000", "--recurrence-file", str(path))
     assert code == 0 and out == f"{count(parse_setspec('not:mod:4:0'), 1000)}\n"
+
+
+def test_sparse_part_sets_bounded_by_smallest_part(capsys):
+    # c(n) <= (a + 1)^ceil((n - 1) / a) for smallest part a admits these
+    code, out, _ = run_cli(capsys, "count", "set:7", "3000000")
+    assert (code, out) == (0, "0\n")
+    code, out, _ = run_cli(capsys, "nth", "set:7", "3000004")
+    assert (code, out) == (0, "1\n")
+    code, out, _ = run_cli(capsys, "count", "set:", "5000000")
+    assert (code, out) == (0, "0\n")
+    code, out, err = run_cli(capsys, "count", "ge:2", "4000000")
+    assert code == 2 and out == "" and "decimal digits" in err
+
+
+def test_oversized_digits_refused_before_any_work(capsys, monkeypatch):
+    from compenum import closedform, genfun
+
+    def no_work(*args):
+        raise AssertionError("the generating function was built")
+
+    monkeypatch.setattr(genfun, "composition_gf", no_work)
+    limit = str(closedform.MAX_DIGITS)
+    for argv in (
+        ("closed-form", "all", "--digits", "1000000"),
+        ("eval-closed", "all", "3", "--digits", str(closedform.MAX_DIGITS + 1)),
+        ("closed-form", "all", "--digits", "15"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and limit in err
+
+
+PINNED = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize(
+    "spec,digits,name",
+    [
+        ("set:1,2,3,5,8,13,21,31", "80", "closed_form_set_1_2_3_5_8_13_21_31_digits80.txt"),
+        ("not:mod:30:0", "16", "closed_form_not_mod_30_0_digits16.txt"),
+    ],
+)
+def test_closed_form_pinned_output(capsys, spec, digits, name):
+    code, out, _ = run_cli(capsys, "closed-form", spec, "--digits", digits)
+    assert code == 0 and out == (PINNED / name).read_text()
 
 
 def test_eval_closed(capsys):

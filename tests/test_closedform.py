@@ -112,13 +112,14 @@ def test_uncertified_seed_falls_back_to_polyroots(monkeypatch):
     expected = find_roots(p)
     seeded = closedform._float_seeded_roots
 
-    def near_duplicate(q):
+    def near_duplicate(q, prec):
         # move the seed of -0.826 to 1e-60 from +0.826: both residuals
         # pass, but the two disks overlap
-        zs = seeded(q)
-        lo = min(range(len(zs)), key=lambda i: zs[i].real)
-        zs[lo] = max(zs, key=lambda z: z.real) + mp.mpf(10) ** -60
-        return zs
+        pts, s = seeded(q, prec)
+        lo = min(range(len(pts)), key=lambda i: pts[i][0])
+        a, b = max(pts)
+        pts[lo] = (a + (1 << s) // 10**60, b)
+        return pts, s
 
     calls = []
     polyroots = mp.mp.polyroots
@@ -167,11 +168,51 @@ def test_roots_match_polyroots_inside_their_disks(seed, digits, nudge):
         for r in roots:
             gap = min((abs(r.value - o.value) for o in roots if o is not r), default=1)
             moved.append(r.value + nudge * gap * mp.expjpi(2 * rng.random()))
-        disks = closedform._inclusion_disks(den, moved)
+        disks = closedform._inclusion_disks(den, *closedform._fixed(moved), mp.mp.prec)
     if disks is not None:
         with mp.workdps(2 * digits + 60):
             for z, (radius, _) in zip(moved, disks):
                 assert sum(abs(xi - z) <= radius for xi in exact) == 1
+
+
+@given(st.integers(0, 2**32), st.sampled_from((16, 20, 32, 50, 80)))
+@settings(max_examples=30, deadline=None)
+def test_residues_match_mpmath_horner(seed, digits):
+    gf = composition_gf(random_partset(random.Random(seed))).reduce()
+    assume(gf.den.degree >= 1)
+    try:
+        pf = partial_fractions(gf, digits)
+    except RepeatedRootError:
+        assume(False)
+    dprime = gf.den.derivative()
+    with mp.workdps(2 * digits + 60):
+        # the independent route: polyroots, then mpmath Horner at each root
+        exact = mp.polyroots(gf.den.coeffs[::-1], maxsteps=2000, extraprec=200)
+        for pole, r in zip(pf.poles, pf.residue_coeffs):
+            xi = min(exact, key=lambda w: abs(w - pole.value))
+            want = -gf.num(xi) / (xi * dprime(xi))
+            assert abs(r - want) <= mp.mpf(10) ** -digits * (1 + abs(want))
+
+
+@pytest.mark.parametrize("digits", [16, 50, 80])
+@pytest.mark.parametrize("direction", [1, 1j])
+def test_pole_separation_checked_at_the_threshold(monkeypatch, digits, direction):
+    gf = composition_gf(parse_setspec("not:mod:3:0"))
+    poles = []
+
+    def fake_roots(poly, digits):
+        return tuple(closedform.ComplexRoot(z, mp.mpf(0), mp.mpf(0)) for z in poles)
+
+    monkeypatch.setattr(closedform, "find_roots", fake_roots)
+    with mp.workdps(digits + GUARD_DIGITS):
+        sep = mp.mpf(10) ** -(digits - 10)
+        for factor, message in ((0.5, "too close"), (2, "n = 0")):
+            # a far pole lies between the close pair in real part
+            base = mp.mpc(0.5, 0.25)
+            step = mp.mpc(direction) * factor * sep
+            poles[:] = [base, base + step / 2 + 5j, base + step]
+            with pytest.raises(ConvergenceError, match=message):
+                partial_fractions(gf, digits)
 
 
 def test_repeated_root_detected():
