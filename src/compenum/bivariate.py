@@ -54,9 +54,14 @@ class BivariateTable:
         return sum(self.row(n))
 
 
+def packed_width(n):
+    """Bytes per slot of the packed rows up to n: their counts are at
+    most 2^(n-1) < 2^(8 * width)."""
+    return n // 8 + 1
+
+
 def _packed_gf(A, n):
-    # rows up to n hold counts <= 2^(n-1) < 2^(8 * width): one width-byte slot each
-    width = n // 8 + 1
+    width = packed_width(n)
     return length_gf(A, 1 << 8 * width), width
 
 

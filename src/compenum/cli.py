@@ -6,9 +6,9 @@ closed forms, the three-column mod-3 table, joint length counts, and
 the verification suites.
 
 Exit status: 0 on success, 1 when a verification report fails, 2 on
-usage or parse errors, on exact results over MAX_EXACT_BITS and on
---digits outside 16..closedform.MAX_DIGITS (diagnostics on standard
-error).  Output is deterministic for
+usage or parse errors, on exact results and packed bylength rows over
+MAX_EXACT_BITS and on --digits outside 16..closedform.MAX_DIGITS
+(diagnostics on standard error).  Output is deterministic for
 identical inputs.
 """
 
@@ -24,15 +24,17 @@ import sys
 from mpmath import mp
 
 from . import closedform, genfun, oracle
-from .bivariate import length_row
+from .bivariate import length_row, packed_width
 from .partset import SetSpecError, parse_setspec
 from .polyring import coefficient_mod
 from .recurrence import LinearRecurrence, recurrence_from_gf
 
 DISPLAY_DIGITS = 12
-# Exact results are refused above this many bits, before any work: the
-# decimal print is quadratic in the size (on CPython 3.11 it takes seconds
-# at 10^6 bits and a quarter minute at 3 * 10^6), and memory grows with it.
+# Exact results, and the packed coefficient a bylength row is read from,
+# are refused above this many bits, before any work: the decimal print is
+# quadratic in the size (on CPython 3.11 it takes seconds at 10^6 bits and
+# a quarter minute at 3 * 10^6), the bylength expansion grows faster
+# still, and memory grows with both.
 MAX_EXACT_BITS = 2_000_000
 
 
@@ -211,7 +213,15 @@ def _parse_operand_n(text, parser):
 
 
 def cmd_bylength(args, parser):
-    for m, c in enumerate(length_row(parse_setspec(args.setspec), args.n)):
+    A = parse_setspec(args.setspec)
+    # row n arrives packed in one coefficient of n + 1 slots
+    bits = (args.n + 1) * 8 * packed_width(args.n)
+    if bits > MAX_EXACT_BITS:
+        raise ValueError(
+            f"the packed row at n = {args.n} takes {bits} bits, "
+            f"more than the {MAX_EXACT_BITS}-bit limit"
+        )
+    for m, c in enumerate(length_row(A, args.n)):
         print(m, c)
     return 0
 

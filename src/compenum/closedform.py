@@ -100,14 +100,6 @@ class ComplexRoot:
     def modulus(self):
         return mp.fabs(self.value)
 
-    @property
-    def re(self):
-        return self.value.real
-
-    @property
-    def im(self):
-        return self.value.imag
-
 
 def _aberth_seeds(coeffs):
     """Double-precision approximations to all roots of sum(coeffs[k] x^k)

@@ -154,11 +154,11 @@ class PartSet:
 
     @classmethod
     def arithmetic_progression(cls, first, step):
-        """{first + j*step : j >= 0} for any first, step >= 1.
+        """{first + j*step : j >= 0} for any first, step >= 1, the set
+        the ``ap:first:step`` spec names.
 
-        Unlike the ``ap:`` spec syntax this allows first > step; members
-        of the residue class below ``first`` are carried as removed
-        exceptions.
+        When first > step, the members of the residue class below
+        ``first`` are carried as removed exceptions.
         """
         if first < 1 or step < 1:
             raise ValueError("first and step must be >= 1")
@@ -180,7 +180,7 @@ class PartSet:
 def parse_setspec(text):
     """Parse a set expression into a PartSet.
 
-    ``ap:m:k`` is {m + jk : j >= 0} and requires 1 <= m <= k;
+    ``ap:a:b`` is {a + jb : j >= 0} for any a, b >= 1;
     ``mod:k:r1,r2`` is every positive integer congruent to a listed
     residue; ``ge:t`` is {t, t+1, ...}; ``set:`` lists a finite set
     (possibly empty); ``not:`` complements within Z>0; ``all`` is Z>0.
@@ -230,9 +230,7 @@ def _parse_spec(text, pos):
         k, end = _parse_int(text, after)
         if k < 1:
             raise SetSpecError("ap step must be >= 1", after)
-        if m > k:
-            raise SetSpecError("ap start must not exceed the step", pos + 3)
-        return PartSet(k, frozenset({m % k})), end
+        return PartSet.arithmetic_progression(m, k), end
     raise SetSpecError("expected one of all, ge:, set:, mod:, ap:, not:", pos)
 
 

@@ -6,9 +6,13 @@ numerator/denominator pairs whose denominator has constant term 1, which
 is the shape every composition generating function takes and guarantees
 the power series expansion is well defined.
 
-GCDs are computed with the primitive-part Euclidean algorithm:
-pseudo-remainders keep intermediate results inside the integers, and
-Gauss's lemma makes the final cancellation divisions exact.
+One integer long division serves every quotient and remainder:
+_pseudo_divmod finds lc(d)^k * p = q*d + r, scaling by the leading
+coefficient of d only at steps where it does not divide, so k = 0 exactly
+when the quotient is integral.  poly_gcd runs the primitive-part
+Euclidean algorithm on its remainders, exact_div accepts only k = 0 and
+r = 0 (by Gauss's lemma the cancellations in RationalGF.reduce are such
+divisions), and divmod_fractions divides q and r by lc(d)^k.
 
 A single coefficient c_n, exact (RationalGF.coefficient) or mod m
 (coefficient_mod), comes from one Bostan-Mori halving kernel that packs
@@ -148,7 +152,6 @@ class IntPolynomial:
 
 
 ONE = IntPolynomial((1,))
-X = IntPolynomial((0, 1))
 
 
 def content(p):
@@ -166,16 +169,30 @@ def primitive_part(p):
     return IntPolynomial(a // c for a in p.coeffs)
 
 
-def _pseudo_rem(a, b):
-    # classic pseudo-remainder: scale by the leading coefficient of b at
-    # every step so division never leaves the integers
-    db = b.degree
-    lead = b.coeffs[-1]
-    r = a
-    while r.degree >= db:
-        shift = r.degree - db
-        r = r * lead - IntPolynomial.monomial(shift, r.coeffs[-1]) * b
-    return r
+def _pseudo_divmod(p, d):
+    # (q, r, k) with lc(d)^k * p = q*d + r and deg r < deg d.  A step
+    # scales everything by lc(d) only where lc(d) does not divide the
+    # leading remainder coefficient, so k = 0 exactly when the quotient
+    # over the rationals is integral.
+    if not d:
+        raise ZeroDivisionError("polynomial division by zero")
+    dd = d.degree
+    lead = d.coeffs[-1]
+    rem = list(p.coeffs)
+    quot = [0] * max(len(rem) - dd, 0)
+    k = 0
+    for i in range(len(quot) - 1, -1, -1):
+        c = rem[i + dd]
+        if c % lead:
+            rem = [lead * a for a in rem]
+            quot = [lead * a for a in quot]
+            c *= lead
+            k += 1
+        qi = quot[i] = c // lead
+        if qi:
+            for j, b in enumerate(d.coeffs, i):
+                rem[j] -= qi * b
+    return IntPolynomial(quot), IntPolynomial(rem), k
 
 
 def poly_gcd(p, q):
@@ -186,34 +203,16 @@ def poly_gcd(p, q):
     """
     a, b = primitive_part(p), primitive_part(q)
     while b:
-        a, b = b, primitive_part(_pseudo_rem(a, b))
+        a, b = b, primitive_part(_pseudo_divmod(a, b)[1])
     return a
 
 
 def exact_div(p, d):
     """Quotient p/d when the division is exact over Z; ValueError otherwise."""
-    if not d:
-        raise ZeroDivisionError("polynomial division by zero")
-    if not p:
-        return IntPolynomial()
-    dd = d.degree
-    if p.degree < dd:
+    q, r, k = _pseudo_divmod(p, d)
+    if k or r:
         raise ValueError("not an exact polynomial multiple")
-    lead = d.coeffs[-1]
-    rem = list(p.coeffs)
-    quot = [0] * (p.degree - dd + 1)
-    for i in range(p.degree - dd, -1, -1):
-        c = rem[i + dd]
-        if c % lead:
-            raise ValueError("not an exact polynomial multiple")
-        qi = c // lead
-        quot[i] = qi
-        if qi:
-            for j, bc in enumerate(d.coeffs):
-                rem[i + j] -= qi * bc
-    if any(rem):
-        raise ValueError("not an exact polynomial multiple")
-    return IntPolynomial(quot)
+    return q
 
 
 def divmod_fractions(p, d):
@@ -223,25 +222,10 @@ def divmod_fractions(p, d):
     Used for the polynomial part of partial fractions, where the
     quotient is typically the constant 1/2 and not an integer.
     """
-    if not d:
-        raise ZeroDivisionError("polynomial division by zero")
-    dd = d.degree
-    lead = Fraction(d.coeffs[-1])
-    rem = [Fraction(c) for c in p.coeffs]
-    if p.degree < dd:
-        return (), tuple(rem)
-    quot = [Fraction(0)] * (p.degree - dd + 1)
-    for i in range(p.degree - dd, -1, -1):
-        qi = rem[i + dd] / lead
-        quot[i] = qi
-        if qi:
-            for j, bc in enumerate(d.coeffs):
-                rem[i + j] -= qi * bc
-    while rem and rem[-1] == 0:
-        rem.pop()
-    while quot and quot[-1] == 0:
-        quot.pop()
-    return tuple(quot), tuple(rem)
+    q, r, k = _pseudo_divmod(p, d)
+    scale = d.coeffs[-1] ** k
+    quot = tuple(Fraction(c, scale) for c in q.coeffs)
+    return quot, tuple(Fraction(c, scale) for c in r.coeffs)
 
 
 class RationalGF:

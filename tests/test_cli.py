@@ -260,6 +260,17 @@ def test_bylength_all_parts_at_400(capsys):
     assert counts == [0] + [comb(399, m - 1) for m in range(1, 401)]
 
 
+def test_bylength_refuses_oversized_rows(capsys):
+    # (n + 1) * 8 * (n//8 + 1) bits: 1,999,392 at n = 1411, 2,000,808 at 1412
+    code, out, err = run_cli(capsys, "bylength", "all", "100000")
+    assert code == 2 and out == ""
+    assert "10000900008 bits" in err and "2000000-bit limit" in err
+    code, _, err = run_cli(capsys, "bylength", "set:", "1412")
+    assert code == 2 and "2000808 bits" in err
+    code, out, _ = run_cli(capsys, "bylength", "set:", "1411")
+    assert code == 0 and len(out.splitlines()) == 1412
+
+
 def test_parser_is_built_once(capsys):
     parser = cli._build_parser()
     code, out, err = run_cli(capsys, "bylength", "mod:2:1", "-1")
@@ -293,7 +304,7 @@ def test_verify_json(capsys):
 
 
 def test_usage_errors_exit_two(capsys):
-    code, _, err = run_cli(capsys, "count", "not:ap:9:4", "3")
+    code, _, err = run_cli(capsys, "count", "not:ap:0:4", "3")
     assert code == 2 and err.startswith("error:")
     code, _, err = run_cli(capsys, "count", "mod:3:1")  # missing n
     assert code == 2

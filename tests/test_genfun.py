@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from compenum.genfun import composition_gf, composition_series, count
 from compenum.oracle import dp_count_series, length_slice_series, random_partset
 from compenum.partset import PartSet, parse_setspec
+from compenum.polyring import IntPolynomial, RationalGF
 
 
 def test_gf_display_frozen():
@@ -21,6 +22,17 @@ def test_gf_display_frozen():
     }
     for spec, want in cases.items():
         assert str(composition_gf(parse_setspec(spec))) == want
+
+
+def test_avoiding_any_progression_matches_the_paper():
+    # C(x) = (1 - x)(1 - x^b) / ((1 - 2x)(1 - x^b) + x^a - x^(a+1)) for
+    # parts avoiding a, a + b, a + 2b, ..., also when a > b
+    x = IntPolynomial((0, 1))
+    for a in range(1, 13):
+        for b in range(1, 13):
+            xa, xb = IntPolynomial.monomial(a), IntPolynomial.monomial(b)
+            paper = RationalGF((1 - x) * (1 - xb), (1 - 2 * x) * (1 - xb) + xa - xa * x)
+            assert composition_gf(parse_setspec(f"not:ap:{a}:{b}")) == paper
 
 
 def test_counts_pinned():

@@ -41,7 +41,7 @@ def test_parse_and_membership(spec, upto, expect):
     [
         ("mod:3", 5),
         ("foo:1", 0),
-        ("ap:4:2", 3),
+        ("ap:4:0", 5),
         ("set:0", 4),
         ("ge:0", 3),
         ("mod:3:7", 6),
@@ -71,6 +71,14 @@ def test_everything_and_threshold():
 def test_arithmetic_progression():
     A = PartSet.arithmetic_progression(2, 3)
     assert A.members_upto(12) == [2, 5, 8, 11]
+
+
+def test_ap_spec_is_the_arithmetic_progression():
+    for a in range(1, 13):
+        for b in range(1, 13):
+            A = parse_setspec(f"ap:{a}:{b}")
+            assert A == PartSet.arithmetic_progression(a, b)
+            assert A.members_upto(40) == list(range(a, 41, b))
 
 
 def test_exceptions_canonicalized():

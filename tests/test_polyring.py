@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,9 @@ from compenum.polyring import (
     IntPolynomial,
     RationalGF,
     coefficient_mod,
+    _pseudo_divmod,
     divmod_fractions,
+    exact_div,
     poly_gcd,
 )
 
@@ -60,6 +63,20 @@ def test_divmod_fractions():
     q, r = divmod_fractions(poly(0, 0, 1), poly(1, 1))
     assert q == (Fraction(-1), Fraction(1))
     assert r == (Fraction(1),)
+
+
+def test_exact_div():
+    a, b = poly(1, -2, 0, 5), poly(-3, 0, 2)
+    assert exact_div(a * b, b) == a
+    assert exact_div(poly(), b) == poly()
+    with pytest.raises(ValueError):
+        exact_div(a * b + 1, b)
+    with pytest.raises(ValueError):
+        exact_div(poly(1, 1), b)  # lower degree than the divisor
+    with pytest.raises(ValueError):
+        exact_div(poly(1, 1), poly(2))  # a rational quotient, not an integral one
+    with pytest.raises(ZeroDivisionError):
+        exact_div(a, poly())
 
 
 def test_gf_requires_unit_constant():
@@ -178,3 +195,31 @@ def test_exact_division_after_gcd(a, b):
     g = poly_gcd(prod, pb)
     # pb divides the product, so the gcd has at least pb's degree
     assert g.degree >= pb.degree or prod.degree < 0
+
+
+divisors = st.builds(
+    lambda cs, lead: IntPolynomial(tuple(cs) + (lead,)),
+    st.lists(st.integers(-9, 9), max_size=5),
+    st.sampled_from([1, -1, 2, -2, 3, -3, 7]),
+)
+
+
+@given(coeff_lists, divisors)
+def test_divmod_fractions_divides(p, d):
+    p = IntPolynomial(tuple(p))
+    q, r = divmod_fractions(p, d)
+    assert len(r) <= d.degree  # deg r < deg d
+    assert (not q or q[-1]) and (not r or r[-1])  # trimmed
+    scale = math.lcm(*(c.denominator for c in q + r))
+    qs, rs = (IntPolynomial(int(c * scale) for c in t) for t in (q, r))
+    assert qs * d + rs == p * scale
+
+
+@given(coeff_lists, divisors)
+def test_pseudo_divmod_scales_only_when_needed(p, d):
+    p = IntPolynomial(tuple(p))
+    q, r, k = _pseudo_divmod(p, d)
+    assert d.coeffs[-1] ** k * p == q * d + r and r.degree < d.degree
+    # k = 0 exactly when the rational quotient is integral
+    quot, _ = divmod_fractions(p, d)
+    assert (k == 0) == all(c.denominator == 1 for c in quot)
