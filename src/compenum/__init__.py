@@ -9,42 +9,10 @@ closed form over the denominator poles, and cross-checks everything
 against brute-force enumeration and direct dynamic programming.
 """
 
+from importlib import import_module
+
 from .bivariate import BivariateTable, bivariate_table, length_row, odd_parts_by_length
-from .closedform import (
-    ClosedFormError,
-    ComplexRoot,
-    ConvergenceError,
-    DominanceReport,
-    EvalResult,
-    PartialFraction,
-    RepeatedRootError,
-    dominance_report,
-    eval_closed,
-    find_roots,
-    partial_fractions,
-)
 from .genfun import composition_gf, composition_series, count, length_gf
-from .oracle import (
-    DEFAULT_ENUM_LIMIT,
-    Check,
-    CheckRow,
-    Composition,
-    VerificationReport,
-    compositions,
-    dp_count,
-    dp_count_series,
-    dp_length_table,
-    expected_discrepancy,
-    length_slice_series,
-    random_partset,
-    row_check_against_slices,
-    run_verification_suite,
-    suite_passed,
-    verify_cayley_shift,
-    verify_sills_zeilberger,
-    verify_theorem,
-    verify_triangle,
-)
 from .partset import PartSet, SetSpecError, parse_setspec
 from .polyring import IntPolynomial, RationalGF
 from .recurrence import (
@@ -56,6 +24,32 @@ from .recurrence import (
 )
 
 __version__ = "0.1.0"
+
+# closedform (which loads mpmath) and oracle are imported on first use
+# (PEP 562), so that `import compenum.cli` stays cheap for the commands
+# that need neither
+_LAZY_MODULES = {
+    "closedform": (
+        "ClosedFormError ComplexRoot ConvergenceError DominanceReport EvalResult "
+        "PartialFraction RepeatedRootError dominance_report eval_closed find_roots "
+        "partial_fractions"
+    ),
+    "oracle": (
+        "DEFAULT_ENUM_LIMIT Check CheckRow Composition VerificationReport compositions "
+        "dp_count dp_count_series dp_length_table expected_discrepancy length_slice_series "
+        "random_partset row_check_against_slices run_verification_suite suite_passed "
+        "verify_cayley_shift verify_sills_zeilberger verify_theorem verify_triangle"
+    ),
+}
+_LAZY = {name: module for module, names in _LAZY_MODULES.items() for name in names.split()}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
 
 __all__ = [
     "BivariateTable",

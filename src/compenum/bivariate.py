@@ -3,13 +3,13 @@
 c(n, m) is the number of compositions of n using exactly m parts, all
 drawn from the part set.  Row n is the x^n coefficient of the bivariate
 generating function C(x, y) = 1/(1 - y*S(x)), a polynomial in y.  Every
-entry of row n is a count of at most c(n) <= 2^(n-1), so substituting
-y = 2^(8w) with w = n//8 + 1 bytes turns C into a univariate RationalGF
-(genfun.length_gf) whose c_n holds the row packed in w-byte slots, with
-no carries between them.  One exact series expansion does all the work;
-the row is decoded by slicing the bytes of c_n.  The O(n^2 * |A|)
-dynamic program and the S(x)^m slices live in the oracle module, as
-independent cross-checks.
+entry of rows 0..n is below 2^b, b = genfun.composition_bits(A, n), so
+at y = 2^(8w) with w = ceil(b / 8) bytes the x^n coefficient holds row n
+packed in w-byte slots, with no carries between them.  One exact series
+expansion (polyring.expand on genfun.length_parts, where every multiply
+by y is a shift) does all the work; the row is decoded by slicing the
+bytes of c_n.  The O(n^2 * |A|) dynamic program and the S(x)^m slices
+live in the oracle module, as independent cross-checks.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from itertools import islice
 from math import comb
 
-from .genfun import length_gf
+from .genfun import composition_bits, length_parts
+from .polyring import expand
 
 
 @dataclass(frozen=True)
@@ -54,15 +55,16 @@ class BivariateTable:
         return sum(self.row(n))
 
 
-def packed_width(n):
-    """Bytes per slot of the packed rows up to n: their counts are at
-    most 2^(n-1) < 2^(8 * width)."""
-    return n // 8 + 1
+def packed_width(A, n):
+    """Bytes per slot of the packed rows up to n: their counts have at
+    most composition_bits(A, n) bits."""
+    return -(-composition_bits(A, n) // 8)
 
 
-def _packed_gf(A, n):
-    width = packed_width(n)
-    return length_gf(A, 1 << 8 * width), width
+def _packed_terms(A, n):
+    width = packed_width(A, n)
+    num, low, high = length_parts(A)
+    return expand(num.coeffs, low.coeffs, high.coeffs, 8 * width), width
 
 
 def _unpack_row(value, slots, width):
@@ -74,22 +76,23 @@ def length_row(A, n):
     """Row n, c(n, 0..n), off one coefficient of C(x, 2^(8w)); the
     expander holds only a window of den.degree packed rows.
 
-    The row streams through RationalGF.terms, not the halving kernel of
+    The row streams through polyring.expand, not the halving kernel of
     RationalGF.coefficient: at y = 2^(8w) the denominator coefficients
-    are about n bits each, and halving squares them at every step.
+    are about 8w bits each, and halving squares them at every step.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    gf, width = _packed_gf(A, n)
-    return _unpack_row(next(islice(gf.terms(), n, None)), n + 1, width)
+    terms, width = _packed_terms(A, n)
+    return _unpack_row(next(islice(terms, n, None)), n + 1, width)
 
 
 def bivariate_table(A, limit):
     """Rows 0..limit of the joint table, off one series of C(x, 2^(8w))."""
     if limit < 0:
         raise ValueError("limit must be nonnegative")
-    gf, width = _packed_gf(A, limit)
-    return BivariateTable(limit, tuple(_unpack_row(c, limit + 1, width) for c in gf.series(limit)))
+    terms, width = _packed_terms(A, limit)
+    rows = (_unpack_row(c, limit + 1, width) for c in islice(terms, limit + 1))
+    return BivariateTable(limit, tuple(rows))
 
 
 def odd_parts_by_length(n, m):

@@ -6,10 +6,11 @@ closed forms, the three-column mod-3 table, joint length counts, and
 the verification suites.
 
 Exit status: 0 on success, 1 when a verification report fails, 2 on
-usage or parse errors, on exact results and packed bylength rows over
-MAX_EXACT_BITS and on --digits outside 16..closedform.MAX_DIGITS
-(diagnostics on standard error).  Output is deterministic for
-identical inputs.
+usage or parse errors, on exact results and packed bylength rows (slots
+sized by genfun.composition_bits) over MAX_EXACT_BITS and on --digits
+outside 16..closedform.MAX_DIGITS (diagnostics on standard error).
+Output is deterministic for identical inputs.  Only the commands that
+use them import mpmath, closedform and oracle.
 """
 
 from __future__ import annotations
@@ -21,9 +22,7 @@ import math
 import random
 import sys
 
-from mpmath import mp
-
-from . import closedform, genfun, oracle
+from . import genfun
 from .bivariate import length_row, packed_width
 from .partset import SetSpecError, parse_setspec
 from .polyring import coefficient_mod
@@ -56,13 +55,19 @@ def _positive(text):
 
 
 def _real_str(x):
-    return mp.nstr(x, DISPLAY_DIGITS)
+    from mpmath import nstr
+
+    return nstr(x, DISPLAY_DIGITS)
 
 
 def _complex_str(z):
-    if z.imag == 0:
-        return mp.nstr(z.real, DISPLAY_DIGITS)
-    return mp.nstr(z, DISPLAY_DIGITS)
+    return _real_str(z.real if z.imag == 0 else z)
+
+
+def _write_indexed(values):
+    # one "i value" line per entry, written at once: a print per line
+    # costs more than the numbers on long rows
+    sys.stdout.write("".join(f"{i} {v}\n" for i, v in enumerate(values)))
 
 
 def _refuse_oversized(bits, n):
@@ -74,16 +79,6 @@ def _refuse_oversized(bits, n):
             f"more than the {int(MAX_EXACT_BITS * math.log10(2)) + 1}-digit limit; "
             "use `nth <setspec> <n> --mod M` for a residue"
         )
-
-
-def _composition_bits(A, n):
-    # with a the smallest part, each block of a consecutive cut positions
-    # holds at most one cut, so c(n) <= (a + 1)^ceil((n - 1) / a), and
-    # log2(a + 1) <= bitlen(a); for a = 1 this is c(n) <= 2^(n - 1)
-    a = A.least()
-    if a is None or n == 0:
-        return 1  # c(0) = 1, and with no parts c(n) = 0 after it
-    return -(-(n - 1) // a) * a.bit_length() + 1
 
 
 def _recurrence_bits(gf, n):
@@ -98,7 +93,7 @@ def _recurrence_bits(gf, n):
 
 def cmd_count(args, parser):
     A = parse_setspec(args.setspec)
-    _refuse_oversized(_composition_bits(A, args.n), args.n)
+    _refuse_oversized(genfun.composition_bits(A, args.n), args.n)
     print(genfun.count(A, args.n))
     return 0
 
@@ -107,12 +102,11 @@ def cmd_series(args, parser):
     A = parse_setspec(args.setspec)
     coeffs = genfun.composition_series(A, args.limit)
     if args.format == "csv":
-        print(",".join(str(c) for c in coeffs))
+        sys.stdout.write(",".join(map(str, coeffs)) + "\n")
     elif args.format == "json":
         print(json.dumps(list(coeffs)))
     else:
-        for n, c in enumerate(coeffs):
-            print(n, c)
+        _write_indexed(coeffs)
     return 0
 
 
@@ -146,6 +140,8 @@ def _poly_part_str(poly_part):
 
 
 def cmd_closed_form(args, parser):
+    from . import closedform
+
     closedform._check_digits(args.digits)  # refuse oversized precision before any work
     gf = genfun.composition_gf(parse_setspec(args.setspec))
     pf = closedform.partial_fractions(gf, args.digits)
@@ -172,6 +168,8 @@ def cmd_closed_form(args, parser):
 
 
 def cmd_eval_closed(args, parser):
+    from . import closedform
+
     closedform._check_digits(args.digits)  # refuse oversized precision before any work
     gf = genfun.composition_gf(parse_setspec(args.setspec))
     pf = closedform.partial_fractions(gf, args.digits)
@@ -194,7 +192,7 @@ def cmd_nth(args, parser):
         A = parse_setspec(args.operands[0])
         gf = genfun.composition_gf(A)
         n = _parse_operand_n(args.operands[1], parser)
-        bits = _composition_bits(A, n)
+        bits = genfun.composition_bits(A, n)
     if args.mod is not None:
         if args.mod < 2:
             parser.error("--mod must be >= 2")
@@ -215,14 +213,13 @@ def _parse_operand_n(text, parser):
 def cmd_bylength(args, parser):
     A = parse_setspec(args.setspec)
     # row n arrives packed in one coefficient of n + 1 slots
-    bits = (args.n + 1) * 8 * packed_width(args.n)
+    bits = (args.n + 1) * 8 * packed_width(A, args.n)
     if bits > MAX_EXACT_BITS:
         raise ValueError(
             f"the packed row at n = {args.n} takes {bits} bits, "
             f"more than the {MAX_EXACT_BITS}-bit limit"
         )
-    for m, c in enumerate(length_row(A, args.n)):
-        print(m, c)
+    _write_indexed(length_row(A, args.n))
     return 0
 
 
@@ -239,6 +236,8 @@ def cmd_table(args, parser):
 
 
 def _verify_reports(args, parser):
+    from . import oracle
+
     family = args.family
     limit = args.limit
     if family == "thm1":
@@ -278,6 +277,8 @@ def _verify_reports(args, parser):
 
 
 def cmd_verify(args, parser):
+    from . import oracle
+
     reports = _verify_reports(args, parser)
     lenient = args.family == "all"
     expected = [
@@ -410,7 +411,7 @@ def main(argv=None):
     except SetSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, closedform.ClosedFormError) as exc:
+    except (ValueError, OSError) as exc:  # closedform.ClosedFormError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

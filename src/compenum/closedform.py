@@ -65,8 +65,9 @@ NEWTON_STEPS = 20
 NEWTON_GUARD_BITS = 16
 
 
-class ClosedFormError(Exception):
-    """Base class for closed-form extraction failures."""
+class ClosedFormError(ValueError):
+    """Base class for closed-form extraction failures: a refusal of the
+    input at the requested precision, so the CLI exits 2 on it."""
 
 
 class RepeatedRootError(ClosedFormError):

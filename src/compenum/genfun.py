@@ -11,7 +11,9 @@ generating function
 For eventually periodic A the indicator series is rational, so C is a
 ratio of integer polynomials and the counts satisfy a fixed-depth linear
 recurrence.  C(x, y) = 1/(1 - y*S(x)) also counts by number of parts
-(length_gf); the slices S(x)^m by convolution live in the oracle module.
+(length_parts keeps y apart, length_gf substitutes it); composition_bits
+bounds every count, for the CLI's refusals and the packed length rows.
+The slices S(x)^m by convolution live in the oracle module.
 """
 
 from __future__ import annotations
@@ -19,15 +21,33 @@ from __future__ import annotations
 from .polyring import IntPolynomial, RationalGF
 
 
-def length_gf(A, y=1):
-    """C(x, y) = 1/(1 - y*S(x)) at an integer y, unreduced: [x^n] is
-    sum_m c(n, m) y^m.  With S = P + Q/(1 - x^k), clearing denominators
-    gives C = (1 - x^k) / ((1 - x^k) - y*((1 - x^k)P + Q)), and
-    P(0) = Q(0) = 0 makes the denominator constant term 1.
-    """
+def length_parts(A):
+    """(N, L, H) with C(x, y) = N / (L - y*H).  With S = P + Q/(1 - x^k),
+    clearing denominators gives N = L = 1 - x^k and H = (1 - x^k)P + Q,
+    and P(0) = Q(0) = 0 makes L(0) = 1 and H(0) = 0."""
     P, Q, k = A.series_form()
     cyc = IntPolynomial((1,) + (0,) * (k - 1) + (-1,))  # 1 - x^k
-    return RationalGF(cyc, cyc - (cyc * P + Q) * y)
+    return cyc, cyc, cyc * P + Q
+
+
+def length_gf(A, y=1):
+    """C(x, y) = 1/(1 - y*S(x)) at an integer y, unreduced: [x^n] is
+    sum_m c(n, m) y^m."""
+    num, low, high = length_parts(A)
+    return RationalGF(num, low - high * y)
+
+
+def composition_bits(A, n):
+    """An upper bound on the bit length of c(n), nondecreasing in n.
+
+    With a the smallest part, each block of a consecutive cut positions
+    holds at most one cut, so c(n) <= (a + 1)^ceil((n - 1) / a), and
+    log2(a + 1) <= bitlen(a); for a = 1 this is c(n) <= 2^(n - 1).
+    """
+    a = A.least()
+    if a is None or n == 0:
+        return 1  # c(0) = 1, and with no parts c(n) = 0 after it
+    return -(-(n - 1) // a) * a.bit_length() + 1
 
 
 def composition_gf(A):

@@ -17,9 +17,10 @@ divisions), and divmod_fractions divides q and r by lc(d)^k.
 A single coefficient c_n, exact (RationalGF.coefficient) or mod m
 (coefficient_mod), comes from one Bostan-Mori halving kernel that packs
 each polynomial product into one big integer (Kronecker substitution),
-so int multiplication does the convolution.  RationalGF.terms streams
-c_0, c_1, ... by the linear recurrence, for series and for callers
-whose denominator coefficients are themselves huge.
+so int multiplication does the convolution.  The one series expander,
+expand, streams c_0, c_1, ... by the linear recurrence, for series and
+for the packed length rows, whose denominator it keeps split as
+low - 2^shift * high so that multiplying by 2^shift is a shift.
 """
 
 from __future__ import annotations
@@ -271,20 +272,9 @@ class RationalGF:
         return RationalGF(num, den)
 
     def terms(self):
-        """c_0, c_1, ... without end, by the recurrence above.
-
-        Holds only the den.degree terms before the current one: streaming
-        to c_n takes O(n * den.degree) big-integer operations and memory
-        that does not grow with n.
-        """
-        # the window holds c_{n-k}..c_{n-1}, zeros before the start,
-        # lined up with d_k..d_1
-        d = [-c for c in reversed(self.den.coeffs[1:])]
-        window = deque([0] * len(d), maxlen=len(d))
-        for c in chain(self.num.coeffs, repeat(0)):
-            c += sum(map(mul, d, window))
-            window.append(c)
-            yield c
+        """c_0, c_1, ... without end, by the recurrence above: the
+        high = () case of expand."""
+        return expand(self.num.coeffs, self.den.coeffs)
 
     def series(self, order):
         """Truncated expansion c_0..c_order (a tuple of length order+1)."""
@@ -320,6 +310,30 @@ class RationalGF:
 
     def __str__(self):
         return f"({self.num}) / ({self.den})"
+
+
+def expand(num, low, high=(), shift=0):
+    """c_0, c_1, ... of num / (low - 2^shift * high) without end, for
+    coefficient tuples with low[0] = 1 and high[0] = 0, by the recurrence
+    of RationalGF with d = 2^shift * high - low.  The taps stay the small
+    coefficients of low and high, and the high ones cost one shift per
+    term.  Only the last max(deg low, deg high) terms are held in memory.
+    """
+    if not low or low[0] != 1 or (high and high[0]):
+        raise ValueError("need low[0] = 1 and high[0] = 0")
+    size = max(len(low), len(high)) - 1
+    # the window holds c_{n-size}..c_{n-1}, zeros before the start, lined
+    # up with the taps of x^size..x^1
+    d_low = [0] * (size + 1 - len(low)) + [-c for c in reversed(low[1:])]
+    d_high = [0] * (size + 1 - len(high)) + list(reversed(high[1:]))
+    split = any(high)
+    window = deque([0] * size, maxlen=size)
+    for c in chain(num, repeat(0)):
+        c += sum(map(mul, d_low, window))
+        if split:
+            c += sum(map(mul, d_high, window)) << shift
+        window.append(c)
+        yield c
 
 
 def coefficient_mod(gf, n, m):

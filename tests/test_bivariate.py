@@ -123,6 +123,17 @@ def test_streamed_rows_match_the_length_dp_to_200(spec):
         assert length_row(A, n) == table[n][: n + 1]
 
 
+@pytest.mark.parametrize("spec", ["ge:2", "ge:3", "ge:9", "mod:2:0", "mod:3:2", "mod:5:3", "mod:7:0"])
+def test_narrow_slots_match_the_length_dp_to_120(spec):
+    # a smallest part a >= 2 narrows the slots of row n to about
+    # (n / a) * bitlen(a) bits, so each n gets its own width
+    A = parse_setspec(spec)
+    table = dp_length_table(A, 120)
+    for n in range(121):
+        assert length_row(A, n) == table[n][: n + 1]
+    assert bivariate_table(A, 120).entries == tuple(map(tuple, table))
+
+
 def test_packed_rows_at_the_edges():
     assert length_row(PartSet.everything(), 0) == (1,)
     assert length_row(parse_setspec("set:"), 0) == (1,)

@@ -261,14 +261,36 @@ def test_bylength_all_parts_at_400(capsys):
 
 
 def test_bylength_refuses_oversized_rows(capsys):
-    # (n + 1) * 8 * (n//8 + 1) bits: 1,999,392 at n = 1411, 2,000,808 at 1412
+    # with 1 as the smallest part, (n + 1) * 8 * ceil(n / 8) bits:
+    # 1,999,392 at n = 1411, 2,000,808 at 1412
     code, out, err = run_cli(capsys, "bylength", "all", "100000")
     assert code == 2 and out == ""
-    assert "10000900008 bits" in err and "2000000-bit limit" in err
-    code, _, err = run_cli(capsys, "bylength", "set:", "1412")
+    assert "10000100000 bits" in err and "2000000-bit limit" in err
+    code, _, err = run_cli(capsys, "bylength", "set:1", "1412")
     assert code == 2 and "2000808 bits" in err
-    code, out, _ = run_cli(capsys, "bylength", "set:", "1411")
-    assert code == 0 and len(out.splitlines()) == 1412
+    code, out, _ = run_cli(capsys, "bylength", "set:1", "1411")
+    assert code == 0 and out.splitlines()[1410:] == ["1410 0", "1411 1"]
+    assert len(out.splitlines()) == 1412
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    # count, nth, series and bylength need neither mpmath nor the oracle
+    code = (
+        "import sys, compenum.cli; "
+        "print(sorted(m for m in ('mpmath', 'compenum.closedform', 'compenum.oracle') "
+        "if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout == "[]\n"
+
+
+def test_bylength_sizes_slots_by_the_smallest_part(capsys):
+    # parts >= 7 bound every count of n = 1412 by 607 bits, not 1412
+    counts = bylength_counts(capsys, "set:7", 1412)
+    assert counts == [0] * 1413
+    counts = bylength_counts(capsys, "set:7", 1414)
+    assert counts == [1 if m == 202 else 0 for m in range(1415)]
+    assert bylength_counts(capsys, "set:", 5000) == [0] * 5001
 
 
 def test_parser_is_built_once(capsys):

@@ -3,7 +3,7 @@ import tracemalloc
 
 from hypothesis import given, settings, strategies as st
 
-from compenum.genfun import composition_gf, composition_series, count
+from compenum.genfun import composition_bits, composition_gf, composition_series, count
 from compenum.oracle import dp_count_series, length_slice_series, random_partset
 from compenum.partset import PartSet, parse_setspec
 from compenum.polyring import IntPolynomial, RationalGF
@@ -75,6 +75,23 @@ def test_gf_series_equals_dp(seed):
     rng = random.Random(seed)
     A = random_partset(rng)
     assert composition_series(A, 45) == dp_count_series(A, 45)
+
+
+@given(st.integers(0, 10_000), st.integers(0, 300))
+@settings(max_examples=100, deadline=None)
+def test_composition_bits_bounds_the_count(seed, n):
+    A = random_partset(random.Random(seed))
+    assert count(A, n).bit_length() <= composition_bits(A, n)
+    # the packed length rows size every row up to n by the bound at n
+    assert composition_bits(A, n) <= composition_bits(A, n + 1)
+
+
+def test_composition_bits_edges():
+    assert composition_bits(parse_setspec("set:"), 10**9) == 1
+    assert composition_bits(PartSet.everything(), 0) == 1
+    assert composition_bits(PartSet.everything(), 1412) == 1412
+    # ceil(1411 / 7) blocks of 3 bits, plus one
+    assert composition_bits(parse_setspec("set:7"), 1412) == 607
 
 
 def test_length_slices_sum_to_counts():

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from compenum.polyring import (
     _pseudo_divmod,
     divmod_fractions,
     exact_div,
+    expand,
     poly_gcd,
 )
 
@@ -152,6 +154,29 @@ def test_exact_term_at_1e5_frozen():
     assert value.bit_length() == 87914
     for m in (2**61 - 1, 10**9 + 7):
         assert value % m == coefficient_mod(gf, 10**5, m)
+
+
+@given(
+    coeff_lists,
+    st.lists(st.integers(-9, 9), max_size=7),
+    st.lists(st.integers(-9, 9), max_size=7),
+    st.integers(1, 64),
+)
+@settings(max_examples=150, deadline=None)
+def test_split_expander_matches_the_joined_denominator(num, low, high, shift):
+    # num / (low - 2^shift * high) with low(0) = 1 and high(0) = 0
+    low, high = poly(1, *low), poly(0, *high)
+    joined = RationalGF(poly(*num), low - high * (1 << shift))
+    split = expand(poly(*num).coeffs, low.coeffs, high.coeffs, shift)
+    assert tuple(islice(split, 40)) == joined.series(39)
+    assert joined.series(39)[-1] == joined.coefficient(39)
+
+
+def test_split_expander_rejects_a_bad_constant_term():
+    with pytest.raises(ValueError):
+        next(expand((1,), (2, 1)))
+    with pytest.raises(ValueError):
+        next(expand((1,), (1,), (1, 1), 8))
 
 
 def test_coefficient_mod_rejects_bad_arguments():
