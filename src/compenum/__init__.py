@@ -12,7 +12,7 @@ against brute-force enumeration and direct dynamic programming.
 from importlib import import_module
 
 from .bivariate import BivariateTable, bivariate_table, length_row, odd_parts_by_length
-from .genfun import composition_gf, composition_series, count, length_gf
+from .genfun import composition_gf, composition_series, count
 from .partset import PartSet, SetSpecError, parse_setspec
 from .polyring import IntPolynomial, RationalGF
 from .recurrence import (
@@ -84,7 +84,6 @@ __all__ = [
     "eval_closed",
     "expected_discrepancy",
     "find_roots",
-    "length_gf",
     "length_row",
     "length_slice_series",
     "no_multiples_recurrence",

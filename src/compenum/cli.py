@@ -7,8 +7,9 @@ the verification suites.
 
 Exit status: 0 on success, 1 when a verification report fails, 2 on
 usage or parse errors, on exact results and packed bylength rows (slots
-sized by genfun.composition_bits) over MAX_EXACT_BITS and on --digits
-outside 16..closedform.MAX_DIGITS (diagnostics on standard error).
+sized by genfun.composition_bits) over MAX_EXACT_BITS, on --digits
+outside 16..closedform.MAX_DIGITS and on closed forms whose estimated
+cost exceeds closedform.MAX_SECONDS (diagnostics on standard error).
 Output is deterministic for identical inputs.  Only the commands that
 use them import mpmath, closedform and oracle.
 """
@@ -24,7 +25,7 @@ import sys
 
 from . import genfun
 from .bivariate import length_row, packed_width
-from .partset import SetSpecError, parse_setspec
+from .partset import parse_setspec
 from .polyring import coefficient_mod
 from .recurrence import LinearRecurrence, recurrence_from_gf
 
@@ -408,10 +409,7 @@ def main(argv=None):
         return args.handler(args, parser)
     except SystemExit as exc:  # parser.error inside a handler
         return exc.code if exc.code is not None else 0
-    except SetSpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:  # closedform.ClosedFormError is a ValueError
+    except (ValueError, OSError) as exc:  # SetSpecError and ClosedFormError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

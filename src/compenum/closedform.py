@@ -21,13 +21,11 @@ the real snap, the exact conjugate pairing, the Gerschgorin-type
 inclusion disks (Carstensen 1991), the sort, the pole separation check
 and the residues (fixed-point Horner plus one exact division) all run on
 integers.  The disk radii are rigorous upper bounds, and pairwise
-disjoint disks hold exactly one root each.  A seeded set that does not
-certify is replaced by the roots of mpmath.polyroots, which enter the
-same integer path and must pass the same checks.  mpmath numbers are
-built only for what is returned: root values, radii, residuals and
-residues, each rounded to the working precision exactly as mpmath
-arithmetic would round it.  Both routes are deterministic, so repeated
-runs give identical output.
+disjoint disks hold exactly one root each.  A root set that fails any
+check raises ConvergenceError.  mpmath numbers are built only for what
+is returned: root values, radii, residuals and residues, each rounded
+to the working precision exactly as mpmath arithmetic would round it.
+Every step is deterministic, so repeated runs give identical output.
 Only squarefree denominators are supported; a repeated factor makes the
 simple-pole formula wrong, and find_roots refuses with
 RepeatedRootError instead of returning garbage.
@@ -60,6 +58,11 @@ GUARD_DIGITS = 15
 # CPython 3.11 and mpmath without gmpy2, `closed-form not:mod:12:0` took
 # 0.35 s at 2000 digits, 1.3 s at 5000 and 3.3 s at 10000.
 MAX_DIGITS = 10_000
+# find_roots refuses, before any root work, an estimated cost above this
+# many seconds: 1e-5 * degree^2 * (1 + (digits / 92)^1.6), fitted within
+# a factor 1.7 to set:1,t and not:mod:k:0 (degree 5 to 1200, 16 to 10000
+# digits) on the host above.  The disks also hold a degree^2 matrix.
+MAX_SECONDS = 10
 ABERTH_SWEEPS = 100
 NEWTON_STEPS = 20
 NEWTON_GUARD_BITS = 16
@@ -104,8 +107,8 @@ class ComplexRoot:
 
 def _aberth_seeds(coeffs):
     """Double-precision approximations to all roots of sum(coeffs[k] x^k)
-    by the Aberth-Ehrlich iteration, or None when the iteration leaves
-    the float range or two approximations collide."""
+    by the Aberth-Ehrlich iteration; ConvergenceError when the iteration
+    leaves the float range or two approximations collide."""
     d = len(coeffs) - 1
     try:
         cs = [float(c) for c in reversed(coeffs)]
@@ -127,14 +130,16 @@ def _aberth_seeds(coeffs):
             if not moved:
                 break
     except (OverflowError, ZeroDivisionError):
-        return None
-    return zs if all(cmath.isfinite(z) for z in zs) else None
+        raise ConvergenceError("Aberth seeds collided or left the float range") from None
+    if not all(cmath.isfinite(z) for z in zs):
+        raise ConvergenceError("Aberth seeds left the float range")
+    return zs
 
 
 def _newton(coeffs, z, bits):
     """Refine the float root approximation z by Newton steps in fixed
     point, z = (a + bi) / 2^w, doubling w up to `bits`.  Returns (a, b)
-    at w = bits, or None where p' vanishes."""
+    at w = bits; ConvergenceError where p' vanishes."""
     w = 50
     a, b = round(math.ldexp(z.real, w)), round(math.ldexp(z.imag, w))
     lead, rest = coeffs[-1], coeffs[-2::-1]
@@ -147,7 +152,7 @@ def _newton(coeffs, z, bits):
             pr, pi = ((pr * a - pi * b) >> w) + (c << w), (pr * b + pi * a) >> w
         norm = dr * dr + di * di
         if not norm:
-            return None
+            raise ConvergenceError("Newton step met a vanishing derivative")
         step_re = ((pr * dr + pi * di) << w) // norm
         step_im = ((pi * dr - pr * di) << w) // norm
         a, b = a - step_re, b - step_im
@@ -182,19 +187,14 @@ def _float_seeded_roots(poly, prec):
     """Aberth seeds refined by Newton to prec plus guard bits, as points
     (a, b) at the scale 2^s of Newton, s = prec + NEWTON_GUARD_BITS.
     Each part is rounded to prec bits, and parts below mp.eps = 2^(1 -
-    prec) are set to zero as mpmath.polyroots does.  None when the seed
-    fails."""
-    seeds = _aberth_seeds(poly.coeffs)
-    if seeds is None:
-        return None
+    prec) are set to zero, so a root that is real to the working
+    precision comes out exactly real."""
     s = prec + NEWTON_GUARD_BITS
     eps = 1 << (s + 1 - prec)
     pts = []
-    for seed in seeds:
-        ab = _newton(poly.coeffs, seed, s)
-        if ab is None:
-            return None
-        a, b = _round(ab[0], prec), _round(ab[1], prec)
+    for seed in _aberth_seeds(poly.coeffs):
+        a, b = _newton(poly.coeffs, seed, s)
+        a, b = _round(a, prec), _round(b, prec)
         if a * a + b * b < eps * eps:
             a = b = 0
         elif abs(b) < eps:
@@ -352,65 +352,55 @@ def _order(pts, s, digits):
     return [i for run in runs for i in sorted(run, key=angle)]
 
 
-def _certify(poly, pts, s, digits, prec):
-    """Pair the points at scale 2^s, certify them by inclusion disks and
-    residuals, and return them sorted as ComplexRoots."""
-    pts, s = _pair(pts, s, digits, prec)
-    disks = _inclusion_disks(poly, pts, s, prec)
-    if disks is None:
-        raise ConvergenceError("root inclusion disks overlap")
-    bound = mp.mpf(10) ** (-(digits - 10)) * max(1, max(abs(c) for c in poly.coeffs))
-    for _, resid in disks:
-        if resid > bound:
-            raise ConvergenceError(f"residual {mp.nstr(resid, 5)} above certification bound")
-    roots = []
-    for i in _order(pts, s, digits):
-        (a, b), (radius, resid) = pts[i], disks[i]
-        roots.append(ComplexRoot(mp.mpc(mp.ldexp(a, -s), mp.ldexp(b, -s)), resid, radius))
-    return roots
-
-
 def find_roots(poly, digits=50):
     """All complex roots of an integer polynomial, certified to `digits`.
 
-    An Aberth-Ehrlich iteration in double precision seeds every root,
-    and Newton steps in fixed-point Gaussian integers refine each one,
-    doubling the precision up to the working precision (digits plus
-    GUARD_DIGITS).  From there on every root is an exact dyadic point
-    (a + bi) / 2^s.  Near-real roots are snapped onto the axis,
-    conjugate pairs are averaged so the returned set is exactly closed
-    under conjugation, and the set is certified by inclusion disks (see
-    _inclusion_disks), which must be pairwise disjoint, and by a
-    residual bound.  If the seeded set fails any of this, the roots come
-    from mpmath.polyroots instead and pass the same checks or raise
-    ConvergenceError.  Both routes are deterministic, so repeated runs
-    agree.  Each root carries its disk radius.  Output is sorted by
-    (modulus, |arg|, arg), which puts the growth-dominant root first;
-    moduli within the certification tolerance count as equal, so
-    rounding noise never decides the order of equal-modulus roots.  The
-    keys are exact integers of the dyadic points (see _order).
+    One pipeline, each failure a ClosedFormError: refuse an input whose
+    estimated cost is above MAX_SECONDS, and a repeated factor
+    (gcd(p, p') nonconstant); seed every root by an Aberth-Ehrlich
+    iteration in double precision; refine each by Newton steps in
+    fixed-point Gaussian integers, doubling the precision up to the
+    working precision (digits plus GUARD_DIGITS), and round.  From there
+    on every root is an exact dyadic point (a + bi) / 2^s.  Near-real
+    roots are snapped onto the axis and conjugate pairs are averaged, so
+    the returned set is exactly closed under conjugation; inclusion
+    disks (see _inclusion_disks), which must be pairwise disjoint, and a
+    residual bound certify the set.  Each root carries its disk radius.
+    Output is sorted by (modulus, |arg|, arg), which puts the
+    growth-dominant root first; moduli within the certification
+    tolerance count as equal, so rounding noise never decides the order
+    of equal-modulus roots.  The keys are exact integers of the dyadic
+    points (see _order).
     """
     _check_digits(digits)
     if not poly:
         raise ValueError("zero polynomial has no root set")
     if poly.degree < 1:
         return ()
+    seconds = 1e-5 * poly.degree**2 * (1 + (digits / 92) ** 1.6)
+    if seconds > MAX_SECONDS:
+        raise ClosedFormError(
+            f"a closed form of degree {poly.degree} at {digits} digits is estimated "
+            f"at {seconds:.3g} s, more than the {MAX_SECONDS} s limit"
+        )
     common = poly_gcd(poly, poly.derivative())
     if common.degree >= 1:
         raise RepeatedRootError(f"repeated factor (gcd with derivative is {common})")
     with mp.workdps(digits + GUARD_DIGITS):
         prec = mp.prec
-        seeded = _float_seeded_roots(poly, prec)
-        if seeded is not None:
-            try:
-                return tuple(_certify(poly, *seeded, digits, prec))
-            except ConvergenceError:
-                pass
-        try:
-            zs = mp.polyroots(poly.coeffs[::-1], maxsteps=400, extraprec=20)
-        except mp.NoConvergence:
-            raise ConvergenceError("root iteration did not settle") from None
-        return tuple(_certify(poly, *_fixed(zs), digits, prec))
+        pts, s = _pair(*_float_seeded_roots(poly, prec), digits, prec)
+        disks = _inclusion_disks(poly, pts, s, prec)
+        if disks is None:
+            raise ConvergenceError("root inclusion disks overlap")
+        bound = mp.mpf(10) ** (-(digits - 10)) * max(1, max(abs(c) for c in poly.coeffs))
+        for _, resid in disks:
+            if resid > bound:
+                raise ConvergenceError(f"residual {mp.nstr(resid, 5)} above certification bound")
+        roots = []
+        for i in _order(pts, s, digits):
+            (a, b), (radius, resid) = pts[i], disks[i]
+            roots.append(ComplexRoot(mp.mpc(mp.ldexp(a, -s), mp.ldexp(b, -s)), resid, radius))
+    return tuple(roots)
 
 
 @dataclass(frozen=True)

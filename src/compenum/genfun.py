@@ -11,8 +11,8 @@ generating function
 For eventually periodic A the indicator series is rational, so C is a
 ratio of integer polynomials and the counts satisfy a fixed-depth linear
 recurrence.  C(x, y) = 1/(1 - y*S(x)) also counts by number of parts
-(length_parts keeps y apart, length_gf substitutes it); composition_bits
-bounds every count, for the CLI's refusals and the packed length rows.
+(length_parts returns it with y kept apart); composition_bits bounds
+every count, for the CLI's refusals and the packed length rows.
 The slices S(x)^m by convolution live in the oracle module.
 """
 
@@ -30,13 +30,6 @@ def length_parts(A):
     return cyc, cyc, cyc * P + Q
 
 
-def length_gf(A, y=1):
-    """C(x, y) = 1/(1 - y*S(x)) at an integer y, unreduced: [x^n] is
-    sum_m c(n, m) y^m."""
-    num, low, high = length_parts(A)
-    return RationalGF(num, low - high * y)
-
-
 def composition_bits(A, n):
     """An upper bound on the bit length of c(n), nondecreasing in n.
 
@@ -51,9 +44,11 @@ def composition_bits(A, n):
 
 
 def composition_gf(A):
-    """C(x) = 1/(1 - S(x)), the y = 1 view of length_gf, reduced: with
-    no common factor left, every denominator root is a genuine pole."""
-    return length_gf(A).reduce()
+    """C(x) = 1/(1 - S(x)), the y = 1 view of length_parts, reduced:
+    with no common factor left, every denominator root is a genuine
+    pole."""
+    num, low, high = length_parts(A)
+    return RationalGF(num, low - high).reduce()
 
 
 def composition_series(A, order):

@@ -37,6 +37,7 @@ from .recurrence import (
 )
 
 DEFAULT_ENUM_LIMIT = 25
+ENUM_LIMIT = 14
 
 
 @dataclass(frozen=True)
@@ -354,7 +355,7 @@ def verify_sills_zeilberger(a, b, limit=25):
     )
 
 
-def verify_theorem(family, limit=25, k=None, m=None, enum_limit=14):
+def verify_theorem(family, limit=25, k=None, m=None):
     """Multi-way check of one stated counting result.
 
     family is one of "thm1" (odd parts are Fibonacci), "thm2" (parts
@@ -362,9 +363,9 @@ def verify_theorem(family, limit=25, k=None, m=None, enum_limit=14):
     k), "all_2n1" (unrestricted counts are 2^(n-1)).  Each report
     compares the family's sequence against the dp oracle, the
     generating function recurrence against the same oracle, and
-    exhaustive enumeration for small n.  For thm2 and thm3 a further
-    check replays the stated closed-form initial values against the dp
-    oracle; for thm3 that check fails wherever the closed form is
+    exhaustive enumeration for n <= ENUM_LIMIT.  For thm2 and thm3 a
+    further check replays the stated closed-form initial values against
+    the dp oracle; for thm3 that check fails wherever the closed form is
     wrong (everywhere past n = 1 when m = 1, and from n = m + 2 on
     otherwise, the coincidence at m = 2, n = 4 excepted), and the
     mismatches are spelled out in a finding rather than corrected.
@@ -403,7 +404,7 @@ def verify_theorem(family, limit=25, k=None, m=None, enum_limit=14):
 
     dp = dp_count_series(A, limit)
     gf_terms = recurrence_from_gf(composition_gf(A)).terms(limit)
-    top = min(limit, enum_limit)
+    top = min(limit, ENUM_LIMIT)
     checks = [
         Check(
             "theorem sequence vs dp counts",

@@ -57,20 +57,18 @@ class PartSet:
         object.__setattr__(self, "removed", removed)
 
     def __str__(self):
-        # compact display form; multi-residue sets are not valid setspec
-        # input, so this is for humans and reports, not round-tripping
+        """The set expression that parses back to this PartSet."""
+
+        def join(values):
+            return ",".join(str(v) for v in sorted(values))
+
         if self.modulus == 1 and not self.residues:
-            return "set:" + ",".join(str(v) for v in sorted(self.added))
-        if self.modulus == 1:
-            base = "all"
-        else:
-            base = f"mod:{self.modulus}:" + ",".join(
-                str(r) for r in sorted(self.residues)
-            )
+            return "set:" + join(self.added)
+        base = "all" if self.modulus == 1 else f"mod:{self.modulus}:" + join(self.residues)
         if self.added:
-            base += " +" + ",".join(str(v) for v in sorted(self.added))
+            base += "+" + join(self.added)
         if self.removed:
-            base += " -" + ",".join(str(v) for v in sorted(self.removed))
+            base += "-" + join(self.removed)
         return base
 
     # -- membership ----------------------------------------------------
@@ -169,9 +167,10 @@ class PartSet:
 
 # -- the set-expression grammar ----------------------------------------
 #
-#   setspec := "all" | "ge:" INT | "set:" [INT ("," INT)*]
-#            | "mod:" INT ":" INT ("," INT)* | "ap:" INT ":" INT
-#            | "not:" setspec
+#   setspec := term | "not:" setspec
+#   term    := base ["+" INT ("," INT)*] ["-" INT ("," INT)*]
+#   base    := "all" | "ge:" INT | "set:" [INT ("," INT)*]
+#            | "mod:" INT ":" [INT ("," INT)*] | "ap:" INT ":" INT
 #
 # ASCII only, no whitespace.  INT is a run of decimal digits; 0 is legal
 # only where a residue is expected.
@@ -182,9 +181,12 @@ def parse_setspec(text):
 
     ``ap:a:b`` is {a + jb : j >= 0} for any a, b >= 1;
     ``mod:k:r1,r2`` is every positive integer congruent to a listed
-    residue; ``ge:t`` is {t, t+1, ...}; ``set:`` lists a finite set
-    (possibly empty); ``not:`` complements within Z>0; ``all`` is Z>0.
-    Raises SetSpecError with the offending position on malformed input.
+    residue (``mod:k:`` lists none); ``ge:t`` is {t, t+1, ...}; ``set:``
+    lists a finite set (possibly empty); ``not:`` complements within
+    Z>0; ``all`` is Z>0.  A ``+v,...`` list after a base term adds
+    values to it, then a ``-v,...`` list removes values, which is the
+    form str(PartSet) prints.  Raises SetSpecError with the offending
+    position on malformed input.
     """
     if not isinstance(text, str):
         raise SetSpecError("set expression must be a string", 0)
@@ -195,34 +197,45 @@ def parse_setspec(text):
 
 
 def _parse_spec(text, pos):
-    rest = text[pos:]
-    if rest == "all":
-        return PartSet.everything(), len(text)
-    if rest.startswith("not:"):
+    if text.startswith("not:", pos):
         inner, end = _parse_spec(text, pos + 4)
         return inner.complement(), end
-    if rest.startswith("ge:"):
+    base, end = _parse_base(text, pos)
+    plus = minus = {}
+    if text.startswith("+", end):
+        plus, end = _parse_parts(text, end + 1, allow_empty=False)
+    if text.startswith("-", end):
+        minus, end = _parse_parts(text, end + 1, allow_empty=False)
+    for v, vpos in minus.items():
+        if v in plus:
+            raise SetSpecError("value both added and removed", vpos)
+    added = (base.added - minus.keys()) | plus.keys()
+    removed = (base.removed - plus.keys()) | minus.keys()
+    return PartSet(base.modulus, base.residues, added, removed), end
+
+
+def _parse_base(text, pos):
+    if text.startswith("all", pos):
+        return PartSet.everything(), pos + 3
+    if text.startswith("ge:", pos):
         t, end = _parse_int(text, pos + 3)
         if t < 1:
             raise SetSpecError("ge threshold must be >= 1", pos + 3)
         return PartSet.from_threshold(t), end
-    if rest.startswith("set:"):
-        values, end = _parse_int_list(text, pos + 4, allow_empty=True)
-        for v, vpos in values:
-            if v < 1:
-                raise SetSpecError("set elements must be >= 1", vpos)
-        return PartSet.finite(v for v, _ in values), end
-    if rest.startswith("mod:"):
+    if text.startswith("set:", pos):
+        values, end = _parse_parts(text, pos + 4, allow_empty=True)
+        return PartSet.finite(values), end
+    if text.startswith("mod:", pos):
         k, after = _parse_int(text, pos + 4)
         if k < 1:
             raise SetSpecError("modulus must be >= 1", pos + 4)
         after = _expect_colon(text, after)
-        residues, end = _parse_int_list(text, after, allow_empty=False)
+        residues, end = _parse_int_list(text, after, allow_empty=True)
         for r, rpos in residues:
             if r >= k:
                 raise SetSpecError("residue must be smaller than the modulus", rpos)
         return PartSet(k, frozenset(r for r, _ in residues)), end
-    if rest.startswith("ap:"):
+    if text.startswith("ap:", pos):
         m, after = _parse_int(text, pos + 3)
         if m < 1:
             raise SetSpecError("ap start must be >= 1", pos + 3)
@@ -232,6 +245,15 @@ def _parse_spec(text, pos):
             raise SetSpecError("ap step must be >= 1", after)
         return PartSet.arithmetic_progression(m, k), end
     raise SetSpecError("expected one of all, ge:, set:, mod:, ap:, not:", pos)
+
+
+def _parse_parts(text, pos, allow_empty):
+    """A list of part values, each >= 1, as {value: position}."""
+    values, end = _parse_int_list(text, pos, allow_empty)
+    for v, vpos in values:
+        if v < 1:
+            raise SetSpecError("part values must be >= 1", vpos)
+    return dict(values), end
 
 
 def _parse_int(text, pos):
@@ -250,17 +272,12 @@ def _expect_colon(text, pos):
 
 
 def _parse_int_list(text, pos, allow_empty):
-    if pos == len(text):
-        if allow_empty:
-            return [], pos
-        raise SetSpecError("expected an integer", pos)
+    if allow_empty and not "0" <= text[pos : pos + 1] <= "9":
+        return [], pos
     values = []
-    v, end = _parse_int(text, pos)
-    values.append((v, pos))
-    while end < len(text):
-        if text[end] != ",":
-            raise SetSpecError("expected ','", end)
-        item = end + 1
-        v, end = _parse_int(text, item)
-        values.append((v, item))
-    return values, end
+    while True:
+        v, end = _parse_int(text, pos)
+        values.append((v, pos))
+        if not text.startswith(",", end):
+            return values, end
+        pos = end + 1

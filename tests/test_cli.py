@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from math import comb
 from pathlib import Path
 
@@ -222,19 +223,33 @@ def test_closed_form_finds_roots_once(capsys, monkeypatch):
 
 
 def test_closed_form_root_iteration_failure_exits_two(capsys, monkeypatch):
-    from mpmath import mp
-
     from compenum import closedform
 
-    def no_convergence(*args, **kwargs):
-        raise mp.NoConvergence("Didn't converge")
-
-    # equal seeds refine to one root, so the seeded set does not certify
+    # equal seeds refine to one root, so the root set does not certify
     monkeypatch.setattr(closedform, "_aberth_seeds", lambda cs: [0.5] * (len(cs) - 1))
-    monkeypatch.setattr(mp, "polyroots", no_convergence)
     code, out, err = run_cli(capsys, "closed-form", "not:mod:3:0")
     assert code == 2 and out == ""
-    assert err == "error: root iteration did not settle\n"
+    assert err == "error: root inclusion disks overlap\n"
+
+
+def test_oversized_closed_form_refused_before_root_work(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "closed-form", "set:1,4800", "--digits", "16")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == (
+        "error: a closed form of degree 4800 at 16 digits is estimated at 244 s, "
+        "more than the 10 s limit\n"
+    )
+    for argv in (
+        ("eval-closed", "set:1,100000", "3"),
+        ("closed-form", "not:mod:90:0", "--digits", "2000"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "estimated at" in err
+    # the largest smoke-test input still answers
+    code, out, _ = run_cli(capsys, "closed-form", "not:mod:300:0", "--digits", "16")
+    assert code == 0 and out.count("pole ") == 300
 
 
 def test_bylength(capsys):

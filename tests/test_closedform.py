@@ -97,19 +97,27 @@ def test_equal_modulus_roots_ordered_by_argument(digits):
 
 
 def test_root_iteration_failure_raises(monkeypatch):
-    def no_convergence(*args, **kwargs):
-        raise mp.mp.NoConvergence("Didn't converge")
-
-    # equal seeds refine to one root, so the seeded set does not certify
+    # equal seeds refine to one root, so the root set does not certify
     monkeypatch.setattr(closedform, "_aberth_seeds", lambda cs: [0.5] * (len(cs) - 1))
-    monkeypatch.setattr(mp.mp, "polyroots", no_convergence)
-    with pytest.raises(ConvergenceError, match="root iteration did not settle"):
+    with pytest.raises(ConvergenceError, match="^root inclusion disks overlap$"):
         find_roots(poly([1, -1, -1]))
 
 
-def test_uncertified_seed_falls_back_to_polyroots(monkeypatch):
+@pytest.fixture
+def polyroots_calls(monkeypatch):
+    """mpmath.polyroots patched to record and refuse every call."""
+    calls = []
+
+    def refuse(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("mpmath.polyroots was called")
+
+    monkeypatch.setattr(mp.mp, "polyroots", refuse)
+    return calls
+
+
+def test_uncertified_seed_raises_without_a_second_root_finder(monkeypatch, polyroots_calls):
     p = poly([1, 0, -1, 0, 0, 0, -1])  # real roots +-0.826...
-    expected = find_roots(p)
     seeded = closedform._float_seeded_roots
 
     def near_duplicate(q, prec):
@@ -121,20 +129,33 @@ def test_uncertified_seed_falls_back_to_polyroots(monkeypatch):
         pts[lo] = (a + (1 << s) // 10**60, b)
         return pts, s
 
-    calls = []
-    polyroots = mp.mp.polyroots
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return polyroots(*args, **kwargs)
-
     monkeypatch.setattr(closedform, "_float_seeded_roots", near_duplicate)
-    monkeypatch.setattr(mp.mp, "polyroots", counted)
-    roots = find_roots(p)
-    assert len(calls) == 1 and len(roots) == len(expected)
-    for got, want in zip(roots, expected):
-        assert abs(got.value - want.value) < 1e-45
-        assert got.radius < 1e-45 and want.radius < 1e-45
+    with pytest.raises(ConvergenceError, match="^root inclusion disks overlap$"):
+        find_roots(p)
+    assert polyroots_calls == []
+
+
+def test_seed_outside_the_float_range_raises(polyroots_calls):
+    with pytest.raises(ConvergenceError, match="^Aberth seeds collided or left the float range$"):
+        find_roots(poly([1, 10**400]))
+    assert polyroots_calls == []
+
+
+@pytest.mark.parametrize("digits", [16, 50])
+def test_every_census_denominator_certifies_on_the_one_path(polyroots_calls, digits):
+    rng = random.Random(12)
+    sets = [parse_setspec(f"not:mod:{k}:0") for k in range(2, 61)]
+    sets += [random_partset(rng) for _ in range(200)]
+    certified = 0
+    for A in sets:
+        den = composition_gf(A).den
+        try:
+            roots = find_roots(den, digits)
+        except RepeatedRootError:
+            continue
+        assert len(roots) == den.degree
+        certified += 1
+    assert polyroots_calls == [] and certified >= 250
 
 
 @given(

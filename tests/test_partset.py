@@ -28,6 +28,11 @@ def members_brute(A, n):
         ("not:ap:1:3", 10, [2, 3, 5, 6, 8, 9]),
         ("not:all", 10, []),
         ("not:set:2", 5, [1, 3, 4, 5]),
+        ("mod:3:", 6, []),
+        ("ge:4+1", 6, [1, 4, 5, 6]),
+        ("mod:2:1+2,10-1,11", 12, [2, 3, 5, 7, 9, 10]),
+        ("all-2", 4, [1, 3, 4]),
+        ("not:mod:3:0+3", 7, [1, 2, 4, 5, 7]),
     ],
 )
 def test_parse_and_membership(spec, upto, expect):
@@ -46,6 +51,11 @@ def test_parse_and_membership(spec, upto, expect):
         ("ge:0", 3),
         ("mod:3:7", 6),
         ("mod:0:1", 4),
+        ("mod:2:1+0", 8),
+        ("mod:2:1+2-2", 10),
+        ("mod:2:1+", 8),
+        ("mod:2:1 +2", 7),
+        ("all-1+2", 5),
     ],
 )
 def test_parse_errors_carry_position(bad, pos):
@@ -103,7 +113,17 @@ def test_str_forms():
     assert str(parse_setspec("set:1,2")) == "set:1,2"
     assert str(parse_setspec("all")) == "all"
     assert str(parse_setspec("not:mod:3:0")) == "mod:3:1,2"
-    assert str(PartSet(5, frozenset({0, 2}), removed=frozenset({10}))) == "mod:5:0,2 -10"
+    assert str(PartSet(5, frozenset({0, 2}), removed=frozenset({10}))) == "mod:5:0,2-10"
+    assert str(parse_setspec("ge:5")) == "all-1,2,3,4"
+    assert str(PartSet(3, frozenset(), added=frozenset({2}))) == "mod:3:+2"
+
+
+@given(st.integers(0, 10_000), st.booleans())
+def test_str_parses_back(seed, complement):
+    A = random_partset(random.Random(seed), max_modulus=12)
+    if complement:
+        A = A.complement()
+    assert parse_setspec(str(A)) == A
 
 
 # -- complement --------------------------------------------------------------
