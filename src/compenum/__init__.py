@@ -51,52 +51,24 @@ def __getattr__(name):
     globals()[name] = value
     return value
 
+
 __all__ = [
     "BivariateTable",
-    "Check",
-    "CheckRow",
-    "ClosedFormError",
-    "ComplexRoot",
-    "Composition",
-    "ConvergenceError",
-    "DEFAULT_ENUM_LIMIT",
-    "DominanceReport",
-    "EvalResult",
     "IntPolynomial",
     "LinearRecurrence",
     "PartSet",
-    "PartialFraction",
     "RationalGF",
-    "RepeatedRootError",
     "SetSpecError",
-    "VerificationReport",
     "avoid_residue_recurrence",
     "avoid_residue_seed_formula",
     "bivariate_table",
     "composition_gf",
     "composition_series",
-    "compositions",
     "count",
-    "dominance_report",
-    "dp_count",
-    "dp_count_series",
-    "dp_length_table",
-    "eval_closed",
-    "expected_discrepancy",
-    "find_roots",
     "length_row",
-    "length_slice_series",
     "no_multiples_recurrence",
     "odd_parts_by_length",
     "parse_setspec",
-    "partial_fractions",
-    "random_partset",
     "recurrence_from_gf",
-    "row_check_against_slices",
-    "run_verification_suite",
-    "suite_passed",
-    "verify_cayley_shift",
-    "verify_sills_zeilberger",
-    "verify_theorem",
-    "verify_triangle",
+    *_LAZY,
 ]

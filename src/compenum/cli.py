@@ -7,9 +7,11 @@ the verification suites.
 
 Exit status: 0 on success, 1 when a verification report fails, 2 on
 usage or parse errors, on exact results and packed bylength rows (slots
-sized by genfun.composition_bits) over MAX_EXACT_BITS, on --digits
-outside 16..closedform.MAX_DIGITS and on closed forms whose estimated
-cost exceeds closedform.MAX_SECONDS (diagnostics on standard error).
+sized by genfun.composition_bits) over MAX_EXACT_BITS, on series and
+mod-3 tables whose terms are bounded above MAX_SERIES_BITS in all, on
+--digits outside 16..closedform.MAX_DIGITS, and on closed forms whose
+estimated cost exceeds closedform.MAX_SECONDS or whose poles do not
+certify at the requested precision (diagnostics on standard error).
 Output is deterministic for identical inputs.  Only the commands that
 use them import mpmath, closedform and oracle.
 """
@@ -36,6 +38,13 @@ DISPLAY_DIGITS = 12
 # a quarter minute at 3 * 10^6), the bylength expansion grows faster
 # still, and memory grows with both.
 MAX_EXACT_BITS = 2_000_000
+# A series is refused when (limit + 1) * composition_bits(A, limit), a
+# bound on the bits of all its terms, is above this, before any
+# expansion.  The terms and the expander's rows grow as limit^2: on a
+# 2-core host with CPython 3.11, `series not:mod:3:0` took 3.3 s and
+# 142 MB at --limit 20000 (4.0 * 10^8 bits, admitted) and 25.6 s and
+# 517 MB at --limit 40000 (1.6 * 10^9 bits, refused).
+MAX_SERIES_BITS = 500_000_000
 
 
 def _nonneg(text):
@@ -82,6 +91,16 @@ def _refuse_oversized(bits, n):
         )
 
 
+def _refuse_oversized_series(A, limit):
+    """ValueError (exit 2) when the terms c(0)..c(limit) may be too large."""
+    bits = (limit + 1) * genfun.composition_bits(A, limit)
+    if bits > MAX_SERIES_BITS:
+        raise ValueError(
+            f"the series to --limit {limit} may hold up to {bits} bits, "
+            f"more than the {MAX_SERIES_BITS}-bit limit"
+        )
+
+
 def _recurrence_bits(gf, n):
     # with D = 1 - sum d_i x^i, |c_n| <= sum|N_i| * (1 + sum|d_i|)^n by
     # induction on c_n = N_n + sum d_i c_{n-i}
@@ -101,6 +120,7 @@ def cmd_count(args, parser):
 
 def cmd_series(args, parser):
     A = parse_setspec(args.setspec)
+    _refuse_oversized_series(A, args.limit)
     coeffs = genfun.composition_series(A, args.limit)
     if args.format == "csv":
         sys.stdout.write(",".join(map(str, coeffs)) + "\n")
@@ -228,9 +248,10 @@ def cmd_table(args, parser):
     if not args.mod3:
         parser.error("pass --mod3 (the only table currently available)")
     limit = args.limit
-    columns = []
-    for spec in ("not:ap:1:3", "not:ap:2:3", "not:mod:3:0"):
-        columns.append(genfun.composition_series(parse_setspec(spec), limit))
+    sets = [parse_setspec(spec) for spec in ("not:ap:1:3", "not:ap:2:3", "not:mod:3:0")]
+    for A in sets:
+        _refuse_oversized_series(A, limit)
+    columns = [genfun.composition_series(A, limit) for A in sets]
     for n in range(1, limit + 1):
         print(f"{n},{columns[0][n]},{columns[1][n]},{columns[2][n]}")
     return 0

@@ -17,12 +17,14 @@ guard digits.  An Aberth-Ehrlich iteration in double precision seeds
 every root, and Newton steps in fixed-point Gaussian integers refine
 each one to the working precision.  From then on each root is the exact
 dyadic point (a + bi) / 2^s that Newton produced, held as two integers:
-the real snap, the exact conjugate pairing, the Gerschgorin-type
-inclusion disks (Carstensen 1991), the sort, the pole separation check
-and the residues (fixed-point Horner plus one exact division) all run on
-integers.  The disk radii are rigorous upper bounds, and pairwise
-disjoint disks hold exactly one root each.  A root set that fails any
-check raises ConvergenceError.  mpmath numbers are built only for what
+the real snap, the exact conjugate of each root above the axis standing
+in for the one below it, the Gerschgorin-type inclusion disks
+(Carstensen 1991) with the pole separation check in the same pairwise
+loop, the sort and the residues (fixed-point Horner plus one exact
+division) all run on integers.  The disk radii are rigorous upper
+bounds, and pairwise disjoint disks hold exactly one root each, so they
+certify the set that is returned.  A root set that fails any check
+raises ConvergenceError.  mpmath numbers are built only for what
 is returned: root values, radii, residuals and residues, each rounded
 to the working precision exactly as mpmath arithmetic would round it.
 Every step is deterministic, so repeated runs give identical output.
@@ -46,7 +48,6 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 
 from mpmath import mp
 
@@ -240,11 +241,12 @@ def _value_bound(coeffs, a, b, s, prec):
     return math.isqrt(vr * vr + vi * vi) + 1 + slack, w
 
 
-def _inclusion_disks(poly, pts, s, prec):
+def _inclusion_disks(poly, pts, s, digits, prec):
     """Pairs (r_i, e_i) with radius r_i >= d |p(z_i)| / (|lc| prod_{j != i}
     |z_i - z_j|) and residual e_i >= |p(z_i)|, as mpf, at the points z_i
-    = (a_i + b_i i) / 2^s, or None unless the disks |z - z_i| <= r_i are
-    pairwise disjoint.
+    = (a_i + b_i i) / 2^s.  ConvergenceError unless the disks |z - z_i|
+    <= r_i are pairwise disjoint and every two points are more than
+    10^-(digits-10) apart: gap^2 * 10^(2(digits-10)) > 4^s.
 
     The union of these disks holds every root of p, and a connected
     component of m of them holds exactly m roots (Braess and Hadeler
@@ -273,7 +275,7 @@ def _inclusion_disks(poly, pts, s, prec):
                 if excess > 0:
                     low, shift = low >> excess, shift + excess
         if not low:
-            return None
+            raise ConvergenceError("root inclusion disks overlap")
         # r_i^2 <= num / den * 2^e, scaled by 4^t to about 2^80
         num, den = d * d * value * value, lc * lc * low
         e = 2 * s * (d - 1) - 2 * w - shift
@@ -283,50 +285,38 @@ def _inclusion_disks(poly, pts, s, prec):
         root = math.isqrt(q)
         mantissas.append(root + (root * root < q))
         exponents.append(t)
+    scale = 10 ** (2 * (digits - 10))
     for i in range(d):
         for j in range(i):
             m = max(exponents[i], exponents[j], s)
             reach = (mantissas[i] << (m - exponents[i])) + (mantissas[j] << (m - exponents[j]))
             if reach * reach >= gaps[i][j] << (2 * (m - s)):
-                return None
+                raise ConvergenceError("root inclusion disks overlap")
+            if gaps[i][j] * scale <= 1 << (2 * s):
+                raise ConvergenceError("poles too close to separate at this precision")
     return [(mp.ldexp(u, -t), e) for u, t, e in zip(mantissas, exponents, residuals)]
 
 
-def _pair(pts, s, digits, prec):
-    """Snap near-real points onto the axis and pair conjugates exactly.
-    Returns the real points, then each averaged pair z, conj(z), and
-    their scale s + 1, with each sum rounded to prec bits as mpmath
-    would round it; ConvergenceError when the points do not pair."""
-    one = 1 << s
-    snap, tol = 10 ** (digits - 8), 10 ** (digits - 10)
-    reals, upper, lower = [], [], []
+def _pair(pts, s, digits):
+    """Snap near-real points onto the axis and close the set under
+    conjugation: the real points, then each point above the axis
+    followed by its exact conjugate, in place of the points below it.
+    ConvergenceError unless as many points lie below the axis as above;
+    the inclusion disks then certify the set that comes out."""
+    one, snap = 1 << s, 10 ** (digits - 8)
+    reals, upper, below = [], [], 0
     for a, b in pts:
         # |Im z| <= 10^-(digits-8) (1 + |z|) puts z on the axis
         over = abs(b) * snap - one
         if over <= 0 or over * over <= a * a + b * b:
-            reals.append((a << 1, 0))
+            reals.append((a, 0))
         elif b > 0:
-            upper.append((a, b))
+            upper.extend(((a, b), (a, -b)))
         else:
-            lower.append((a, b))
-    if len(upper) != len(lower):
+            below += 1
+    if 2 * below != len(upper):
         raise ConvergenceError("complex roots do not split into conjugate pairs")
-    taken = [False] * len(lower)
-    paired = []
-    for a, b in upper:
-        best = best_gap = None
-        for idx, (c, e) in enumerate(lower):
-            gap = (a - c) ** 2 + (b + e) ** 2  # |z - conj(w)|^2 at scale 4^s
-            if not taken[idx] and (best is None or gap < best_gap):
-                best, best_gap = idx, gap
-        # a pair must agree within 10^-(digits-10) (1 + |z|)
-        if best is None or best_gap * tol * tol > (one + math.isqrt(a * a + b * b)) ** 2:
-            raise ConvergenceError("complex roots do not split into conjugate pairs")
-        taken[best] = True
-        c, e = lower[best]
-        re, im = _round(a + c, prec), _round(b - e, prec)
-        paired.extend(((re, im), (re, -im)))
-    return reals + paired, s + 1
+    return reals + upper
 
 
 def _order(pts, s, digits):
@@ -362,10 +352,12 @@ def find_roots(poly, digits=50):
     fixed-point Gaussian integers, doubling the precision up to the
     working precision (digits plus GUARD_DIGITS), and round.  From there
     on every root is an exact dyadic point (a + bi) / 2^s.  Near-real
-    roots are snapped onto the axis and conjugate pairs are averaged, so
-    the returned set is exactly closed under conjugation; inclusion
-    disks (see _inclusion_disks), which must be pairwise disjoint, and a
-    residual bound certify the set.  Each root carries its disk radius.
+    roots are snapped onto the axis and each root above it is emitted
+    with its exact conjugate in place of the roots below it (see _pair),
+    so the returned set is exactly closed under conjugation; inclusion
+    disks (see _inclusion_disks), which must be pairwise disjoint with
+    every two roots more than 10^-(digits-10) apart, and a residual
+    bound certify the set.  Each root carries its disk radius.
     Output is sorted by (modulus, |arg|, arg), which puts the
     growth-dominant root first; moduli within the certification
     tolerance count as equal, so rounding noise never decides the order
@@ -388,10 +380,9 @@ def find_roots(poly, digits=50):
         raise RepeatedRootError(f"repeated factor (gcd with derivative is {common})")
     with mp.workdps(digits + GUARD_DIGITS):
         prec = mp.prec
-        pts, s = _pair(*_float_seeded_roots(poly, prec), digits, prec)
-        disks = _inclusion_disks(poly, pts, s, prec)
-        if disks is None:
-            raise ConvergenceError("root inclusion disks overlap")
+        pts, s = _float_seeded_roots(poly, prec)
+        pts = _pair(pts, s, digits)
+        disks = _inclusion_disks(poly, pts, s, digits, prec)
         bound = mp.mpf(10) ** (-(digits - 10)) * max(1, max(abs(c) for c in poly.coeffs))
         for _, resid in disks:
             if resid > bound:
@@ -415,21 +406,6 @@ class PartialFraction:
     precision_digits: int = 50
 
 
-def _check_separation(pts, s, digits):
-    """ConvergenceError when two points (a, b) at scale 2^s lie within
-    10^-(digits-10) of each other: gap^2 * 10^(2(digits-10)) <= 4^s.
-    Points are swept by real part, so only neighbours that close in
-    Re z are compared."""
-    scale, one = 10 ** (digits - 10), 1 << s
-    order = sorted(pts)
-    for i, (a, b) in enumerate(order):
-        for c, e in islice(order, i + 1, None):
-            if (c - a) * scale > one:
-                break
-            if ((c - a) ** 2 + (e - b) ** 2) * scale * scale <= one * one:
-                raise ConvergenceError("poles too close to separate at this precision")
-
-
 def _residue(num, dprime, a, b, s, prec):
     """r = -N(z) / (z D'(z)) at z = (a + bi) / 2^s as integers (re, im,
     k) with r = (re + im i) / 2^k to about prec + 32 bits: fixed-point
@@ -450,13 +426,13 @@ def partial_fractions(gf, digits=50):
     """Simple-pole expansion of a RationalGF at the given precision.
 
     Reduces the fraction first (a shared factor would show up as a
-    spurious pole with zero residue, or worse as a repeated root), then
-    checks that the poles are numerically separable and that the
+    spurious pole with zero residue, or worse as a repeated root), takes
+    the certified, separated poles from find_roots, then checks that the
     residues reproduce the n = 0 coefficient.  Between the roots and the
     returned mpc residues everything runs on the poles as exact dyadic
-    points: the separation check compares exact integer gaps, and each
-    residue comes from fixed-point Horner evaluations of N and D' at
-    64 bits past the working precision and one exact division.
+    points: each residue comes from fixed-point Horner evaluations of N
+    and D' at 64 bits past the working precision and one exact
+    division.
     """
     _check_digits(digits)
     g = gf.reduce()
@@ -474,7 +450,6 @@ def partial_fractions(gf, digits=50):
     with mp.workdps(digits + GUARD_DIGITS):
         prec = mp.prec
         pts, s = _fixed([pole.value for pole in poles])
-        _check_separation(pts, s, digits)
         dprime = den.derivative()
         parts = [_residue(num, dprime, a, b, s, prec) for a, b in pts]
         top = max(k for _, _, k in parts)

@@ -86,10 +86,6 @@ class LinearRecurrence:
 
     def nth_mod(self, n, p):
         """f(n) mod p, for any p >= 2, by coefficient_mod on to_gf()."""
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        if p < 2:
-            raise ValueError("modulus must be >= 2")
         return coefficient_mod(self.to_gf(), n, p)
 
     def replay_consistent(self):

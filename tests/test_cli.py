@@ -37,6 +37,20 @@ TABLE_20 = """\
 20,1225,16854,101902
 """
 
+STAR_NAMES = """
+BivariateTable IntPolynomial LinearRecurrence PartSet RationalGF SetSpecError
+avoid_residue_recurrence avoid_residue_seed_formula bivariate_table composition_gf
+composition_series count length_row no_multiples_recurrence odd_parts_by_length
+parse_setspec recurrence_from_gf
+ClosedFormError ComplexRoot ConvergenceError DominanceReport EvalResult
+PartialFraction RepeatedRootError dominance_report eval_closed find_roots
+partial_fractions
+DEFAULT_ENUM_LIMIT Check CheckRow Composition VerificationReport compositions
+dp_count dp_count_series dp_length_table expected_discrepancy length_slice_series
+random_partset row_check_against_slices run_verification_suite suite_passed
+verify_cayley_shift verify_sills_zeilberger verify_theorem verify_triangle
+"""
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -154,6 +168,33 @@ def test_sparse_part_sets_bounded_by_smallest_part(capsys):
     assert (code, out) == (0, "0\n")
     code, out, err = run_cli(capsys, "count", "ge:2", "4000000")
     assert code == 2 and out == "" and "decimal digits" in err
+
+
+def test_oversized_series_refused_before_any_expansion(capsys, monkeypatch):
+    from compenum import genfun
+
+    # (limit + 1) * composition_bits is 499,991,960 at limit 22360 and
+    # 500,036,682 at 22361 for any set with the part 1; set:1 keeps the
+    # admitted edge cheap, since every count is 1
+    code, out, _ = run_cli(capsys, "series", "set:1", "--limit", "22360", "--format", "csv")
+    assert code == 0 and out == ",".join(["1"] * 22361) + "\n"
+
+    def refuse(A, limit):
+        raise AssertionError("series expanded")
+
+    monkeypatch.setattr(genfun, "composition_series", refuse)
+    for argv, bits in (
+        (("series", "set:1", "--limit", "22361"), 500036682),
+        (("series", "not:mod:3:0", "--limit", "40000"), 1600040000),
+        (("table", "--mod3", "--limit", "40000"), 1600080001),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"up to {bits} bits" in err and "500000000-bit limit" in err
+    # the largest exact-count series op, ge:2 --limit 3862, is about 1.5 * 10^7 bits
+    monkeypatch.undo()
+    code, out, _ = run_cli(capsys, "series", "ge:2", "--limit", "3862", "--format", "csv")
+    assert code == 0 and out.count(",") == 3862
 
 
 def test_oversized_digits_refused_before_any_work(capsys, monkeypatch):
@@ -297,6 +338,13 @@ def test_cli_import_leaves_mpmath_unloaded():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0 and proc.stdout == "[]\n"
+
+
+def test_star_import_binds_every_export():
+    # the eager names plus every lazy closedform and oracle name
+    code = "from compenum import *; print(' '.join(sorted(n for n in dir() if n[0] != '_')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout.split() == sorted(STAR_NAMES.split())
 
 
 def test_bylength_sizes_slots_by_the_smallest_part(capsys):

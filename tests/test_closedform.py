@@ -189,7 +189,10 @@ def test_roots_match_polyroots_inside_their_disks(seed, digits, nudge):
         for r in roots:
             gap = min((abs(r.value - o.value) for o in roots if o is not r), default=1)
             moved.append(r.value + nudge * gap * mp.expjpi(2 * rng.random()))
-        disks = closedform._inclusion_disks(den, *closedform._fixed(moved), mp.mp.prec)
+        try:
+            disks = closedform._inclusion_disks(den, *closedform._fixed(moved), digits, mp.mp.prec)
+        except ConvergenceError:
+            disks = None
     if disks is not None:
         with mp.workdps(2 * digits + 60):
             for z, (radius, _) in zip(moved, disks):
@@ -218,6 +221,8 @@ def test_residues_match_mpmath_horner(seed, digits):
 @pytest.mark.parametrize("digits", [16, 50, 80])
 @pytest.mark.parametrize("direction", [1, 1j])
 def test_pole_separation_checked_at_the_threshold(monkeypatch, digits, direction):
+    # poles twice the separation threshold apart are not refused as too
+    # close; being fake, they fail the normalization check instead
     gf = composition_gf(parse_setspec("not:mod:3:0"))
     poles = []
 
@@ -227,13 +232,57 @@ def test_pole_separation_checked_at_the_threshold(monkeypatch, digits, direction
     monkeypatch.setattr(closedform, "find_roots", fake_roots)
     with mp.workdps(digits + GUARD_DIGITS):
         sep = mp.mpf(10) ** -(digits - 10)
-        for factor, message in ((0.5, "too close"), (2, "n = 0")):
-            # a far pole lies between the close pair in real part
-            base = mp.mpc(0.5, 0.25)
-            step = mp.mpc(direction) * factor * sep
-            poles[:] = [base, base + step / 2 + 5j, base + step]
-            with pytest.raises(ConvergenceError, match=message):
-                partial_fractions(gf, digits)
+        # a far pole lies between the close pair in real part
+        base = mp.mpc(0.5, 0.25)
+        step = mp.mpc(direction) * 2 * sep
+        poles[:] = [base, base + step / 2 + 5j, base + step]
+        with pytest.raises(ConvergenceError, match="n = 0"):
+            partial_fractions(gf, digits)
+
+
+def _fake_roots(monkeypatch, pts):
+    """Make find_roots start from the exact dyadic points x + yi, given
+    as pairs (x, y) of Fractions, in place of the refined seeds."""
+
+    def seeded(poly, prec):
+        s = prec + closedform.NEWTON_GUARD_BITS
+        return [(int(x * 2**s), int(y * 2**s)) for x, y in pts], s
+
+    monkeypatch.setattr(closedform, "_float_seeded_roots", seeded)
+
+
+@pytest.mark.parametrize("digits", [16, 50, 80])
+def test_find_roots_refuses_roots_closer_than_the_threshold(monkeypatch, digits):
+    # (x - 1)(N x - N - 1) has the roots 1 and 1 + 1/N, exact dyadics
+    # for N = 2^k; the gap 2^-k is at most half of 10^-(digits-10) for
+    # the first k, at least twice it for the second
+    close = (2 * 10 ** (digits - 10)).bit_length()
+    apart = (10 ** (digits - 10) // 2).bit_length() - 1
+    for k, refused in ((close, True), (apart, False)):
+        big = 1 << k
+        p = poly([big + 1, -(2 * big + 1), big])
+        _fake_roots(monkeypatch, [(1, 0), (1 + Fraction(1, big), 0)])
+        if refused:
+            with pytest.raises(ConvergenceError, match="^poles too close to separate at this precision$"):
+                find_roots(p, digits)
+        else:
+            roots = find_roots(p, digits)
+            assert [r.value for r in roots] == [1, mp.ldexp(big + 1, -k)]
+
+
+def test_roots_only_above_the_axis_do_not_pair(monkeypatch):
+    # 1 + x^2 has the roots +-i; two points above the axis leave none below
+    _fake_roots(monkeypatch, [(0, 1), (1, 1)])
+    with pytest.raises(ConvergenceError, match="^complex roots do not split into conjugate pairs$"):
+        find_roots(poly([1, 0, 1]))
+
+
+def test_duplicated_root_above_the_axis_overlaps(monkeypatch):
+    # (1 + x^2)(4 + x^2) has the roots +-i and +-2i; i twice above the
+    # axis passes the count, and its exact conjugates repeat too
+    _fake_roots(monkeypatch, [(0, 1), (0, 1), (0, -1), (0, -2)])
+    with pytest.raises(ConvergenceError, match="^root inclusion disks overlap$"):
+        find_roots(poly([4, 0, 5, 0, 1]))
 
 
 def test_repeated_root_detected():
