@@ -80,24 +80,13 @@ def _write_indexed(values):
     sys.stdout.write("".join(f"{i} {v}\n" for i, v in enumerate(values)))
 
 
-def _refuse_oversized(bits, n):
-    """ValueError (exit 2) when an exact term bounded by `bits` bits is too large."""
-    if bits > MAX_EXACT_BITS:
+def _refuse(bits, limit, what, hint=""):
+    """ValueError (exit 2) when `what`, bounded by `bits` bits, is over `limit` bits."""
+    if bits > limit:
         digits = int(bits * math.log10(2)) + 1
         raise ValueError(
-            f"the exact term at n = {n} may have up to {digits} decimal digits, "
-            f"more than the {int(MAX_EXACT_BITS * math.log10(2)) + 1}-digit limit; "
-            "use `nth <setspec> <n> --mod M` for a residue"
-        )
-
-
-def _refuse_oversized_series(A, limit):
-    """ValueError (exit 2) when the terms c(0)..c(limit) may be too large."""
-    bits = (limit + 1) * genfun.composition_bits(A, limit)
-    if bits > MAX_SERIES_BITS:
-        raise ValueError(
-            f"the series to --limit {limit} may hold up to {bits} bits, "
-            f"more than the {MAX_SERIES_BITS}-bit limit"
+            f"{what} may hold up to {bits} bits ({digits} decimal digits), "
+            f"more than the {limit}-bit limit{hint}"
         )
 
 
@@ -113,14 +102,17 @@ def _recurrence_bits(gf, n):
 
 def cmd_count(args, parser):
     A = parse_setspec(args.setspec)
-    _refuse_oversized(genfun.composition_bits(A, args.n), args.n)
+    bits = genfun.composition_bits(A, args.n)
+    hint = "; use `nth <setspec> <n> --mod M` for a residue"
+    _refuse(bits, MAX_EXACT_BITS, f"the exact term at n = {args.n}", hint)
     print(genfun.count(A, args.n))
     return 0
 
 
 def cmd_series(args, parser):
     A = parse_setspec(args.setspec)
-    _refuse_oversized_series(A, args.limit)
+    bits = (args.limit + 1) * genfun.composition_bits(A, args.limit)
+    _refuse(bits, MAX_SERIES_BITS, f"the series to --limit {args.limit}")
     coeffs = genfun.composition_series(A, args.limit)
     if args.format == "csv":
         sys.stdout.write(",".join(map(str, coeffs)) + "\n")
@@ -219,7 +211,8 @@ def cmd_nth(args, parser):
             parser.error("--mod must be >= 2")
         print(coefficient_mod(gf, n, args.mod))
     else:
-        _refuse_oversized(bits, n)
+        hint = "; use `nth <setspec> <n> --mod M` for a residue"
+        _refuse(bits, MAX_EXACT_BITS, f"the exact term at n = {n}", hint)
         print(gf.coefficient(n))
     return 0
 
@@ -235,11 +228,7 @@ def cmd_bylength(args, parser):
     A = parse_setspec(args.setspec)
     # row n arrives packed in one coefficient of n + 1 slots
     bits = (args.n + 1) * 8 * packed_width(A, args.n)
-    if bits > MAX_EXACT_BITS:
-        raise ValueError(
-            f"the packed row at n = {args.n} takes {bits} bits, "
-            f"more than the {MAX_EXACT_BITS}-bit limit"
-        )
+    _refuse(bits, MAX_EXACT_BITS, f"the packed row at n = {args.n}")
     _write_indexed(length_row(A, args.n))
     return 0
 
@@ -250,7 +239,8 @@ def cmd_table(args, parser):
     limit = args.limit
     sets = [parse_setspec(spec) for spec in ("not:ap:1:3", "not:ap:2:3", "not:mod:3:0")]
     for A in sets:
-        _refuse_oversized_series(A, limit)
+        bits = (limit + 1) * genfun.composition_bits(A, limit)
+        _refuse(bits, MAX_SERIES_BITS, f"the series to --limit {limit}")
     columns = [genfun.composition_series(A, limit) for A in sets]
     for n in range(1, limit + 1):
         print(f"{n},{columns[0][n]},{columns[1][n]},{columns[2][n]}")

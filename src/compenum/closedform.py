@@ -15,18 +15,19 @@ at every root of D.
 All numerics run at a caller-chosen precision (at most MAX_DIGITS) plus
 guard digits.  An Aberth-Ehrlich iteration in double precision seeds
 every root, and Newton steps in fixed-point Gaussian integers refine
-each one to the working precision.  From then on each root is the exact
-dyadic point (a + bi) / 2^s that Newton produced, held as two integers:
-the real snap, the exact conjugate of each root above the axis standing
-in for the one below it, the Gerschgorin-type inclusion disks
-(Carstensen 1991) with the pole separation check in the same pairwise
-loop, the sort and the residues (fixed-point Horner plus one exact
-division) all run on integers.  The disk radii are rigorous upper
-bounds, and pairwise disjoint disks hold exactly one root each, so they
-certify the set that is returned.  A root set that fails any check
-raises ConvergenceError.  mpmath numbers are built only for what
-is returned: root values, radii, residuals and residues, each rounded
-to the working precision exactly as mpmath arithmetic would round it.
+each one to the working precision plus NEWTON_GUARD_BITS.  From then on
+each root is the exact dyadic point (a + bi) / 2^s that Newton produced,
+held as two integers: the snap of tiny parts to zero, the exact
+conjugate of each root above the axis standing in for the one below it,
+the Gerschgorin-type inclusion disks (Carstensen 1991) with the pole
+separation check in the same pairwise loop, the sort and the residues
+(fixed-point Horner plus one exact division) all run on integers.  The
+disk radii are rigorous upper bounds, and pairwise disjoint disks hold
+exactly one root each, so they certify the set that is returned.  A
+root set that fails any check raises ConvergenceError.  mpmath numbers
+are built only for what is returned: each root value is the certified
+point itself, exact, and radii, residuals and residues are rounded to
+the working precision.
 Every step is deterministic, so repeated runs give identical output.
 Only squarefree denominators are supported; a repeated factor makes the
 simple-pole formula wrong, and find_roots refuses with
@@ -89,17 +90,17 @@ def _check_digits(digits):
 
 @dataclass(frozen=True)
 class ComplexRoot:
-    """One denominator root: value (mpc), residual >= |poly(value)|, radius
-    of an inclusion disk |z - value| <= radius that holds this root and
-    no other, and multiplicity (always 1 here, squarefree inputs only).
-    value is an exact dyadic at the working precision, residual and
-    radius are mpf upper bounds; the modulus is computed at the precision
-    in effect where it is read and is not used for sorting."""
+    """One simple denominator root: value (mpc), residual >= |poly(value)|,
+    radius of an inclusion disk |z - value| <= radius that holds this
+    root and no other.  value is the exact dyadic point Newton returned,
+    at a precision that holds all its bits (at least the working one), so
+    it is the disk's centre; residual and radius are mpf upper bounds.
+    The modulus is computed at the precision in effect where it is read
+    and is not used for sorting."""
 
     value: object
     residual: object
     radius: object
-    multiplicity: int = 1
 
     @property
     def modulus(self):
@@ -137,20 +138,18 @@ def _aberth_seeds(coeffs):
     return zs
 
 
-def _newton(coeffs, z, bits):
-    """Refine the float root approximation z by Newton steps in fixed
+def _newton(coeffs, dcoeffs, z, bits):
+    """Refine the float root approximation z of the polynomial with
+    coefficients `coeffs` (derivative `dcoeffs`) by Newton steps in fixed
     point, z = (a + bi) / 2^w, doubling w up to `bits`.  Returns (a, b)
     at w = bits; ConvergenceError where p' vanishes."""
     w = 50
     a, b = round(math.ldexp(z.real, w)), round(math.ldexp(z.imag, w))
-    lead, rest = coeffs[-1], coeffs[-2::-1]
     for _ in range(NEWTON_STEPS):
         grow = min(w, bits - w)
         a, b, w = a << grow, b << grow, w + grow
-        pr, pi, dr, di = lead << w, 0, 0, 0
-        for c in rest:
-            dr, di = ((dr * a - di * b) >> w) + pr, ((dr * b + di * a) >> w) + pi
-            pr, pi = ((pr * a - pi * b) >> w) + (c << w), (pr * b + pi * a) >> w
+        pr, pi = _horner(coeffs, a, b, w, w)
+        dr, di = _horner(dcoeffs, a, b, w, w)
         norm = dr * dr + di * di
         if not norm:
             raise ConvergenceError("Newton step met a vanishing derivative")
@@ -163,20 +162,6 @@ def _newton(coeffs, z, bits):
     return a, b
 
 
-def _round(x, prec):
-    """The integer x rounded to prec significant bits, to nearest with
-    ties to even: the rounding of every mpmath operation."""
-    m = abs(x)
-    n = m.bit_length() - prec
-    if n <= 0:
-        return x
-    low, m = m & ((1 << n) - 1), m >> n
-    half = 1 << (n - 1)
-    if low > half or (low == half and m & 1):
-        m += 1
-    return m << n if x > 0 else -(m << n)
-
-
 def _fixed(values):
     """mpmath numbers as exact integer points (a, b) at one scale 2^s,
     the smallest that holds them all."""
@@ -185,25 +170,12 @@ def _fixed(values):
 
 
 def _float_seeded_roots(poly, prec):
-    """Aberth seeds refined by Newton to prec plus guard bits, as points
-    (a, b) at the scale 2^s of Newton, s = prec + NEWTON_GUARD_BITS.
-    Each part is rounded to prec bits, and parts below mp.eps = 2^(1 -
-    prec) are set to zero, so a root that is real to the working
-    precision comes out exactly real."""
+    """Aberth seeds refined by Newton to prec plus guard bits: the exact
+    points (a, b) that Newton returns at its scale 2^s, s = prec +
+    NEWTON_GUARD_BITS, unrounded and unsnapped (see _pair)."""
     s = prec + NEWTON_GUARD_BITS
-    eps = 1 << (s + 1 - prec)
-    pts = []
-    for seed in _aberth_seeds(poly.coeffs):
-        a, b = _newton(poly.coeffs, seed, s)
-        a, b = _round(a, prec), _round(b, prec)
-        if a * a + b * b < eps * eps:
-            a = b = 0
-        elif abs(b) < eps:
-            b = 0
-        elif abs(a) < eps:
-            a = 0
-        pts.append((a, b))
-    return pts, s
+    dcoeffs = poly.derivative().coeffs
+    return [_newton(poly.coeffs, dcoeffs, z, s) for z in _aberth_seeds(poly.coeffs)], s
 
 
 def _horner(coeffs, a, b, s, w):
@@ -251,17 +223,14 @@ def _inclusion_disks(poly, pts, s, digits, prec):
     The union of these disks holds every root of p, and a connected
     component of m of them holds exactly m roots (Braess and Hadeler
     1973; Carstensen, Numer. Math. 1991), so pairwise disjoint disks
-    hold one root each.  The points are first brought to the smallest
-    scale that holds them all, so the result depends only on their
-    values.  The gaps |z_i - z_j|^2 are exact integers at scale 4^s.
-    |p(z_i)| is bounded above by _value_bound, the product of gaps is
-    rounded down and each radius is rounded up to a 41-bit dyadic, so
-    every r_i is a rigorous upper bound.
+    hold one root each.  Each residual depends only on its own point and
+    s, not on the other points.  The gaps |z_i - z_j|^2 are exact
+    integers at scale 4^s.  |p(z_i)| is bounded above by _value_bound,
+    the product of gaps is rounded down and each radius is rounded up to
+    a 41-bit dyadic, so every r_i is a rigorous upper bound.
     """
     d, cs = poly.degree, poly.coeffs
     lc = cs[-1]
-    least = max([0] + [s - (x & -x).bit_length() + 1 for p in pts for x in p if x])
-    pts, s = [(a >> (s - least), b >> (s - least)) for a, b in pts], least
     gaps = [[(a - c) ** 2 + (b - e) ** 2 for c, e in pts] for a, b in pts]
     mantissas, exponents, residuals = [], [], []  # r_i <= mantissas[i] * 2^-exponents[i]
     for i, (a, b) in enumerate(pts):
@@ -298,14 +267,17 @@ def _inclusion_disks(poly, pts, s, digits, prec):
 
 
 def _pair(pts, s, digits):
-    """Snap near-real points onto the axis and close the set under
-    conjugation: the real points, then each point above the axis
-    followed by its exact conjugate, in place of the points below it.
-    ConvergenceError unless as many points lie below the axis as above;
-    the inclusion disks then certify the set that comes out."""
-    one, snap = 1 << s, 10 ** (digits - 8)
+    """Snap tiny parts to zero and close the set under conjugation: the
+    real points, then each point above the axis followed by its exact
+    conjugate, in place of the points below it.  A real part below
+    2^(1 - prec) at s = prec + NEWTON_GUARD_BITS becomes 0, so a purely
+    imaginary root stays exactly so, and a point near the axis is put on
+    it.  ConvergenceError unless as many points lie below the axis as
+    above; the inclusion disks then certify the set that comes out."""
+    one, snap, tiny = 1 << s, 10 ** (digits - 8), 1 << (NEWTON_GUARD_BITS + 1)
     reals, upper, below = [], [], 0
     for a, b in pts:
+        a = a if abs(a) >= tiny else 0
         # |Im z| <= 10^-(digits-8) (1 + |z|) puts z on the axis
         over = abs(b) * snap - one
         if over <= 0 or over * over <= a * a + b * b:
@@ -350,14 +322,16 @@ def find_roots(poly, digits=50):
     (gcd(p, p') nonconstant); seed every root by an Aberth-Ehrlich
     iteration in double precision; refine each by Newton steps in
     fixed-point Gaussian integers, doubling the precision up to the
-    working precision (digits plus GUARD_DIGITS), and round.  From there
-    on every root is an exact dyadic point (a + bi) / 2^s.  Near-real
-    roots are snapped onto the axis and each root above it is emitted
-    with its exact conjugate in place of the roots below it (see _pair),
-    so the returned set is exactly closed under conjugation; inclusion
-    disks (see _inclusion_disks), which must be pairwise disjoint with
-    every two roots more than 10^-(digits-10) apart, and a residual
-    bound certify the set.  Each root carries its disk radius.
+    working precision (digits plus GUARD_DIGITS) plus NEWTON_GUARD_BITS.
+    From there on every root is the exact dyadic point (a + bi) / 2^s
+    Newton returned, and that point is the value returned.  Tiny real
+    parts become 0, near-real roots are snapped onto the axis, and each
+    root above it is emitted with its exact conjugate in place of the
+    roots below it (see _pair), so the returned set is exactly closed
+    under conjugation; inclusion disks (see _inclusion_disks), which
+    must be pairwise disjoint with every two roots more than
+    10^-(digits-10) apart, and a residual bound certify the set.  Each
+    root carries its disk radius.
     Output is sorted by (modulus, |arg|, arg), which puts the
     growth-dominant root first; moduli within the certification
     tolerance count as equal, so rounding noise never decides the order
@@ -390,7 +364,9 @@ def find_roots(poly, digits=50):
         roots = []
         for i in _order(pts, s, digits):
             (a, b), (radius, resid) = pts[i], disks[i]
-            roots.append(ComplexRoot(mp.mpc(mp.ldexp(a, -s), mp.ldexp(b, -s)), resid, radius))
+            with mp.workprec(max(prec, a.bit_length(), b.bit_length())):
+                value = mp.mpc(mp.ldexp(a, -s), mp.ldexp(b, -s))
+            roots.append(ComplexRoot(value, resid, radius))
     return tuple(roots)
 
 

@@ -44,7 +44,6 @@ def test_cubic_roots_match_reference(cs, ref):
     assert abs(vals[2] - complex(re2, im2)) < 1e-8
     for r in roots:
         assert r.residual < 1e-30
-        assert r.multiplicity == 1
 
 
 def test_residue_coefficients_match_pole_formulas():
@@ -240,6 +239,30 @@ def test_pole_separation_checked_at_the_threshold(monkeypatch, digits, direction
             partial_fractions(gf, digits)
 
 
+@pytest.mark.parametrize("digits", [16, 50])
+def test_residual_depends_only_on_its_own_root(digits):
+    # 1 - x - x^2 - x^3; moving another point by one unit at scale 2^s
+    # leaves the first point's residual bit-identical
+    p = poly([1, -1, -1, -1])
+    with mp.workdps(digits + GUARD_DIGITS):
+        prec = mp.mp.prec
+        pts, s = closedform._float_seeded_roots(p, prec)
+        pts = closedform._pair(pts, s, digits)
+        before = closedform._inclusion_disks(p, pts, s, digits, prec)
+        a, b = pts[1]
+        pts[1] = (a + 1, b)
+        after = closedform._inclusion_disks(p, pts, s, digits, prec)
+    assert after[0][1] == before[0][1]
+
+
+@pytest.mark.parametrize("digits", [16, 50, 80])
+def test_purely_imaginary_poles_keep_an_exact_zero_real_part(digits):
+    # mod:4:2 has the poles +-0.786... and +-1.272...i
+    pf = partial_fractions(composition_gf(parse_setspec("mod:4:2")), digits)
+    for pole in pf.poles[2:]:
+        assert pole.value.real == 0 and abs(pole.value.imag) > 1
+
+
 def _fake_roots(monkeypatch, pts):
     """Make find_roots start from the exact dyadic points x + yi, given
     as pairs (x, y) of Fractions, in place of the refined seeds."""
@@ -275,6 +298,18 @@ def test_roots_only_above_the_axis_do_not_pair(monkeypatch):
     _fake_roots(monkeypatch, [(0, 1), (1, 1)])
     with pytest.raises(ConvergenceError, match="^complex roots do not split into conjugate pairs$"):
         find_roots(poly([1, 0, 1]))
+
+
+@pytest.mark.parametrize("digits", [16, 50])
+def test_real_parts_below_eps_snap_to_zero(monkeypatch, digits):
+    # 1 + x^2 has the roots +-i; a real part below 2^(1 - prec) is set
+    # to 0, one at 2^(1 - prec) is kept
+    with mp.workdps(digits + GUARD_DIGITS):
+        eps = Fraction(2, 2**mp.mp.prec)
+    for shift, kept in ((eps / 2, 0), (eps, eps)):
+        _fake_roots(monkeypatch, [(shift, 1), (shift, -1)])
+        roots = find_roots(poly([1, 0, 1]), digits)
+        assert [(r.value.real, r.value.imag) for r in roots] == [(kept, -1), (kept, 1)]
 
 
 def test_duplicated_root_above_the_axis_overlaps(monkeypatch):
