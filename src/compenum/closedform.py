@@ -24,10 +24,12 @@ separation check in the same pairwise loop, the sort and the residues
 (fixed-point Horner plus one exact division) all run on integers.  The
 disk radii are rigorous upper bounds, and pairwise disjoint disks hold
 exactly one root each, so they certify the set that is returned.  A
-root set that fails any check raises ConvergenceError.  mpmath numbers
-are built only for what is returned: each root value is the certified
-point itself, exact, and radii, residuals and residues are rounded to
-the working precision.
+root set that fails any check raises ConvergenceError.  Each returned
+root carries its point (a, b, s), and the residues and the dominance
+report read the integers there.  mpmath numbers are built only for
+what is shown: each root's value is its point as an mpc, exact, each
+radius an exact dyadic, and residuals and residues are rounded to the
+working precision.
 Every step is deterministic, so repeated runs give identical output.
 Only squarefree denominators are supported; a repeated factor makes the
 simple-pole formula wrong, and find_roots refuses with
@@ -47,10 +49,11 @@ from __future__ import annotations
 import cmath
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from mpmath import mp
+from mpmath.libmp import from_man_exp
 
 from .polyring import divmod_fractions, poly_gcd
 
@@ -90,17 +93,22 @@ def _check_digits(digits):
 
 @dataclass(frozen=True)
 class ComplexRoot:
-    """One simple denominator root: value (mpc), residual >= |poly(value)|,
-    radius of an inclusion disk |z - value| <= radius that holds this
-    root and no other.  value is the exact dyadic point Newton returned,
-    at a precision that holds all its bits (at least the working one), so
-    it is the disk's centre; residual and radius are mpf upper bounds.
-    The modulus is computed at the precision in effect where it is read
-    and is not used for sorting."""
+    """One simple denominator root, held as the exact dyadic point z =
+    (a + bi) / 2^s that Newton returned, point = (a, b, s).  residual >=
+    |poly(z)| and the radius of an inclusion disk |x - z| <= radius that
+    holds this root and no other are mpf upper bounds, the radius an
+    exact dyadic.  value is z as an mpc, exact, built once when the root
+    is made.  The modulus is computed at the precision in effect where it
+    is read and is not used for sorting."""
 
-    value: object
+    point: tuple
     residual: object
     radius: object
+    value: object = field(init=False, compare=False)
+
+    def __post_init__(self):
+        a, b, s = self.point
+        object.__setattr__(self, "value", mp.make_mpc((from_man_exp(a, -s), from_man_exp(b, -s))))
 
     @property
     def modulus(self):
@@ -160,13 +168,6 @@ def _newton(coeffs, dcoeffs, z, bits):
         if w == bits and max(abs(step_re), abs(step_im)) >> (w // 2) == 0:
             break
     return a, b
-
-
-def _fixed(values):
-    """mpmath numbers as exact integer points (a, b) at one scale 2^s,
-    the smallest that holds them all."""
-    s = max([0] + [-x.man_exp[1] for z in values for x in (z.real, z.imag) if x])
-    return [(int(mp.ldexp(z.real, s)), int(mp.ldexp(z.imag, s))) for z in values], s
 
 
 def _float_seeded_roots(poly, prec):
@@ -324,7 +325,8 @@ def find_roots(poly, digits=50):
     fixed-point Gaussian integers, doubling the precision up to the
     working precision (digits plus GUARD_DIGITS) plus NEWTON_GUARD_BITS.
     From there on every root is the exact dyadic point (a + bi) / 2^s
-    Newton returned, and that point is the value returned.  Tiny real
+    Newton returned, and each returned ComplexRoot is built from that
+    point (a, b, s), its value the same point as an mpc.  Tiny real
     parts become 0, near-real roots are snapped onto the axis, and each
     root above it is emitted with its exact conjugate in place of the
     roots below it (see _pair), so the returned set is exactly closed
@@ -361,13 +363,9 @@ def find_roots(poly, digits=50):
         for _, resid in disks:
             if resid > bound:
                 raise ConvergenceError(f"residual {mp.nstr(resid, 5)} above certification bound")
-        roots = []
-        for i in _order(pts, s, digits):
-            (a, b), (radius, resid) = pts[i], disks[i]
-            with mp.workprec(max(prec, a.bit_length(), b.bit_length())):
-                value = mp.mpc(mp.ldexp(a, -s), mp.ldexp(b, -s))
-            roots.append(ComplexRoot(value, resid, radius))
-    return tuple(roots)
+    return tuple(
+        ComplexRoot((*pts[i], s), disks[i][1], disks[i][0]) for i in _order(pts, s, digits)
+    )
 
 
 @dataclass(frozen=True)
@@ -405,10 +403,10 @@ def partial_fractions(gf, digits=50):
     spurious pole with zero residue, or worse as a repeated root), takes
     the certified, separated poles from find_roots, then checks that the
     residues reproduce the n = 0 coefficient.  Between the roots and the
-    returned mpc residues everything runs on the poles as exact dyadic
-    points: each residue comes from fixed-point Horner evaluations of N
-    and D' at 64 bits past the working precision and one exact
-    division.
+    returned mpc residues everything runs on each pole's exact point
+    (a, b, s), read from ComplexRoot.point: each residue comes from
+    fixed-point Horner evaluations of N and D' at 64 bits past the
+    working precision and one exact division.
     """
     _check_digits(digits)
     g = gf.reduce()
@@ -423,11 +421,10 @@ def partial_fractions(gf, digits=50):
         )
     quot, _ = divmod_fractions(num, den)
     poles = find_roots(den, digits)
+    dprime = den.derivative()
     with mp.workdps(digits + GUARD_DIGITS):
         prec = mp.prec
-        pts, s = _fixed([pole.value for pole in poles])
-        dprime = den.derivative()
-        parts = [_residue(num, dprime, a, b, s, prec) for a, b in pts]
+        parts = [_residue(num, dprime, *pole.point, prec) for pole in poles]
         top = max(k for _, _, k in parts)
         real = sum(re << (top - k) for re, _, k in parts)
         imag = sum(im << (top - k) for _, im, k in parts)
@@ -490,14 +487,16 @@ class DominanceReport:
 
 
 def _modulus_interval(root):
-    """Fractions lo <= |z| - r and hi >= |z| + r for a root's disk, from
-    its parts as exact integers at a common scale 2^k."""
-    parts = (root.value.real, root.value.imag, root.radius)
-    k = mp.prec + max([0] + [-x.man_exp[1] for x in parts if x])
-    a, b, r = (int(mp.ldexp(x, k)) for x in parts)
-    square = a * a + b * b
+    """Fractions lo <= |z| - r and hi >= |z| + r for a root's disk: the
+    point (a + bi) / 2^s and the radius's exact dyadic m 2^e as integers
+    at the scale 2^k, k = max(s, -e), and the modulus bracketed by isqrt."""
+    a, b, s = root.point
+    m, e = root.radius.man_exp
+    k = max(s, -e)
+    square = (a * a + b * b) << (2 * (k - s))
     low = math.isqrt(square)
     high = low + (low * low < square)
+    r = m << (k + e)
     return Fraction(low - r, 1 << k), Fraction(high + r, 1 << k)
 
 
@@ -511,12 +510,10 @@ def dominance_report(pf):
     if not pf.poles:
         return DominanceReport((), (), mp.mpf(0), False, False)
     poles = pf.poles
+    spans = [_modulus_interval(p) for p in poles]
+    labels = tuple("inside" if high < 1 else "outside" if low > 1 else "on" for low, high in spans)
+    unique = len(poles) == 1 or spans[0][1] < spans[1][0] or spans[1][1] < spans[0][0]
+    valid = unique and all(label == "outside" for label in labels[1:])
     with mp.workdps(pf.precision_digits + GUARD_DIGITS):
-        spans = [_modulus_interval(p) for p in poles]
-        labels = tuple(
-            "inside" if high < 1 else "outside" if low > 1 else "on" for low, high in spans
-        )
-        unique = len(poles) == 1 or spans[0][1] < spans[1][0] or spans[1][1] < spans[0][0]
-        valid = unique and all(label == "outside" for label in labels[1:])
         growth = 1 / poles[0].modulus
     return DominanceReport(poles, labels, growth, unique, valid)

@@ -116,11 +116,20 @@ class LinearRecurrence:
 
     @classmethod
     def from_dict(cls, data):
+        """The inverse of to_dict.  Every value must be a JSON integer:
+        a float, even an integral one (a count above 2^53 is already
+        rounded in a float), a bool or a string raises ValueError."""
+
+        def integer(value):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{value!r} is not an integer")
+            return value
+
         try:
-            order = int(data["order"])
-            coeffs = tuple(int(c) for c in data["coeffs"])
-            corrections = tuple((int(i), int(v)) for i, v in data["corrections"])
-            initial = tuple(int(t) for t in data["initial"])
+            order = integer(data["order"])
+            coeffs = tuple(integer(c) for c in data["coeffs"])
+            corrections = tuple((integer(i), integer(v)) for i, v in data["corrections"])
+            initial = tuple(integer(t) for t in data["initial"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed recurrence dict: {exc}") from exc
         return cls(order, coeffs, corrections, initial)

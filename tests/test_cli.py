@@ -99,6 +99,17 @@ def test_recurrence_json_and_nth_round_trip(tmp_path, capsys):
         assert out.strip() == str(count(A, n))
 
 
+def test_recurrence_file_with_non_integers_refused(tmp_path, capsys):
+    path = tmp_path / "rec.json"
+    for text in (
+        '{"order": 1, "coeffs": [1.7], "corrections": [], "initial": [1, 2.9]}',
+        '{"order": 0, "coeffs": [], "corrections": [], "initial": [Infinity]}',
+    ):
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "nth", "5", "--recurrence-file", str(path))
+        assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_recurrence_plain_format(capsys):
     code, out, _ = run_cli(capsys, "recurrence", "not:mod:3:0", "--format", "plain")
     lines = out.splitlines()

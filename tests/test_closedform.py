@@ -4,6 +4,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from mpmath.libmp import to_rational
 
 from compenum import closedform
 from compenum.closedform import (
@@ -182,19 +183,24 @@ def test_roots_match_polyroots_inside_their_disks(seed, digits, nudge):
             assert abs(xi - r.value) <= r.radius
     # the certificate holds for any centres: move each by `nudge` times
     # the gap to its nearest neighbour, and whenever the disks come out
-    # disjoint each must hold exactly one root
+    # disjoint each must hold exactly one root; the moved centres are
+    # integer points at the roots' scale 2^s
+    s = roots[0].point[2]
     with mp.workdps(digits + GUARD_DIGITS):
         moved = []
         for r in roots:
             gap = min((abs(r.value - o.value) for o in roots if o is not r), default=1)
-            moved.append(r.value + nudge * gap * mp.expjpi(2 * rng.random()))
+            step = nudge * gap * mp.expjpi(2 * rng.random()) * 2**s
+            a, b, _ = r.point
+            moved.append((a + int(mp.nint(step.real)), b + int(mp.nint(step.imag))))
         try:
-            disks = closedform._inclusion_disks(den, *closedform._fixed(moved), digits, mp.mp.prec)
+            disks = closedform._inclusion_disks(den, moved, s, digits, mp.mp.prec)
         except ConvergenceError:
             disks = None
     if disks is not None:
         with mp.workdps(2 * digits + 60):
-            for z, (radius, _) in zip(moved, disks):
+            for (a, b), (radius, _) in zip(moved, disks):
+                z = mp.mpc(mp.ldexp(a, -s), mp.ldexp(b, -s))
                 assert sum(abs(xi - z) <= radius for xi in exact) == 1
 
 
@@ -226,17 +232,21 @@ def test_pole_separation_checked_at_the_threshold(monkeypatch, digits, direction
     poles = []
 
     def fake_roots(poly, digits):
-        return tuple(closedform.ComplexRoot(z, mp.mpf(0), mp.mpf(0)) for z in poles)
+        return tuple(closedform.ComplexRoot(pt, mp.mpf(0), mp.mpf(0)) for pt in poles)
 
     monkeypatch.setattr(closedform, "find_roots", fake_roots)
     with mp.workdps(digits + GUARD_DIGITS):
-        sep = mp.mpf(10) ** -(digits - 10)
-        # a far pole lies between the close pair in real part
-        base = mp.mpc(0.5, 0.25)
-        step = mp.mpc(direction) * 2 * sep
-        poles[:] = [base, base + step / 2 + 5j, base + step]
-        with pytest.raises(ConvergenceError, match="n = 0"):
-            partial_fractions(gf, digits)
+        s = mp.mp.prec + closedform.NEWTON_GUARD_BITS
+    # points (a, b, s) for (a + bi) / 2^s; the step is twice the
+    # separation threshold 10^-(digits-10)
+    one = 1 << s
+    step = 2 * one // 10 ** (digits - 10)
+    dx, dy = (step, 0) if direction == 1 else (0, step)
+    # a far pole lies between the close pair in real part
+    a, b = one // 2, one // 4
+    poles[:] = [(a, b, s), (a + dx // 2, b + dy // 2 + 5 * one, s), (a + dx, b + dy, s)]
+    with pytest.raises(ConvergenceError, match="n = 0"):
+        partial_fractions(gf, digits)
 
 
 @pytest.mark.parametrize("digits", [16, 50])
@@ -253,6 +263,28 @@ def test_residual_depends_only_on_its_own_root(digits):
         pts[1] = (a + 1, b)
         after = closedform._inclusion_disks(p, pts, s, digits, prec)
     assert after[0][1] == before[0][1]
+
+
+def _fraction(x):
+    """An mpf as an exact Fraction."""
+    return Fraction(*to_rational(x._mpf_))
+
+
+@pytest.mark.parametrize("digits", [16, 50, 80])
+def test_roots_are_their_points_and_intervals_bracket_their_disks(digits):
+    for k in range(1, 31):
+        den = composition_gf(parse_setspec(f"not:mod:{k}:0")).reduce().den
+        for root in find_roots(den, digits):
+            a, b, s = root.point
+            value = (_fraction(root.value.real), _fraction(root.value.imag))
+            assert value == (Fraction(a, 2**s), Fraction(b, 2**s))
+            # lo <= |value| - r and hi >= |value| + r, compared as squares,
+            # and no wider than the disk plus one unit at scale 2^s
+            lo, hi = closedform._modulus_interval(root)
+            r, norm = _fraction(root.radius), Fraction(a * a + b * b, 4**s)
+            assert lo + r <= 0 or (lo + r) ** 2 <= norm
+            assert hi - r >= 0 and (hi - r) ** 2 >= norm
+            assert hi - lo <= 2 * r + Fraction(1, 2**s)
 
 
 @pytest.mark.parametrize("digits", [16, 50, 80])

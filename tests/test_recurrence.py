@@ -174,3 +174,20 @@ def test_from_dict_rejects_malformed():
         LinearRecurrence.from_dict({"order": 2})
     with pytest.raises(ValueError):
         LinearRecurrence.from_dict({"order": "x", "coeffs": [], "corrections": [], "initial": [1]})
+    # only JSON integers: a float (even an integral one), a bool or a
+    # string is refused, not truncated or coerced
+    good = {"order": 1, "coeffs": [1], "corrections": [[1, 1]], "initial": [1, 2]}
+    assert LinearRecurrence.from_dict(good).initial_terms == (1, 2)
+    for key, value in (
+        ("coeffs", [1.7]),
+        ("coeffs", [2.0]),
+        ("coeffs", [True]),
+        ("coeffs", ["1"]),
+        ("initial", [1, 2.9]),
+        ("initial", [1, float("inf")]),
+        ("order", 1.0),
+        ("corrections", [[1.0, 1]]),
+        ("corrections", [[1, False]]),
+    ):
+        with pytest.raises(ValueError, match="^malformed recurrence dict"):
+            LinearRecurrence.from_dict({**good, key: value})
