@@ -74,7 +74,7 @@ def _unpack_row(value, slots, width):
 
 def length_row(A, n):
     """Row n, c(n, 0..n), off one coefficient of C(x, 2^(8w)); the
-    expander holds only a window of den.degree packed rows.
+    expander holds only a window of at most 2 * den.degree packed rows.
 
     The row streams through polyring.expand, not the halving kernel of
     RationalGF.coefficient: at y = 2^(8w) the denominator coefficients

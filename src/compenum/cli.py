@@ -124,7 +124,9 @@ def cmd_series(args, parser):
 
 
 def cmd_recurrence(args, parser):
-    rec = recurrence_from_gf(genfun.composition_gf(parse_setspec(args.setspec)))
+    A = parse_setspec(args.setspec)
+    # the order from the reduced form, the seed from the sparse stream
+    rec = recurrence_from_gf(genfun.composition_gf(A), genfun.composition_terms(A))
     if args.format == "json":
         print(json.dumps(rec.to_dict()))
     else:

@@ -18,16 +18,44 @@ The slices S(x)^m by convolution live in the oracle module.
 
 from __future__ import annotations
 
-from .polyring import IntPolynomial, RationalGF
+from itertools import islice
+
+from .polyring import IntPolynomial, RationalGF, expand
 
 
 def length_parts(A):
-    """(N, L, H) with C(x, y) = N / (L - y*H).  With S = P + Q/(1 - x^k),
-    clearing denominators gives N = L = 1 - x^k and H = (1 - x^k)P + Q,
-    and P(0) = Q(0) = 0 makes L(0) = 1 and H(0) = 0."""
+    """(N, L, H) with C(x, y) = N / (L - y*H), in the form with the
+    fewest nonzero taps, for polyring.expand to stream.
+
+    With S = P + Q/(1 - x^k), clearing denominators gives N = L = 1 - x^k
+    and H = (1 - x^k)P + Q, and P(0) = Q(0) = 0 makes L(0) = 1 and
+    H(0) = 0.  Q has a term x^r for every residue r in A, so a run of
+    residues r..s makes (1 - x)Q hold just x^r - x^(s+1); the triple times
+    (1 - x) is returned instead when L and H then have fewer nonzero
+    coefficients in all.  That is the form of the paper's lemma: for
+    parts avoiding a + bN it is N = (1 - x)(1 - x^b) over, at y = 1,
+    (1 - 2x)(1 - x^b) + x^a - x^(a+1), chosen for every a once b >= 8,
+    and for no part divisible by k (k >= 6) it turns 1 - x - ... - x^k
+    into 1 - 2x + x^(k+1).  The common factor changes no series and no
+    reduced form.
+    """
+    parts = _cleared(A)
+    # the coefficients of (1 - x) * p, for p = N, L, H
+    stepped = [[a - b for a, b in zip(p.coeffs + (0,), (0,) + p.coeffs)] for p in parts]
+    if _nonzero(stepped[1:]) < _nonzero(p.coeffs for p in parts[1:]):
+        return tuple(map(IntPolynomial, stepped))
+    return parts
+
+
+def _cleared(A):
+    # (N, L, H) = (1 - x^k, 1 - x^k, (1 - x^k)P + Q) for S = P + Q/(1 - x^k)
     P, Q, k = A.series_form()
     cyc = IntPolynomial((1,) + (0,) * (k - 1) + (-1,))  # 1 - x^k
     return cyc, cyc, cyc * P + Q
+
+
+def _nonzero(rows):
+    return sum(sum(map(bool, row)) for row in rows)
 
 
 def composition_bits(A, n):
@@ -46,14 +74,25 @@ def composition_bits(A, n):
 def composition_gf(A):
     """C(x) = 1/(1 - S(x)), the y = 1 view of length_parts, reduced:
     with no common factor left, every denominator root is a genuine
-    pole."""
-    num, low, high = length_parts(A)
+    pole.  The reduction starts from the form without the factor 1 - x:
+    the gcd would only have to find it again."""
+    num, low, high = _cleared(A)
     return RationalGF(num, low - high).reduce()
 
 
+def composition_terms(A):
+    """count(A, 0), count(A, 1), ... without end, streamed by
+    polyring.expand from the sparse form of length_parts at y = 1.  No
+    gcd is taken: a common factor changes no term."""
+    num, low, high = length_parts(A)
+    return expand(num.coeffs, (low - high).coeffs)
+
+
 def composition_series(A, order):
-    """count(A, n) for n = 0..order, in one series expansion."""
-    return composition_gf(A).series(order)
+    """count(A, n) for n = 0..order, off composition_terms."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    return tuple(islice(composition_terms(A), order + 1))
 
 
 def count(A, n):

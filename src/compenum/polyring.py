@@ -20,13 +20,16 @@ each polynomial product into one big integer (Kronecker substitution),
 so int multiplication does the convolution.  The one series expander,
 expand, streams c_0, c_1, ... by the linear recurrence, for series and
 for the packed length rows, whose denominator it keeps split as
-low - 2^shift * high so that multiplying by 2^shift is a shift.
+low - 2^shift * high so that multiplying by 2^shift is a shift.  It
+reads only the nonzero taps, +1 and -1 ones as plain additions, so the
+sparse unreduced forms of genfun.length_parts stream in a few additions
+per term, and it holds a window of at most 2 * size terms, size the
+degree of the denominator.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from fractions import Fraction
 from itertools import chain, islice, repeat
 from operator import mul
@@ -315,25 +318,71 @@ class RationalGF:
 def expand(num, low, high=(), shift=0):
     """c_0, c_1, ... of num / (low - 2^shift * high) without end, for
     coefficient tuples with low[0] = 1 and high[0] = 0, by the recurrence
-    of RationalGF with d = 2^shift * high - low.  The taps stay the small
-    coefficients of low and high, and the high ones cost one shift per
-    term.  Only the last max(deg low, deg high) terms are held in memory.
+    of RationalGF with d = 2^shift * high - low.
+
+    Only the nonzero taps are read, so a sparse denominator such as the
+    1 - 2x + x^(k+1) of genfun.length_parts costs a few big-integer
+    additions per term, not a dot product over the whole window.  Taps of
+    +1 and -1 are plain additions and subtractions, and the others one
+    dot product over their terms; when those fill most of the window,
+    every tap goes into one dot product over the whole window.  The high
+    taps cost one shift per term.  The history is a list with hist[-i] =
+    c_(n-i), trimmed back to the last size = max(deg low, deg high)
+    terms once it holds 2 * size, so it never holds more than 2 * size
+    terms, and none at size 0.
     """
     if not low or low[0] != 1 or (high and high[0]):
         raise ValueError("need low[0] = 1 and high[0] = 0")
     size = max(len(low), len(high)) - 1
-    # the window holds c_{n-size}..c_{n-1}, zeros before the start, lined
-    # up with the taps of x^size..x^1
-    d_low = [0] * (size + 1 - len(low)) + [-c for c in reversed(low[1:])]
-    d_high = [0] * (size + 1 - len(high)) + list(reversed(high[1:]))
+    hist = [0] * size  # the terms before c_0
+    get, push = hist.__getitem__, hist.append
+    low_add, low_sub, low_rest, low_at = _taps([-c for c in low], size)
+    high_add, high_sub, high_rest, high_at = _taps(high, size)
     split = any(high)
-    window = deque([0] * size, maxlen=size)
+    cap = 2 * size
     for c in chain(num, repeat(0)):
-        c += sum(map(mul, d_low, window))
+        # a run of +1 or -1 taps sums onto its first term, not onto a copy;
+        # past the numerator c is 0, and 0 + total would copy total too
+        if low_add:
+            total = sum(map(get, low_add[1]), get(low_add[0]))
+            c = c + total if c else total
+        if low_sub:
+            c -= sum(map(get, low_sub[1]), get(low_sub[0]))
+        if low_rest:
+            c = sum(map(mul, low_rest, map(get, low_at) if low_at else reversed(hist)), c)
         if split:
-            c += sum(map(mul, d_high, window)) << shift
-        window.append(c)
+            h = sum(map(get, high_add[1]), get(high_add[0])) if high_add else 0
+            if high_sub:
+                h -= sum(map(get, high_sub[1]), get(high_sub[0]))
+            if high_rest:
+                h = sum(map(mul, high_rest, map(get, high_at) if high_at else reversed(hist)), h)
+            c += h << shift
+        push(c)
+        if len(hist) >= cap:
+            del hist[: len(hist) - size]  # not hist[:-size], a no-op at size 0
         yield c
+
+
+def _taps(taps, size):
+    # The taps t_i of c_n += sum_{i>=1} t_i c_(n-i), split for expand.
+    # The +1 taps and the -1 taps come as history offsets -i, each set as
+    # (first, others) or None when empty; the other taps as coefficients
+    # and their offsets.  When those fill most of the window, all the taps
+    # t_1, t_2, ... come back as one row to read against the history
+    # newest first, and the offsets as None: one dot product over the
+    # whole window.
+    nonzero = [(-i, t) for i, t in enumerate(taps) if i and t]
+    rest = [(at, t) for at, t in nonzero if t * t != 1]
+    if 2 * len(rest) > size:
+        return None, None, list(taps[1:]), None
+    add = [at for at, t in nonzero if t == 1]
+    sub = [at for at, t in nonzero if t == -1]
+    return (
+        (add[0], add[1:]) if add else None,
+        (sub[0], sub[1:]) if sub else None,
+        [t for _, t in rest],
+        [at for at, _ in rest],
+    )
 
 
 def coefficient_mod(gf, n, m):

@@ -17,6 +17,7 @@ polyring.coefficient_mod for residues at huge n).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .polyring import IntPolynomial, RationalGF, coefficient_mod
 
@@ -135,20 +136,23 @@ class LinearRecurrence:
         return cls(order, coeffs, corrections, initial)
 
 
-def recurrence_from_gf(gf):
+def recurrence_from_gf(gf, terms=None):
     """Recurrence view of a RationalGF.
 
     With den = 1 - sum d_i x^i the coefficients are read off directly;
     corrections are the nonzero numerator coefficients at index >= 1 and
     f(0) = num(0).  The seed is the series through max(order, deg num),
-    so the tail is homogeneous.  A constant denominator yields an order-0
-    recurrence whose terms are just the numerator coefficients.
+    so the tail is homogeneous, read off ``terms`` when given (any
+    stream of gf's series, such as genfun.composition_terms, which
+    skips the dense reduced denominator) and off gf.terms() otherwise.
+    A constant denominator yields an order-0 recurrence whose terms are
+    just the numerator coefficients.
     """
     num, den = gf.num, gf.den
     k = den.degree  # den(0) = 1, so k >= 0 and d_k != 0 when k >= 1
     coeffs = tuple(-den[i] for i in range(1, k + 1))
     corrections = tuple((i, num[i]) for i in range(1, num.degree + 1) if num[i])
-    seed = gf.series(max(k, num.degree, 0))
+    seed = tuple(islice(gf.terms() if terms is None else terms, max(k, num.degree, 0) + 1))
     return LinearRecurrence(k, coeffs, corrections, seed)
 
 

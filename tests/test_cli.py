@@ -10,9 +10,9 @@ import pytest
 from compenum import cli
 from compenum.bivariate import odd_parts_by_length
 from compenum.cli import main
-from compenum.genfun import count
+from compenum.genfun import composition_gf, count
 from compenum.partset import parse_setspec
-from compenum.recurrence import no_multiples_recurrence
+from compenum.recurrence import no_multiples_recurrence, recurrence_from_gf
 
 TABLE_20 = """\
 1,0,1,1
@@ -108,6 +108,15 @@ def test_recurrence_file_with_non_integers_refused(tmp_path, capsys):
         path.write_text(text)
         code, out, err = run_cli(capsys, "nth", "5", "--recurrence-file", str(path))
         assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_recurrence_seeds_from_the_sparse_stream(capsys):
+    # the seed streams from length_parts, not from the reduced denominator,
+    # and prints the same bytes as the seed from that denominator
+    for spec in ("not:mod:3:0", "not:mod:40:0", "not:ap:20:9", "mod:9:2,6,7,8", "set:", "set:4", "ge:3"):
+        code, out, _ = run_cli(capsys, "recurrence", spec)
+        dense = recurrence_from_gf(composition_gf(parse_setspec(spec)))
+        assert code == 0 and out == json.dumps(dense.to_dict()) + "\n"
 
 
 def test_recurrence_plain_format(capsys):

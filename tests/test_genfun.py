@@ -1,9 +1,12 @@
 import random
 import tracemalloc
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from compenum.genfun import composition_bits, composition_gf, composition_series, count
+from compenum import polyring
+from compenum.cli import main
+from compenum.genfun import composition_bits, composition_gf, composition_series, count, length_parts
 from compenum.oracle import dp_count_series, length_slice_series, random_partset
 from compenum.partset import PartSet, parse_setspec
 from compenum.polyring import IntPolynomial, RationalGF
@@ -75,6 +78,62 @@ def test_gf_series_equals_dp(seed):
     rng = random.Random(seed)
     A = random_partset(rng)
     assert composition_series(A, 45) == dp_count_series(A, 45)
+
+
+@given(st.integers(0, 10_000), st.sampled_from((6, 12, 24)), st.integers(0, 120))
+@settings(max_examples=80, deadline=None)
+def test_sparse_stream_matches_the_reduced_gf_and_the_dp(seed, max_modulus, n):
+    A = random_partset(random.Random(seed), max_modulus)
+    series = composition_series(A, n)
+    assert series == composition_gf(A).series(n)
+    assert series == dp_count_series(A, n)
+
+
+def plain_parts(A):
+    P, Q, k = A.series_form()
+    cyc = 1 - IntPolynomial.monomial(k)
+    return cyc, cyc, cyc * P + Q
+
+
+def taps(parts):
+    return sum(c != 0 for p in parts[1:] for c in p.coeffs)
+
+
+@given(st.integers(0, 10_000), st.sampled_from((6, 12, 24)))
+@settings(max_examples=100, deadline=None)
+def test_length_parts_take_the_form_with_fewer_taps(seed, max_modulus):
+    A = random_partset(random.Random(seed), max_modulus)
+    plain = plain_parts(A)
+    stepped = tuple(IntPolynomial((1, -1)) * p for p in plain)
+    got = length_parts(A)
+    assert got in (plain, stepped)
+    assert taps(got) == min(taps(plain), taps(stepped))
+
+
+def test_length_parts_give_the_lemma_form():
+    x = IntPolynomial((0, 1))
+    for k in (6, 10, 5000):
+        num, low, high = length_parts(parse_setspec(f"not:mod:{k}:0"))
+        assert low - high == 1 - 2 * x + IntPolynomial.monomial(k + 1)
+    # parts avoiding a + bN: (1 - x)(1 - x^b) / ((1 - 2x)(1 - x^b) + x^a - x^(a+1))
+    for a, b in ((3, 9), (1, 12), (12, 12), (20, 9)):
+        xa, xb = IntPolynomial.monomial(a), IntPolynomial.monomial(b)
+        num, low, high = length_parts(parse_setspec(f"not:ap:{a}:{b}"))
+        assert num == (1 - x) * (1 - xb)
+        assert low - high == (1 - 2 * x) * (1 - xb) + xa - xa * x
+
+
+def test_series_and_bylength_take_no_gcd(monkeypatch, capsys):
+    def no_gcd(p, q):
+        raise AssertionError("gcd taken")
+
+    monkeypatch.setattr(polyring, "poly_gcd", no_gcd)
+    with pytest.raises(AssertionError):
+        composition_gf(parse_setspec("not:mod:3:0"))  # the patch is live
+    for spec in ("not:mod:3:0", "not:mod:40:0", "mod:20000:1,3,7,100,2001", "set:", "all"):
+        assert main(["series", spec, "--limit", "30"]) == 0
+        assert main(["bylength", spec, "30"]) == 0
+    assert main(["table", "--mod3", "--limit", "10"]) == 0
 
 
 @given(st.integers(0, 10_000), st.integers(0, 300))

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from compenum.genfun import composition_gf, count
 from compenum.partset import parse_setspec
@@ -170,6 +171,64 @@ def test_split_expander_matches_the_joined_denominator(num, low, high, shift):
     split = expand(poly(*num).coeffs, low.coeffs, high.coeffs, shift)
     assert tuple(islice(split, 40)) == joined.series(39)
     assert joined.series(39)[-1] == joined.coefficient(39)
+
+
+def naive_expand(num, low, high, shift, count):
+    # c_n = num_n + sum_{i>=1} (2^shift * high_i - low_i) c_(n-i), every
+    # tap of the whole history multiplied in, zeros included
+    tap = lambda cs, i: cs[i] if i < len(cs) else 0
+    c = []
+    for n in range(count):
+        c.append(tap(num, n) + sum(((tap(high, i) << shift) - tap(low, i)) * c[n - i] for i in range(1, n + 1)))
+    return c
+
+
+# sparse rows of +1/-1 taps, mixed rows, and rows of mostly non-unit taps,
+# which the expander reads as one dot product over the whole window
+tap_rows = st.one_of(
+    st.lists(st.sampled_from((0, 0, 0, 1, -1)), max_size=12),
+    st.lists(st.sampled_from((0, 0, 1, -1, 2, -3)), max_size=12),
+    st.lists(st.sampled_from((2, -3, 5, -1, 0)), max_size=12),
+)
+
+
+@given(coeff_lists, tap_rows, st.one_of(st.just([]), tap_rows), st.integers(0, 64))
+@example([1, 2], [], [], 0)  # size 0: the terms are num's
+@example([1], [-2, 0, 0, 0, 1], [], 0)  # 1 - 2x + x^5
+@example([1], [], [0, 0, 1], 7)  # high longer than low
+@settings(max_examples=300, deadline=None)
+def test_expander_matches_a_dense_convolution(num, low, high, shift):
+    low, high = (1, *low), ((0, *high) if high else ())
+    want = naive_expand(num, low, high, shift, 50)
+    assert list(islice(expand(num, low, high, shift), 50)) == want
+
+
+@pytest.mark.parametrize(
+    "num, low, high, shift",
+    [
+        ((1, 2), (1,), (), 0),  # size 0: RationalGF(1 + 2x, 1)
+        ((1,), (1,) + (0,) * 49 + (-1,), (), 0),  # 1 / (1 - x^50): sparse
+        ((1,), (1, 2, 2, 1), (), 0),  # 1 / ((1 + x)(1 + x + x^2)): one dense row
+        ((1,), (1,), (0, 0, -1), 0),  # split, high only
+    ],
+)
+def test_expander_holds_a_window_not_the_history(num, low, high, shift):
+    # every term is a small cached int, so only the history takes memory:
+    # 5 * 10^4 terms would take 400 kB of list if it were all kept
+    terms = expand(num, low, high, shift)
+    tracemalloc.start()
+    try:
+        for _ in islice(terms, 50_000):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+def test_constant_denominator_streams_its_numerator():
+    terms = RationalGF(IntPolynomial((1, 2)), 1).terms()
+    assert list(islice(terms, 5)) == [1, 2, 0, 0, 0]
 
 
 def test_split_expander_rejects_a_bad_constant_term():
