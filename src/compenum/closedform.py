@@ -397,10 +397,9 @@ def _residue(num, dprime, a, b, s, prec):
 
 
 def partial_fractions(gf, digits=50):
-    """Simple-pole expansion of a RationalGF at the given precision.
-
-    Reduces the fraction first (a shared factor would show up as a
-    spurious pole with zero residue, or worse as a repeated root), takes
+    """Simple-pole expansion of a reduced RationalGF, as
+    genfun.composition_gf returns it, at the given precision: a shared
+    factor would show up as a spurious pole or a repeated root.  Takes
     the certified, separated poles from find_roots, then checks that the
     residues reproduce the n = 0 coefficient.  Between the roots and the
     returned mpc residues everything runs on each pole's exact point
@@ -409,8 +408,7 @@ def partial_fractions(gf, digits=50):
     working precision and one exact division.
     """
     _check_digits(digits)
-    g = gf.reduce()
-    num, den = g.num, g.den
+    num, den = gf.num, gf.den
     if den.degree < 1:
         # den is the constant 1: the series is the numerator itself
         return PartialFraction(

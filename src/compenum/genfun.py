@@ -18,7 +18,7 @@ The slices S(x)^m by convolution live in the oracle module.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import accumulate, islice
 
 from .polyring import IntPolynomial, RationalGF, expand
 
@@ -40,8 +40,7 @@ def length_parts(A):
     reduced form.
     """
     parts = _cleared(A)
-    # the coefficients of (1 - x) * p, for p = N, L, H
-    stepped = [[a - b for a, b in zip(p.coeffs + (0,), (0,) + p.coeffs)] for p in parts]
+    stepped = [_step([*p.coeffs, 0], 1) for p in parts]
     if _nonzero(stepped[1:]) < _nonzero(p.coeffs for p in parts[1:]):
         return tuple(map(IntPolynomial, stepped))
     return parts
@@ -56,6 +55,21 @@ def _cleared(A):
 
 def _nonzero(rows):
     return sum(sum(map(bool, row)) for row in rows)
+
+
+def _step(p, e):
+    # the coefficients of (1 - x^e) * p mod x^len(p) - 1, which is the
+    # product itself when p ends in e zeros
+    return [a - b for a, b in zip(p, p[-e:] + p[:-e])]
+
+
+def _unstep(p, e):
+    # the coefficients of p / (1 - x^e) for a multiple p of 1 - x^e: a
+    # running sum along each residue class mod e, whose top e terms are 0
+    q = list(p)
+    for j in range(min(e, len(q) - e)):
+        q[j::e] = accumulate(q[j::e])
+    return q[: len(q) - e]
 
 
 def composition_bits(A, n):
@@ -74,10 +88,34 @@ def composition_bits(A, n):
 def composition_gf(A):
     """C(x) = 1/(1 - S(x)), the y = 1 view of length_parts, reduced:
     with no common factor left, every denominator root is a genuine
-    pole.  The reduction starts from the form without the factor 1 - x:
-    the gcd would only have to find it again."""
+    pole.  As 1 - x^k = -prod_{d|k} Phi_d, the gcd is the product of the
+    cyclotomic Phi_d that divide the denominator D: a sieve, not a
+    Euclid.  Phi_d | D when (D mod x^d - 1) * prod_{p|d prime}
+    (1 - x^(d/p)) = 0 mod x^d - 1, as that product vanishes at every
+    d-th root of unity but the primitive ones.  Dividing by Phi_d =
+    prod_{e|d} (1 - x^e)^mu(d/e) keeps D(0) = 1."""
     num, low, high = _cleared(A)
-    return RationalGF(num, low - high).reduce()
+    num, den = list(num.coeffs), list((low - high).coeffs)
+    k = len(num) - 1
+    divisors = [d for d in range(1, k + 1) if k % d == 0]
+    primes = [p for p in divisors[1:] if all(p % q for q in divisors[1:] if q < p)]
+    power = {}  # the gcd is prod_e (1 - x^e)^power[e], up to sign
+    for d in divisors:
+        ps = [p for p in primes if d % p == 0]
+        fold = [sum(den[j::d]) for j in range(d)]
+        for p in ps:
+            fold = _step(fold, d // p)
+        if not any(fold):
+            factors = [(d, 1)]  # (e, mu(d/e)) for the squarefree d/e
+            for p in ps:
+                factors += [(e // p, -m) for e, m in factors]
+            for e, m in factors:
+                power[e] = power.get(e, 0) + m
+    # multiply first, so that every division by 1 - x^e is exact
+    for e, m in sorted(power.items(), key=lambda em: em[1]):
+        for _ in range(abs(m)):
+            num, den = (_unstep(p, e) if m > 0 else _step(p + [0] * e, e) for p in (num, den))
+    return RationalGF(IntPolynomial(num), IntPolynomial(den))
 
 
 def composition_terms(A):

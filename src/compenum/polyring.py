@@ -7,12 +7,9 @@ is the shape every composition generating function takes and guarantees
 the power series expansion is well defined.
 
 One integer long division serves every quotient and remainder:
-_pseudo_divmod finds lc(d)^k * p = q*d + r, scaling by the leading
-coefficient of d only at steps where it does not divide, so k = 0 exactly
-when the quotient is integral.  poly_gcd runs the primitive-part
-Euclidean algorithm on its remainders, exact_div accepts only k = 0 and
-r = 0 (by Gauss's lemma the cancellations in RationalGF.reduce are such
-divisions), and divmod_fractions divides q and r by lc(d)^k.
+_pseudo_divmod finds lc(d)^k * p = q*d + r, for the primitive-part
+Euclid of poly_gcd and for divmod_fractions, which divides q and r by
+lc(d)^k.
 
 A single coefficient c_n, exact (RationalGF.coefficient) or mod m
 (coefficient_mod), comes from one Bostan-Mori halving kernel that packs
@@ -158,16 +155,11 @@ class IntPolynomial:
 ONE = IntPolynomial((1,))
 
 
-def content(p):
-    """GCD of the coefficients (0 for the zero polynomial)."""
-    return math.gcd(*p.coeffs) if p else 0
-
-
 def primitive_part(p):
     """p divided by its content, sign-fixed to a positive leading coefficient."""
     if not p:
         return p
-    c = content(p)
+    c = math.gcd(*p.coeffs)
     if p.coeffs[-1] < 0:
         c = -c
     return IntPolynomial(a // c for a in p.coeffs)
@@ -211,14 +203,6 @@ def poly_gcd(p, q):
     return a
 
 
-def exact_div(p, d):
-    """Quotient p/d when the division is exact over Z; ValueError otherwise."""
-    q, r, k = _pseudo_divmod(p, d)
-    if k or r:
-        raise ValueError("not an exact polynomial multiple")
-    return q
-
-
 def divmod_fractions(p, d):
     """(quotient, remainder) of p/d over the rationals.
 
@@ -240,9 +224,9 @@ class RationalGF:
 
         c_n = num_n + sum_{i>=1} d_i c_{n-i}.
 
-    ``reduce`` is not applied automatically; construction stays literal
-    to whatever form the caller built (callers that need coprimality,
-    like the closed-form machinery, reduce explicitly).
+    Construction stays literal to whatever form the caller built, and
+    equality is as rational functions, by cross multiplication, so a
+    RationalGF is not hashable.
     """
 
     __slots__ = ("num", "den")
@@ -256,23 +240,6 @@ class RationalGF:
             raise ValueError("denominator constant term must be exactly 1")
         self.num = num
         self.den = den
-
-    def reduce(self):
-        """Cancel the polynomial GCD; the series expansion is unchanged.
-
-        den(0) = 1 forces the denominator to be primitive, so by Gauss's
-        lemma both cancellation divisions are exact over the integers.
-        The cofactor constant terms multiply to 1, hence are both +1 or
-        both -1; the latter case is renormalized by negating both parts.
-        """
-        g = poly_gcd(self.num, self.den)
-        if g.degree < 1:
-            return self
-        num = exact_div(self.num, g)
-        den = exact_div(self.den, g)
-        if den[0] == -1:
-            num, den = -num, -den
-        return RationalGF(num, den)
 
     def terms(self):
         """c_0, c_1, ... without end, by the recurrence above: the
@@ -303,10 +270,6 @@ class RationalGF:
             return NotImplemented
         # equality as rational functions, not as representations
         return self.num * other.den == other.num * self.den
-
-    def __hash__(self):
-        g = self.reduce()
-        return hash((g.num.coeffs, g.den.coeffs))
 
     def __repr__(self):
         return f"RationalGF({self.num!r}, {self.den!r})"

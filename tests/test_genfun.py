@@ -4,12 +4,12 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from compenum import polyring
+from compenum import closedform, polyring
 from compenum.cli import main
 from compenum.genfun import composition_bits, composition_gf, composition_series, count, length_parts
 from compenum.oracle import dp_count_series, length_slice_series, random_partset
 from compenum.partset import PartSet, parse_setspec
-from compenum.polyring import IntPolynomial, RationalGF
+from compenum.polyring import IntPolynomial, RationalGF, poly_gcd
 
 
 def test_gf_display_frozen():
@@ -123,16 +123,49 @@ def test_length_parts_give_the_lemma_form():
         assert low - high == (1 - 2 * x) * (1 - xb) + xa - xa * x
 
 
+@given(st.integers(0, 10_000), st.sampled_from((6, 12, 24)))
+@settings(max_examples=300, deadline=None)
+def test_sieve_cancels_the_euclid_gcd(seed, max_modulus):
+    A = random_partset(random.Random(seed), max_modulus)
+    num, low, high = plain_parts(A)
+    den = low - high
+    g = poly_gcd(num, den)
+    gf = composition_gf(A)
+    assert gf.den * g in (den, -den)
+    assert gf.num * g in (num, -num)
+    assert poly_gcd(gf.num, gf.den).degree == 0
+    assert gf.series(60) == RationalGF(num, den).series(60)
+    assert gf.den[0] == 1
+
+
+@pytest.mark.parametrize(
+    "spec, want",
+    [
+        ("mod:4:1,3", "(1 - x^2) / (1 - x - x^2)"),
+        ("mod:6:1,3,5", "(1 - x^2) / (1 - x - x^2)"),
+        ("mod:12:0,4,8", "(1 - x^4) / (1 - 2*x^4)"),
+    ],
+)
+def test_sieve_cancellations_pinned(spec, want):
+    assert str(composition_gf(parse_setspec(spec))) == want
+
+
 def test_series_and_bylength_take_no_gcd(monkeypatch, capsys):
     def no_gcd(p, q):
         raise AssertionError("gcd taken")
 
     monkeypatch.setattr(polyring, "poly_gcd", no_gcd)
+    monkeypatch.setattr(closedform, "poly_gcd", no_gcd)
     with pytest.raises(AssertionError):
-        composition_gf(parse_setspec("not:mod:3:0"))  # the patch is live
+        main(["closed-form", "not:mod:3:0"])  # the patch is live: find_roots' squarefree test
     for spec in ("not:mod:3:0", "not:mod:40:0", "mod:20000:1,3,7,100,2001", "set:", "all"):
         assert main(["series", spec, "--limit", "30"]) == 0
         assert main(["bylength", spec, "30"]) == 0
+        assert main(["count", spec, "30"]) == 0
+        assert main(["nth", spec, "30"]) == 0
+        assert main(["nth", spec, "1000", "--mod", "7"]) == 0
+    for spec in ("not:mod:3:0", "not:mod:40:0", "mod:12:0,4,8", "set:", "all"):
+        assert main(["recurrence", spec]) == 0
     assert main(["table", "--mod3", "--limit", "10"]) == 0
 
 
