@@ -20,47 +20,18 @@ from __future__ import annotations
 
 from itertools import accumulate, islice
 
-from .polyring import IntPolynomial, RationalGF, expand
+from .polyring import IntPolynomial, RationalGF, _step, expand
 
 
 def length_parts(A):
-    """(N, L, H) with C(x, y) = N / (L - y*H), in the form with the
-    fewest nonzero taps, for polyring.expand to stream.
-
-    With S = P + Q/(1 - x^k), clearing denominators gives N = L = 1 - x^k
-    and H = (1 - x^k)P + Q, and P(0) = Q(0) = 0 makes L(0) = 1 and
-    H(0) = 0.  Q has a term x^r for every residue r in A, so a run of
-    residues r..s makes (1 - x)Q hold just x^r - x^(s+1); the triple times
-    (1 - x) is returned instead when L and H then have fewer nonzero
-    coefficients in all.  That is the form of the paper's lemma: for
-    parts avoiding a + bN it is N = (1 - x)(1 - x^b) over, at y = 1,
-    (1 - 2x)(1 - x^b) + x^a - x^(a+1), chosen for every a once b >= 8,
-    and for no part divisible by k (k >= 6) it turns 1 - x - ... - x^k
-    into 1 - 2x + x^(k+1).  The common factor changes no series and no
-    reduced form.
-    """
-    parts = _cleared(A)
-    stepped = [_step([*p.coeffs, 0], 1) for p in parts]
-    if _nonzero(stepped[1:]) < _nonzero(p.coeffs for p in parts[1:]):
-        return tuple(map(IntPolynomial, stepped))
-    return parts
-
-
-def _cleared(A):
-    # (N, L, H) = (1 - x^k, 1 - x^k, (1 - x^k)P + Q) for S = P + Q/(1 - x^k)
+    """(N, L, H) with C(x, y) = N / (L - y*H), cleared of the series
+    form: with S = P + Q/(1 - x^k) it is N = L = 1 - x^k and H = (1 -
+    x^k)P + Q, and P(0) = Q(0) = 0 makes L(0) = 1 and H(0) = 0.
+    polyring.expand streams it, times 1 - x where that is sparser, and
+    composition_gf reduces it at y = 1."""
     P, Q, k = A.series_form()
     cyc = IntPolynomial((1,) + (0,) * (k - 1) + (-1,))  # 1 - x^k
     return cyc, cyc, cyc * P + Q
-
-
-def _nonzero(rows):
-    return sum(sum(map(bool, row)) for row in rows)
-
-
-def _step(p, e):
-    # the coefficients of (1 - x^e) * p mod x^len(p) - 1, which is the
-    # product itself when p ends in e zeros
-    return [a - b for a, b in zip(p, p[-e:] + p[:-e])]
 
 
 def _unstep(p, e):
@@ -94,7 +65,7 @@ def composition_gf(A):
     (1 - x^(d/p)) = 0 mod x^d - 1, as that product vanishes at every
     d-th root of unity but the primitive ones.  Dividing by Phi_d =
     prod_{e|d} (1 - x^e)^mu(d/e) keeps D(0) = 1."""
-    num, low, high = _cleared(A)
+    num, low, high = length_parts(A)
     num, den = list(num.coeffs), list((low - high).coeffs)
     k = len(num) - 1
     divisors = [d for d in range(1, k + 1) if k % d == 0]
@@ -120,8 +91,9 @@ def composition_gf(A):
 
 def composition_terms(A):
     """count(A, 0), count(A, 1), ... without end, streamed by
-    polyring.expand from the sparse form of length_parts at y = 1.  No
-    gcd is taken: a common factor changes no term."""
+    polyring.expand from length_parts at y = 1, or from (1 - x) times
+    it where that is sparser.  No gcd is taken: a common factor changes
+    no term."""
     num, low, high = length_parts(A)
     return expand(num.coeffs, (low - high).coeffs)
 

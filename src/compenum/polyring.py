@@ -18,9 +18,9 @@ so int multiplication does the convolution.  The one series expander,
 expand, streams c_0, c_1, ... by the linear recurrence, for series and
 for the packed length rows, whose denominator it keeps split as
 low - 2^shift * high so that multiplying by 2^shift is a shift.  It
-reads only the nonzero taps, +1 and -1 ones as plain additions, so the
-sparse unreduced forms of genfun.length_parts stream in a few additions
-per term, and it holds a window of at most 2 * size terms, size the
+reads only the nonzero taps, +1 and -1 ones as plain additions, of the
+sparser of its rows and (1 - x) times them, the step of the paper's
+lemma, and it holds a window of at most 2 * size terms, size the
 degree of the denominator.
 """
 
@@ -242,8 +242,8 @@ class RationalGF:
         self.den = den
 
     def terms(self):
-        """c_0, c_1, ... without end, by the recurrence above: the
-        high = () case of expand."""
+        """c_0, c_1, ... without end, by the recurrence above or (1 - x)
+        times it: the high = () case of expand."""
         return expand(self.num.coeffs, self.den.coeffs)
 
     def series(self, order):
@@ -283,8 +283,11 @@ def expand(num, low, high=(), shift=0):
     coefficient tuples with low[0] = 1 and high[0] = 0, by the recurrence
     of RationalGF with d = 2^shift * high - low.
 
-    Only the nonzero taps are read, so a sparse denominator such as the
-    1 - 2x + x^(k+1) of genfun.length_parts costs a few big-integer
+    The rows are first multiplied by 1 - x when low[1:] and high then
+    have fewer nonzero taps (_sparser), the step of the paper's lemma
+    (1 - x)(1 - x^b) / ((1 - 2x)(1 - x^b) + x^a - x^(a+1)) for parts
+    avoiding a + bN: 1 - x - ... - x^k becomes 1 - 2x + x^(k+1).  Only
+    the nonzero taps are read, so such a row costs a few big-integer
     additions per term, not a dot product over the whole window.  Taps of
     +1 and -1 are plain additions and subtractions, and the others one
     dot product over their terms; when those fill most of the window,
@@ -296,6 +299,7 @@ def expand(num, low, high=(), shift=0):
     """
     if not low or low[0] != 1 or (high and high[0]):
         raise ValueError("need low[0] = 1 and high[0] = 0")
+    num, low, high = _sparser(num, low, high)
     size = max(len(low), len(high)) - 1
     hist = [0] * size  # the terms before c_0
     get, push = hist.__getitem__, hist.append
@@ -324,6 +328,19 @@ def expand(num, low, high=(), shift=0):
         if len(hist) >= cap:
             del hist[: len(hist) - size]  # not hist[:-size], a no-op at size 0
         yield c
+
+
+def _step(p, e):
+    # the coefficients of (1 - x^e) * p mod x^len(p) - 1, which is the
+    # product itself when p ends in e zeros
+    return [a - b for a, b in zip(p, p[-e:] + p[:-e])]
+
+
+def _sparser(num, low, high):
+    # the rows, or all three times 1 - x if low[1:] and high then have fewer taps
+    stepped = [_step([*p, 0], 1) for p in (num, low, high)]
+    taps = lambda low, high: sum(map(bool, low[1:])) + sum(map(bool, high))
+    return stepped if taps(*stepped[1:]) < taps(low, high) else (num, low, high)
 
 
 def _taps(taps, size):

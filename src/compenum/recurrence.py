@@ -17,7 +17,7 @@ polyring.coefficient_mod for residues at huge n).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
 
 from .polyring import IntPolynomial, RationalGF, coefficient_mod
 
@@ -71,11 +71,14 @@ class LinearRecurrence:
         N comes from the seed, not the corrections, because the family
         constructors fold their boundary terms into their seeds.  The
         seed covers the order, so the series repeats the seed and then
-        follows the homogeneous recurrence.
+        follows the homogeneous recurrence.  N is the running sum of
+        ((1 - x) D) * seed, the product skipping the zero taps on its
+        left: at most twice D's, and 2 for a run of equal ones.
         """
         den = IntPolynomial((1,) + tuple(-d for d in self.coeffs))
         seed = self.initial_terms
-        return RationalGF(IntPolynomial((den * IntPolynomial(seed)).coeffs[: len(seed)]), den)
+        stepped = IntPolynomial((1, -1)) * den * IntPolynomial(seed)
+        return RationalGF(IntPolynomial(accumulate(stepped.coeffs[: len(seed)])), den)
 
     def terms(self, n):
         """f(0)..f(n) as exact integers (tuple of length n+1)."""
@@ -143,8 +146,11 @@ def recurrence_from_gf(gf, terms=None):
     corrections are the nonzero numerator coefficients at index >= 1 and
     f(0) = num(0).  The seed is the series through max(order, deg num),
     so the tail is homogeneous, read off ``terms`` when given (any
-    stream of gf's series, such as genfun.composition_terms, which
-    skips the dense reduced denominator) and off gf.terms() otherwise.
+    stream of gf's series, such as genfun.composition_terms) and off
+    gf.terms() otherwise.  A reduced denominator whose gcd held 1 + x
+    alternates its signs, and stays dense after a step by 1 - x where
+    the stream is sparse: 1357 taps against 10 for the order-1715
+    mod:840:588,718,809+157,698,877.
     A constant denominator yields an order-0 recurrence whose terms are
     just the numerator coefficients.
     """

@@ -112,8 +112,10 @@ def test_recurrence_file_with_non_integers_refused(tmp_path, capsys):
 
 def test_recurrence_seeds_from_the_sparse_stream(capsys):
     # the seed streams from length_parts, not from the reduced denominator,
-    # and prints the same bytes as the seed from that denominator
-    for spec in ("not:mod:3:0", "not:mod:40:0", "not:ap:20:9", "mod:9:2,6,7,8", "set:", "set:4", "ge:3"):
+    # and prints the same bytes as the seed from that denominator; the
+    # last set's reduced row has 1357 taps, the stream's 10
+    sparse = "mod:840:588,718,809+157,698,877"
+    for spec in ("not:mod:3:0", "not:mod:40:0", "not:ap:20:9", "mod:9:2,6,7,8", "set:", "set:4", "ge:3", sparse):
         code, out, _ = run_cli(capsys, "recurrence", spec)
         dense = recurrence_from_gf(composition_gf(parse_setspec(spec)))
         assert code == 0 and out == json.dumps(dense.to_dict()) + "\n"

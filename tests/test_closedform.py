@@ -344,6 +344,14 @@ def test_real_parts_below_eps_snap_to_zero(monkeypatch, digits):
         assert [(r.value.real, r.value.imag) for r in roots] == [(kept, -1), (kept, 1)]
 
 
+def test_real_parts_snap_to_zero_on_a_real_input():
+    # at 50 digits Newton puts the purely imaginary pair of
+    # mod:4:0,1,3-1,7,8 one unit off the axis: a = 1 at scale 2^s
+    den = composition_gf(parse_setspec("mod:4:0,1,3-1,7,8")).den
+    imaginary = [r for r in find_roots(den, 50) if not r.value.real]
+    assert len(imaginary) == 2 and abs(imaginary[0].value.imag) > 0.86
+
+
 def test_duplicated_root_above_the_axis_overlaps(monkeypatch):
     # (1 + x^2)(4 + x^2) has the roots +-i and +-2i; i twice above the
     # axis passes the count, and its exact conjugates repeat too

@@ -95,39 +95,12 @@ def plain_parts(A):
     return cyc, cyc, cyc * P + Q
 
 
-def taps(parts):
-    return sum(c != 0 for p in parts[1:] for c in p.coeffs)
-
-
-@given(st.integers(0, 10_000), st.sampled_from((6, 12, 24)))
-@settings(max_examples=100, deadline=None)
-def test_length_parts_take_the_form_with_fewer_taps(seed, max_modulus):
-    A = random_partset(random.Random(seed), max_modulus)
-    plain = plain_parts(A)
-    stepped = tuple(IntPolynomial((1, -1)) * p for p in plain)
-    got = length_parts(A)
-    assert got in (plain, stepped)
-    assert taps(got) == min(taps(plain), taps(stepped))
-
-
-def test_length_parts_give_the_lemma_form():
-    x = IntPolynomial((0, 1))
-    for k in (6, 10, 5000):
-        num, low, high = length_parts(parse_setspec(f"not:mod:{k}:0"))
-        assert low - high == 1 - 2 * x + IntPolynomial.monomial(k + 1)
-    # parts avoiding a + bN: (1 - x)(1 - x^b) / ((1 - 2x)(1 - x^b) + x^a - x^(a+1))
-    for a, b in ((3, 9), (1, 12), (12, 12), (20, 9)):
-        xa, xb = IntPolynomial.monomial(a), IntPolynomial.monomial(b)
-        num, low, high = length_parts(parse_setspec(f"not:ap:{a}:{b}"))
-        assert num == (1 - x) * (1 - xb)
-        assert low - high == (1 - 2 * x) * (1 - xb) + xa - xa * x
-
-
 @given(st.integers(0, 10_000), st.sampled_from((6, 12, 24)))
 @settings(max_examples=300, deadline=None)
 def test_sieve_cancels_the_euclid_gcd(seed, max_modulus):
     A = random_partset(random.Random(seed), max_modulus)
     num, low, high = plain_parts(A)
+    assert length_parts(A) == (num, low, high)
     den = low - high
     g = poly_gcd(num, den)
     gf = composition_gf(A)

@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 from itertools import islice
@@ -6,7 +7,8 @@ from itertools import islice
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from compenum.genfun import composition_gf, count
+from compenum.genfun import composition_gf, count, length_parts
+from compenum.oracle import random_partset
 from compenum.partset import parse_setspec
 from compenum.polyring import (
     ONE,
@@ -14,6 +16,7 @@ from compenum.polyring import (
     RationalGF,
     coefficient_mod,
     _pseudo_divmod,
+    _sparser,
     divmod_fractions,
     expand,
     poly_gcd,
@@ -181,11 +184,64 @@ tap_rows = st.one_of(
 @example([1, 2], [], [], 0)  # size 0: the terms are num's
 @example([1], [-2, 0, 0, 0, 1], [], 0)  # 1 - 2x + x^5
 @example([1], [], [0, 0, 1], 7)  # high longer than low
+# streamed times 1 - x: 1 - x - x^2 - x^3 - x^4 as 1 - 2x + x^5, and the
+# split rows 1 - x^6 and x + ... + x^5 of no part divisible by 6
+@example([1, 0, 0, 0, -1], [-1, -1, -1, -1], [], 0)
+@example([1, 0, 0, 0, 0, 0, -1], [0, 0, 0, 0, 0, -1], [1, 1, 1, 1, 1], 8)
+@example([3, -1, 2], [0, 0, 0, 0, 0, -1], [1, 1, 1, 1, 1], 1)
 @settings(max_examples=300, deadline=None)
 def test_expander_matches_a_dense_convolution(num, low, high, shift):
     low, high = (1, *low), ((0, *high) if high else ())
     want = naive_expand(num, low, high, shift, 50)
     assert list(islice(expand(num, low, high, shift), 50)) == want
+
+
+def taps(rows):
+    num, low, high = rows
+    return sum(map(bool, low[1:])) + sum(map(bool, high))
+
+
+@given(st.integers(0, 10_000), st.sampled_from((6, 12, 24)))
+@settings(max_examples=100, deadline=None)
+def test_sparser_takes_the_form_with_fewer_taps(seed, max_modulus):
+    # the split rows of bylength and the joined ones of series
+    num, low, high = length_parts(random_partset(random.Random(seed), max_modulus))
+    for rows in ((num, low, high), (num, low - high, IntPolynomial())):
+        plain = tuple(p.coeffs for p in rows)
+        stepped = tuple((poly(1, -1) * p).coeffs for p in rows)
+        got = tuple(IntPolynomial(r).coeffs for r in _sparser(*plain))
+        assert got in (plain, stepped)
+        assert taps(got) == min(taps(plain), taps(stepped))
+
+
+def test_sparser_gives_the_lemma_form():
+    x = poly(0, 1)
+
+    def joined(spec):
+        num, low, high = length_parts(parse_setspec(spec))
+        return tuple(map(IntPolynomial, _sparser(num.coeffs, (low - high).coeffs, ())))
+
+    # no part divisible by k: 1 - x - ... - x^k, then 1 - 2x + x^(k+1) from k = 3
+    assert joined("not:mod:2:0")[1] == 1 - x - x * x
+    for k in (3, 4, 5, 6, 10, 5000):
+        assert joined(f"not:mod:{k}:0")[1] == 1 - 2 * x + IntPolynomial.monomial(k + 1)
+    # parts 1 mod 3: 1 - x - x^3 has fewer taps than (1 - x) times it
+    x3 = IntPolynomial.monomial(3)
+    assert joined("mod:3:1") == (1 - x3, 1 - x - x3, IntPolynomial())
+    plain = tuple(p.coeffs for p in length_parts(parse_setspec("mod:3:1")))
+    assert _sparser(*plain) == plain
+    # parts avoiding a + bN: (1 - x)(1 - x^b) / ((1 - 2x)(1 - x^b) + x^a - x^(a+1)),
+    # at y = 1 from b = 7, and in bylength's split rows from b = 8
+    for a, b in ((5, 7), (3, 9), (1, 12), (12, 12), (20, 9)):
+        xa, xb = IntPolynomial.monomial(a), IntPolynomial.monomial(b)
+        lemma = ((1 - x) * (1 - xb), (1 - 2 * x) * (1 - xb) + xa - xa * x)
+        assert joined(f"not:ap:{a}:{b}")[:2] == lemma
+        if b >= 8:
+            plain = [p.coeffs for p in length_parts(parse_setspec(f"not:ap:{a}:{b}"))]
+            num, low, high = map(IntPolynomial, _sparser(*plain))
+            assert (num, low - high) == lemma
+            want = naive_expand(*plain, 8, 60)
+            assert list(islice(expand(*plain, 8), 60)) == want
 
 
 @pytest.mark.parametrize(

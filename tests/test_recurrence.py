@@ -1,11 +1,12 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from compenum.genfun import composition_gf
 from compenum.oracle import dp_count_series, random_partset
 from compenum.partset import parse_setspec
+from compenum.polyring import IntPolynomial
 from compenum.recurrence import (
     LinearRecurrence,
     avoid_residue_recurrence,
@@ -157,6 +158,31 @@ def test_nth_mod_agrees_with_terms_random(seed, p):
     rec = recurrence_from_gf(composition_gf(A))
     n = rng.randrange(0, 600)
     assert rec.nth_mod(n, p) == rec.terms(n)[-1] % p
+
+
+@st.composite
+def coeffs_and_seeds(draw):
+    # d_1, ..., d_k with d_k != 0: order 0, sparse rows, where (1 - x) D
+    # has twice D's taps, and dense rows; then a seed covering the order
+    coeffs = draw(
+        st.one_of(
+            st.just(()),
+            st.lists(st.sampled_from((0, 0, 0, 0, 3, -2)), max_size=12),
+            st.lists(st.integers(-9, 9), max_size=12),
+        ).map(lambda cs: IntPolynomial(cs).coeffs)
+    )
+    k = len(coeffs)
+    return coeffs, tuple(draw(st.lists(st.integers(-(10**30), 10**30), min_size=k + 1, max_size=k + 6)))
+
+
+@given(coeffs_and_seeds())
+@example(((1,) * 6, no_multiples_recurrence(6).initial_terms))  # (1 - x) D = 1 - 2x + x^7
+@settings(max_examples=200, deadline=None)
+def test_to_gf_numerator_is_the_truncated_product(case):
+    coeffs, seed = case
+    gf = LinearRecurrence(len(coeffs), coeffs, (), seed).to_gf()
+    assert gf.den == IntPolynomial((1,) + tuple(-d for d in coeffs))
+    assert gf.num == IntPolynomial((gf.den * IntPolynomial(seed)).coeffs[: len(seed)])
 
 
 def test_json_round_trip():
