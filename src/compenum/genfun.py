@@ -19,6 +19,7 @@ The slices S(x)^m by convolution live in the oracle module.
 from __future__ import annotations
 
 from itertools import accumulate, islice
+from operator import add
 
 from .polyring import IntPolynomial, RationalGF, _step, expand
 
@@ -43,6 +44,30 @@ def _unstep(p, e):
     return q[: len(q) - e]
 
 
+def _fold(p, d):
+    # p mod x^d - 1 for len(p) a multiple of d: its length-d chunks added
+    out = p[:d]
+    for at in range(d, len(p), d):
+        out = list(map(add, out, p[at : at + d]))
+    return out
+
+
+def _folds(den, k, primes):
+    # (d, den mod x^d - 1) for every d | k, primes those of k: d comes from
+    # the fold of d*p, p the smallest prime of k/d, so all folds cost about
+    # sigma(k) additions, and only the folds of one chain k, k/p, ... are
+    # alive at a time
+    primes = sorted(primes, reverse=True)
+
+    def walk(d, fold, i):
+        yield d, fold
+        for j in range(i, len(primes)):
+            if d % primes[j] == 0:
+                yield from walk(d // primes[j], _fold(fold, d // primes[j]), j)
+
+    return walk(k, _fold(den + [0] * (-len(den) % k), k), 0)
+
+
 def composition_bits(A, n):
     """An upper bound on the bit length of c(n), nondecreasing in n.
 
@@ -63,7 +88,8 @@ def composition_gf(A):
     cyclotomic Phi_d that divide the denominator D: a sieve, not a
     Euclid.  Phi_d | D when (D mod x^d - 1) * prod_{p|d prime}
     (1 - x^(d/p)) = 0 mod x^d - 1, as that product vanishes at every
-    d-th root of unity but the primitive ones.  Dividing by Phi_d =
+    d-th root of unity but the primitive ones; each fold adds up the
+    chunks of the fold for a multiple of d (_folds).  Dividing by Phi_d =
     prod_{e|d} (1 - x^e)^mu(d/e) keeps D(0) = 1."""
     num, low, high = length_parts(A)
     num, den = list(num.coeffs), list((low - high).coeffs)
@@ -71,9 +97,8 @@ def composition_gf(A):
     divisors = [d for d in range(1, k + 1) if k % d == 0]
     primes = [p for p in divisors[1:] if all(p % q for q in divisors[1:] if q < p)]
     power = {}  # the gcd is prod_e (1 - x^e)^power[e], up to sign
-    for d in divisors:
+    for d, fold in _folds(den, k, primes):
         ps = [p for p in primes if d % p == 0]
-        fold = [sum(den[j::d]) for j in range(d)]
         for p in ps:
             fold = _step(fold, d // p)
         if not any(fold):

@@ -14,7 +14,10 @@ lc(d)^k.
 A single coefficient c_n, exact (RationalGF.coefficient) or mod m
 (coefficient_mod), comes from one Bostan-Mori halving kernel that packs
 each polynomial product into one big integer (Kronecker substitution),
-so int multiplication does the convolution.  The one series expander,
+so int multiplication does the convolution.  Over Z the slots widen
+every step, and each product is packed from and unpacked to signed
+lists; mod m the residues are packed once and stay packed, every slot
+reduced at once by whole-integer operations.  The one series expander,
 expand, streams c_0, c_1, ... by the linear recurrence, for series and
 for the packed length rows, whose denominator it keeps split as
 low - 2^shift * high so that multiplying by 2^shift is a shift.  It
@@ -29,7 +32,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import chain, islice, repeat
-from operator import mul
+from operator import mul, sub
 
 
 class IntPolynomial:
@@ -333,7 +336,7 @@ def expand(num, low, high=(), shift=0):
 def _step(p, e):
     # the coefficients of (1 - x^e) * p mod x^len(p) - 1, which is the
     # product itself when p ends in e zeros
-    return [a - b for a, b in zip(p, p[-e:] + p[:-e])]
+    return list(map(sub, p, p[-e:] + p[:-e]))
 
 
 def _sparser(num, low, high):
@@ -368,8 +371,10 @@ def _taps(taps, size):
 def coefficient_mod(gf, n, m):
     """[x^n] of the series of gf, in [0, m), for any modulus m >= 2.
 
-    The halving kernel of RationalGF.coefficient, run on residues mod m;
-    D(0) stays 1, so m need not be prime.
+    The halving of RationalGF.coefficient, run on residues mod m that
+    stay packed from the first step to the last: each step reduces
+    every slot at once with a few whole-integer operations and never
+    turns a slot back into an int.  D(0) stays 1, so m need not be prime.
     """
     if n < 0 or m < 2:
         raise ValueError("need n >= 0 and modulus m >= 2")
@@ -378,42 +383,123 @@ def coefficient_mod(gf, n, m):
 
 def _halve(num, den, n, m):
     # Bostan-Mori halving (arXiv:2008.08822) of coefficient lists with
-    # den[0] = 1, over Z when m = 0 and mod m otherwise: N(x)D(-x) /
-    # D(x)D(-x) has an even denominator, so [x^n] needs only the numerator
-    # terms of n's parity; halve n and repeat.  [x^n] N/D depends only on
-    # N and D mod x^(n+1), so no list keeps more than n + 1 terms.
+    # den[0] = 1, over Z when m = 0 and of residues mod m otherwise:
+    # N(x)D(-x) / D(x)D(-x) has an even denominator, so [x^n] needs only
+    # the numerator terms of n's parity; halve n and repeat.  [x^n] N/D
+    # depends only on N and D mod x^(n+1), so no list keeps more than
+    # n + 1 terms.  Over Z the slots widen every step, so each product is
+    # packed and unpacked (_pack, _unpack); mod m they do not (_halve_mod).
     num, den = num[: n + 1], den[: n + 1]
+    if m:
+        return _halve_mod(num, den, n, m)
     while n and num:
         # a product coefficient sums at most len(den) products of two
         # coefficients below 2^bits; the slot adds one bit, the sign's
-        bits = (m or max(map(abs, chain(num, den)))).bit_length()
+        bits = max(map(abs, chain(num, den))).bit_length()
         width = (2 * bits + len(den).bit_length() + 8) // 8
-        mirror = _pack([(-c % m if m else -c) if i & 1 else c for i, c in enumerate(den)], width, m)
-        num = _unpack(_pack(num, width, m) * mirror, len(num) + len(den) - 1, n & 1, n, width, m)
+        mirror = _pack([-c if i & 1 else c for i, c in enumerate(den)], width)
+        num = _unpack(_pack(num, width) * mirror, len(num) + len(den) - 1, n & 1, n, width)
         if n > 1:  # once n halves to 0, the denominator is not read again
-            den = _unpack(_pack(den, width, m) * mirror, 2 * len(den) - 1, 0, n, width, m)
+            den = _unpack(_pack(den, width) * mirror, 2 * len(den) - 1, 0, n, width)
         n >>= 1
     return num[0] if num else 0
 
 
-def _pack(coeffs, width, m):
-    # Kronecker substitution: coefficient i fills bytes [i*width, (i+1)*width).
-    # A residue fills its slot as it is; a signed c is stored as c + half,
-    # and the halves of all slots come off the total.
-    if m:
-        return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in coeffs), "little")
+def _halve_mod(num, den, n, m):
+    # The halving on residues in [0, m), packed once into slots of `bits`
+    # bits and kept packed.  A product slot sums at most len(den) terms
+    # below m * m (a mirror slot can be m), so slots of more than
+    # bit_length(len(den) * m^2) bits never carry; a whole byte more is at
+    # most the exact kernel's width for the same m and len(den).  Each
+    # step takes the slots of n's parity of both products, joins N's and
+    # D's into one integer and reduces all its slots at once: Barrett
+    # rounds (_barrett) bring each below 3m, then SWAR conditional
+    # subtractions (a test and a subtraction in every slot at once, off
+    # the slot's top bit as a guard) below m.
+    size, count = len(den), len(num)
+    width = (size * m * m).bit_length() // 8 + 1
+    bits = 8 * width
+    rounds, subs = _barrett(m, size * m * (m - 1), bits)
+    # the most slots N and D hold together: after the first step N keeps
+    # at most max(its slots then, size)
+    most = max(len(range(n & 1, min(count + size - 1, n + 1), 2)), size) + size
+    ones = int.from_bytes((b"\x01" + bytes(width - 1)) * most, "little")
+    rounds = [(s, ones * ((1 << bits - s) - 1), mu, t, ones * ((1 << bits - t) - 1)) for s, mu, t in rounds]
+    guard = ones * ((1 << bits - 1) - m)  # r + guard has its top bit set iff r >= m
+    pack = lambda coeffs: int.from_bytes(b"".join(c.to_bytes(width, "little") for c in coeffs), "little")
+    num, den, odd_size = pack(num), pack(den), None
+    while n and num:
+        if odd_size != size:  # size shrinks only once n + 1 < 2 * size - 1
+            odd_size = size
+            odd = int.from_bytes((bytes(width) + b"\x01" + bytes(width - 1)) * (size // 2), "little")
+            odd_m, odd = odd * m, odd * ((1 << bits) - 1)
+        mirror = den + odd_m - ((den & odd) << 1)  # D(-x): m - c in each odd slot
+        picked = _slots(num * mirror, count + size - 1, n & 1, n, width)
+        count = len(picked) // width
+        if n > 1:  # once n halves to 0, the denominator is not read again
+            picked += _slots(den * mirror, 2 * size - 1, 0, n, width)
+            size = len(picked) // width - count
+        both = int.from_bytes(picked, "little")
+        for s, low, mu, t, quotient in rounds:
+            both -= ((both >> s & low) * mu >> t & quotient) * m
+        for _ in range(subs):
+            both -= ((both + guard) >> bits - 1 & ones) * m
+        num, den = both & (1 << count * bits) - 1, both >> count * bits
+        n >>= 1
+    return num & (1 << bits) - 1
+
+
+def _barrett(m, top, bits):
+    # (rounds, subs) that take slots of `bits` bits holding at most top to
+    # [0, m).  A round (s, mu, t) with mu = 2^(s+t) // m subtracts q * m,
+    # q = ((x >> s) * mu) >> t <= x / m.  With t the largest for which
+    # (top >> s) * mu fits a slot, x - q * m is below (x mod 2^s) + m +
+    # (top >> s) * (2^(s+t) mod m) / 2^t, the next top.  s = bitlen(top)
+    # - bits/2 balances the first and last terms, but is never below
+    # bitlen(m) - 1, where the first is below m anyway.  While top >= 3m,
+    # one round takes it below max(top/4 + m, top/8 + 2m), as slots hold
+    # one bit more than top; on every m and len(den) tried, at most two
+    # rounds reach 3m.  Then top // m conditional subtractions.
+    out = []
+    while top >= 3 * m:
+        s = max(m.bit_length() - 1, top.bit_length() - bits // 2)
+        hi = top >> s
+        t = bits - hi.bit_length() - s + m.bit_length()
+        while hi * ((1 << s + t) // m) >> bits:
+            t -= 1
+        mu = (1 << s + t) // m
+        out.append((s, mu, t))
+        top = (1 << s) - 1 + m + (hi * ((1 << s + t) - m * mu) >> t)
+    return out, top // m
+
+
+def _slots(value, count, parity, n, width):
+    # the bytes of slots parity, parity + 2, ... up to n of a packed
+    # product of `count` slots: one slice per slot when they are few, one
+    # strided slice per byte column when they outnumber a slot's bytes
+    raw = value.to_bytes(count * width, "little")
+    stop = min(count, n + 1) * width
+    starts = range(parity * width, stop, 2 * width)
+    if len(starts) <= width:
+        return b"".join([raw[i : i + width] for i in starts])
+    picked = bytearray(len(starts) * width)
+    for j in range(width):
+        picked[j::width] = raw[parity * width + j : stop : 2 * width]
+    return picked
+
+
+def _pack(coeffs, width):
+    # Kronecker substitution: coefficient i fills bytes [i*width, (i+1)*width),
+    # stored as c + half; the halves of all slots come off the total
     half = 1 << 8 * width - 1
     packed = b"".join((c + half).to_bytes(width, "little") for c in coeffs)
     return int.from_bytes(packed, "little") - _halves(len(coeffs), width)
 
 
-def _unpack(value, count, parity, n, width, m):
+def _unpack(value, count, parity, n, width):
     # slots parity, parity + 2, ... up to n of a packed product of `count`
-    # slots: mod m, or exactly once every slot's half is added back
+    # slots, exact once every slot's half is added back
     starts = range(parity * width, min(count, n + 1) * width, 2 * width)
-    if m:
-        raw = value.to_bytes(count * width, "little")
-        return [int.from_bytes(raw[i : i + width], "little") % m for i in starts]
     half = 1 << 8 * width - 1
     raw = (value + _halves(count, width)).to_bytes(count * width, "little")
     return [int.from_bytes(raw[i : i + width], "little") - half for i in starts]

@@ -122,19 +122,27 @@ class LinearRecurrence:
     def from_dict(cls, data):
         """The inverse of to_dict.  Every value must be a JSON integer:
         a float, even an integral one (a count above 2^53 is already
-        rounded in a float), a bool or a string raises ValueError."""
+        rounded in a float), a bool or a string raises ValueError, as
+        does anything but an object or an object missing a key, naming
+        what is wrong."""
 
         def integer(value):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{value!r} is not an integer")
             return value
 
+        if not isinstance(data, dict):
+            raise ValueError(f"malformed recurrence dict: expected a JSON object, not {type(data).__name__}")
+        missing = [repr(key) for key in ("order", "coeffs", "corrections", "initial") if key not in data]
+        if missing:
+            keys = "keys" if len(missing) > 1 else "key"
+            raise ValueError(f"malformed recurrence dict: missing {keys} {', '.join(missing)}")
         try:
             order = integer(data["order"])
             coeffs = tuple(integer(c) for c in data["coeffs"])
             corrections = tuple((integer(i), integer(v)) for i, v in data["corrections"])
             initial = tuple(integer(t) for t in data["initial"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"malformed recurrence dict: {exc}") from exc
         return cls(order, coeffs, corrections, initial)
 

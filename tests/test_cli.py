@@ -110,6 +110,18 @@ def test_recurrence_file_with_non_integers_refused(tmp_path, capsys):
         assert code == 2 and out == "" and err.startswith("error:")
 
 
+def test_recurrence_file_that_is_not_a_full_object_names_what_is_wrong(tmp_path, capsys):
+    path = tmp_path / "rec.json"
+    for text, message in (
+        ('{"order": 1, "coeffs": [1], "initial": [1, 2]}', "missing key 'corrections'"),
+        ('{"order": 1}', "missing keys 'coeffs', 'corrections', 'initial'"),
+        ("[1, 2]", "expected a JSON object, not list"),
+    ):
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "nth", "5", "--recurrence-file", str(path))
+        assert (code, out, err) == (2, "", f"error: malformed recurrence dict: {message}\n")
+
+
 def test_recurrence_seeds_from_the_sparse_stream(capsys):
     # the seed streams from length_parts, not from the reduced denominator,
     # and prints the same bytes as the seed from that denominator; the

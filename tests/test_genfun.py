@@ -4,7 +4,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from compenum import closedform, polyring
+from compenum import closedform, genfun, polyring
 from compenum.cli import main
 from compenum.genfun import composition_bits, composition_gf, composition_series, count, length_parts
 from compenum.oracle import dp_count_series, length_slice_series, random_partset
@@ -121,6 +121,20 @@ def test_sieve_cancels_the_euclid_gcd(seed, max_modulus):
 )
 def test_sieve_cancellations_pinned(spec, want):
     assert str(composition_gf(parse_setspec(spec))) == want
+
+
+@pytest.mark.parametrize("k", (1, 2, 13, 12, 210, 720, 1024))
+def test_each_fold_comes_once_and_equals_the_direct_fold(k):
+    # each d | k once, its fold equal to the direct sums of den[j::d]
+    rng = random.Random(k)
+    divisors = [d for d in range(1, k + 1) if k % d == 0]
+    primes = [p for p in divisors[1:] if all(p % q for q in range(2, p))]
+    for length in (1, k, k + 1, 3 * k + 2):
+        den = [rng.randint(-3, 3) for _ in range(length)]
+        folds = list(genfun._folds(den, k, primes))
+        assert sorted(d for d, _ in folds) == divisors
+        for d, fold in folds:
+            assert fold == [sum(den[j::d]) for j in range(d)]
 
 
 def test_series_and_bylength_take_no_gcd(monkeypatch, capsys):

@@ -7,6 +7,7 @@ from itertools import islice
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from compenum import polyring
 from compenum.genfun import composition_gf, count, length_parts
 from compenum.oracle import random_partset
 from compenum.partset import parse_setspec
@@ -15,6 +16,7 @@ from compenum.polyring import (
     IntPolynomial,
     RationalGF,
     coefficient_mod,
+    _barrett,
     _pseudo_divmod,
     _sparser,
     divmod_fractions,
@@ -135,6 +137,73 @@ def test_products_that_fill_their_slots():
                 gf = RationalGF(IntPolynomial((sign * big,) * length), den)
                 for n in (length - 1, 2 * length, 61):
                     assert gf.coefficient(n) == gf.series(n)[n]
+
+
+WORST_MODULI = (2, 3, 97, 2**8 - 1, 2**7, 2**32 - 1, 2**31, 2**61 - 1, 2**64, 2**128 - 159, 10**40 + 1)
+# across the bit-length boundaries of len(den) in 1..300
+WORST_LENGTHS = (1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129, 255, 256, 257, 300)
+
+
+def test_coefficient_mod_at_its_worst_case_slots():
+    # residues m - 1 in every slot fill the products' slots the most, and a
+    # zero odd den coefficient makes its mirror slot m; numerators run
+    # longer than den.  The exact reference takes -1 for m - 1, which keeps
+    # it small and gives the same residues.
+    for size in WORST_LENGTHS:
+        for den in ([1] + [-1] * (size - 1), [1] + [-(i % 2 == 0) for i in range(1, size)]):
+            for num in ([-1], [-1] * (size + 5)):
+                gf = RationalGF(poly(*num), poly(*den))
+                j = size.bit_length()
+                for n in {0, 1, 2, 31, 32, 2**j - 1, 2**j}:
+                    want = gf.coefficient(n)
+                    for m in WORST_MODULI:
+                        residues = RationalGF(poly(*(c % m for c in num)), poly(*(c % m for c in den)))
+                        assert coefficient_mod(residues, n, m) == want % m, (size, n, m)
+
+
+def test_residue_slots_are_never_wider_than_the_signed_ones(monkeypatch):
+    # the width a product's slots are read at is at most the exact
+    # kernel's (2 * bitlen(m) + bitlen(len(den)) + 8) // 8 for the same m
+    # and len(den), and it does not change from step to step
+    widths = []
+
+    def recording(value, count, parity, n, width):
+        widths.append(width)
+        return slots(value, count, parity, n, width)
+
+    slots = polyring._slots
+    monkeypatch.setattr(polyring, "_slots", recording)
+    for size in WORST_LENGTHS:
+        for m in WORST_MODULI:
+            widths.clear()
+            gf = RationalGF(ONE, poly(1, *([m - 1] * (size - 1))))
+            coefficient_mod(gf, 1000, m)
+            assert widths and len(set(widths)) == 1
+            assert widths[0] <= (2 * m.bit_length() + size.bit_length() + 8) // 8
+
+
+@pytest.mark.parametrize("m", WORST_MODULI + (5, 2**16 + 1, 2**127 - 1))
+def test_barrett_rounds_keep_their_bounds(m):
+    # every round's hi * mu fits a slot and leaves at most the next top,
+    # at most two rounds bring the top below 3m, and `subs` conditional
+    # subtractions then give the residue; x runs over the worst values
+    rng = random.Random(m)
+    for size in (*WORST_LENGTHS, 5000, 2**20 - 1, 2**20, 2**31):
+        top = size * m * (m - 1)
+        bits = 8 * ((size * m * m).bit_length() // 8 + 1)
+        rounds, subs = _barrett(m, top, bits)
+        assert len(rounds) <= 2 and subs <= 2
+        for x in {top, top - 1, top // 2, m, m - 1, 0, *(rng.randrange(top + 1) for _ in range(50))}:
+            want, bound = x % m, top
+            for s, mu, t in rounds:
+                hi = x >> s
+                assert hi * mu < 2**bits
+                x -= (hi * mu >> t) * m
+                bound = (1 << s) - 1 + m + ((bound >> s) * ((1 << s + t) - m * mu) >> t)
+                assert 0 <= x <= bound
+            for _ in range(subs):
+                x -= m * (x >= m)
+            assert x == want
 
 
 def test_exact_term_at_1e5_frozen():
