@@ -14,37 +14,53 @@ estimated cost exceeds closedform.MAX_SECONDS or whose poles do not
 certify at the requested precision (diagnostics on standard error).
 Output is deterministic for identical inputs.  Only the commands that
 use them import mpmath, closedform and oracle.
+
+`series` and `table --mod3` run the one series expander,
+polyring.expand, on exact decimal.Decimal values in a local context
+that traps any rounding, and write the terms in chunks of joined
+strings: str(Decimal) is linear in the digits, where str(int) is
+quadratic before CPython 3.12.  `count` and exact `nth` print results
+above STR_BITS bits by the same divide and conquer through Decimal as
+CPython 3.12's _pylong.
 """
 
 from __future__ import annotations
 
 import argparse
+import decimal
 import functools
 import json
 import math
 import random
 import sys
+from decimal import Decimal
+from itertools import islice
 
 from . import genfun
 from .bivariate import length_row, packed_width
 from .partset import parse_setspec
-from .polyring import coefficient_mod
+from .polyring import coefficient_mod, expand
 from .recurrence import LinearRecurrence, recurrence_from_gf
 
 DISPLAY_DIGITS = 12
 # Exact results, and the packed coefficient a bylength row is read from,
-# are refused above this many bits, before any work: the decimal print is
-# quadratic in the size (on CPython 3.11 it takes seconds at 10^6 bits and
-# a quarter minute at 3 * 10^6), the bylength expansion grows faster
-# still, and memory grows with both.
+# are refused above this many bits, before any work: near it the exact
+# term takes seconds (`count not:mod:3:0 2000000`, 1.76 * 10^6 bits,
+# 1.5 s on CPython 3.11, 0.3 s of it the print through _int_str), the
+# bylength expansion grows faster still, and memory grows with both.
 MAX_EXACT_BITS = 2_000_000
 # A series is refused when (limit + 1) * composition_bits(A, limit), a
 # bound on the bits of all its terms, is above this, before any
-# expansion.  The terms and the expander's rows grow as limit^2: on a
-# 2-core host with CPython 3.11, `series not:mod:3:0` took 3.3 s and
-# 142 MB at --limit 20000 (4.0 * 10^8 bits, admitted) and 25.6 s and
-# 517 MB at --limit 40000 (1.6 * 10^9 bits, refused).
+# expansion.  The output grows as limit^2: on a 2-core host with CPython
+# 3.11, `series not:mod:3:0` prints 53 MB in 0.34 s and 20 MB of memory
+# at --limit 20000 (4.0 * 10^8 bits, admitted), and would print 4 times
+# that at --limit 40000 (1.6 * 10^9 bits, refused).
 MAX_SERIES_BITS = 500_000_000
+# str(int) is quadratic before CPython 3.12; above this many bits _int_str
+# converts by halves through Decimal instead.  On a 2-core host with
+# CPython 3.11 the two tie near 40,000 bits (2.5 ms); at 10^5 bits str
+# takes 16 ms against 6 ms, at 2 * 10^6 bits 6.7 s against 0.26 s.
+STR_BITS = 40_000
 
 
 def _nonneg(text):
@@ -72,6 +88,59 @@ def _real_str(x):
 
 def _complex_str(z):
     return _real_str(z.real if z.imag == 0 else z)
+
+
+def _exact():
+    """A local decimal context in which every operation is exact or raises."""
+    traps = [decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.Overflow]
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=traps)
+    return decimal.localcontext(ctx)
+
+
+def _decimal_terms(A, limit):
+    # c(0)..c(limit) as exact Decimals, to run in _exact(): Decimal addition
+    # costs about what int addition does, and str(Decimal) is linear in the
+    # digits where str(int) is quadratic
+    num, low, high = genfun.length_parts(A)
+    num, den = ([Decimal(c) for c in p.coeffs] for p in (num, low - high))
+    return islice(expand(num, den), limit + 1)
+
+
+def _int_str(n):
+    """str(n), through exact Decimals above STR_BITS bits, as CPython
+    3.12's _pylong does: |n| = hi * 2^w + lo with w = 1024 * 2^j bits,
+    the halves converted alike and joined by one product with the Decimal
+    2^w, which libmpdec multiplies subquadratically."""
+    if n.bit_length() <= STR_BITS:
+        return str(n)
+    m = abs(n)
+    with _exact():
+        powers = [Decimal(1 << 1024)]  # powers[j] = 2^(1024 * 2^j)
+
+        def convert(m, j):
+            # Decimal(m) for 0 <= m < 2^(2048 * 2^j)
+            if j < 0:
+                return Decimal(m)
+            w = 1024 << j
+            if m.bit_length() <= w:
+                return convert(m, j - 1)
+            hi = m >> w
+            return convert(hi, j - 1) * powers[j] + convert(m - (hi << w), j - 1)
+
+        while m.bit_length() > 2048 << len(powers) - 1:
+            powers.append(powers[-1] * powers[-1])
+        return "-" * (n < 0) + str(convert(m, len(powers) - 1))
+
+
+def _write_joined(strings, sep="", head="", tail=""):
+    # head, the strings joined by sep, and tail, written a chunk at a time
+    write = sys.stdout.write
+    write(head)
+    lead = ""
+    for chunk in iter(lambda: sep.join(islice(strings, 256)), ""):
+        write(lead + chunk)
+        lead = sep
+    write(tail)
 
 
 def _write_indexed(values):
@@ -105,7 +174,7 @@ def cmd_count(args, parser):
     bits = genfun.composition_bits(A, args.n)
     hint = "; use `nth <setspec> <n> --mod M` for a residue"
     _refuse(bits, MAX_EXACT_BITS, f"the exact term at n = {args.n}", hint)
-    print(genfun.count(A, args.n))
+    print(_int_str(genfun.count(A, args.n)))
     return 0
 
 
@@ -113,13 +182,14 @@ def cmd_series(args, parser):
     A = parse_setspec(args.setspec)
     bits = (args.limit + 1) * genfun.composition_bits(A, args.limit)
     _refuse(bits, MAX_SERIES_BITS, f"the series to --limit {args.limit}")
-    coeffs = genfun.composition_series(A, args.limit)
-    if args.format == "csv":
-        sys.stdout.write(",".join(map(str, coeffs)) + "\n")
-    elif args.format == "json":
-        print(json.dumps(list(coeffs)))
-    else:
-        _write_indexed(coeffs)
+    with _exact():
+        terms = _decimal_terms(A, args.limit)
+        if args.format == "csv":
+            _write_joined(map(str, terms), ",", tail="\n")
+        elif args.format == "json":  # json.dumps of the ints, byte for byte
+            _write_joined(map(str, terms), ", ", "[", "]\n")
+        else:
+            _write_joined(f"{i} {v!s}\n" for i, v in enumerate(terms))
     return 0
 
 
@@ -215,7 +285,7 @@ def cmd_nth(args, parser):
     else:
         hint = "; use `nth <setspec> <n> --mod M` for a residue"
         _refuse(bits, MAX_EXACT_BITS, f"the exact term at n = {n}", hint)
-        print(gf.coefficient(n))
+        print(_int_str(gf.coefficient(n)))
     return 0
 
 
@@ -243,9 +313,9 @@ def cmd_table(args, parser):
     for A in sets:
         bits = (limit + 1) * genfun.composition_bits(A, limit)
         _refuse(bits, MAX_SERIES_BITS, f"the series to --limit {limit}")
-    columns = [genfun.composition_series(A, limit) for A in sets]
-    for n in range(1, limit + 1):
-        print(f"{n},{columns[0][n]},{columns[1][n]},{columns[2][n]}")
+    with _exact():
+        columns = [islice(_decimal_terms(A, limit), 1, None) for A in sets]
+        _write_joined(f"{n},{a!s},{b!s},{c!s}\n" for n, (a, b, c) in enumerate(zip(*columns), 1))
     return 0
 
 

@@ -299,6 +299,10 @@ def expand(num, low, high=(), shift=0):
     c_(n-i), trimmed back to the last size = max(deg low, deg high)
     terms once it holds 2 * size, so it never holds more than 2 * size
     terms, and none at size 0.
+
+    With high = () it needs only + - * of its values, so the CLI streams
+    exact decimal.Decimal values through it for printing, since
+    str(Decimal) is linear in the digits.
     """
     if not low or low[0] != 1 or (high and high[0]):
         raise ValueError("need low[0] = 1 and high[0] = 0")

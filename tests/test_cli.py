@@ -1,4 +1,6 @@
+import decimal
 import json
+import random
 import subprocess
 import sys
 import time
@@ -6,12 +8,15 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from compenum import cli
 from compenum.bivariate import odd_parts_by_length
 from compenum.cli import main
-from compenum.genfun import composition_gf, count
+from compenum.genfun import composition_gf, composition_series, count
+from compenum.oracle import random_partset
 from compenum.partset import parse_setspec
+from compenum.polyring import IntPolynomial, RationalGF
 from compenum.recurrence import no_multiples_recurrence, recurrence_from_gf
 
 TABLE_20 = """\
@@ -72,6 +77,61 @@ def test_series_formats(capsys):
     assert out == "0 1\n1 1\n2 1\n3 2\n"
     code, out, _ = run_cli(capsys, "series", "set:1,2", "--limit", "5", "--format", "json")
     assert json.loads(out) == [1, 1, 2, 3, 5, 8]
+
+
+@given(st.integers(0, 10_000), st.integers(0, 200))
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_series_prints_the_ints_of_composition_series(capsys, seed, limit):
+    A = random_partset(random.Random(seed), max_modulus=12)
+    terms = composition_series(A, limit)
+    expected = {
+        "plain": "".join(f"{i} {v}\n" for i, v in enumerate(terms)),
+        "csv": ",".join(map(str, terms)) + "\n",
+        "json": json.dumps(list(terms)) + "\n",
+    }
+    for fmt, text in expected.items():
+        assert run_cli(capsys, "series", str(A), "--limit", str(limit), "--format", fmt) == (0, text, "")
+
+
+def test_series_of_all_parts_is_the_powers_of_two(capsys):
+    code, out, _ = run_cli(capsys, "series", "all", "--limit", "5000", "--format", "csv")
+    same = out == ",".join(["1"] + [str(1 << n) for n in range(5000)]) + "\n"
+    assert code == 0 and same  # not a diff of 3.8 MB on failure
+
+
+def test_series_leaves_the_decimal_context_as_it_was(capsys):
+    context = decimal.getcontext()
+    before = repr(context)
+    for argv, exit_code in (
+        (("series", "not:mod:3:0", "--limit", "300"), 0),
+        (("table", "--mod3", "--limit", "50"), 0),
+        (("series", "all", "--limit", "40000"), 2),  # refused
+    ):
+        assert run_cli(capsys, *argv)[0] == exit_code
+        assert decimal.getcontext() is context and repr(context) == before
+
+
+def test_long_exact_results_print_as_str_does(tmp_path, capsys):
+    # past STR_BITS count and nth convert by halves through Decimal
+    code, out, _ = run_cli(capsys, "count", "all", "100000")
+    assert code == 0 and out == f"{1 << 99999}\n"
+    # (-3)^n, negative at odd n, through a recurrence file
+    path = tmp_path / "rec.json"
+    path.write_text(json.dumps(recurrence_from_gf(RationalGF(IntPolynomial([1]), IntPolynomial([1, 3]))).to_dict()))
+    for n in (25237, 25238, 60001):
+        code, out, _ = run_cli(capsys, "nth", str(n), "--recurrence-file", str(path))
+        assert code == 0 and out == f"{(-3) ** n}\n"
+
+
+def test_int_str_matches_str_at_every_split():
+    rng = random.Random(7)
+    bits = [1, cli.STR_BITS, cli.STR_BITS + 1, 65536, 65537, 131072, 131073]
+    bits += [rng.randrange(cli.STR_BITS, 140_000) for _ in range(6)]
+    context = decimal.getcontext()
+    for b in bits:
+        for n in ((1 << b) - 1, 1 << b, rng.getrandbits(b), 10 ** (b * 3 // 10)):
+            assert cli._int_str(n) == str(n) and cli._int_str(-n) == str(-n)
+    assert decimal.getcontext() is context
 
 
 def test_table_mod3_byte_for_byte(capsys):
@@ -205,18 +265,17 @@ def test_sparse_part_sets_bounded_by_smallest_part(capsys):
 
 
 def test_oversized_series_refused_before_any_expansion(capsys, monkeypatch):
-    from compenum import genfun
-
     # (limit + 1) * composition_bits is 499,991,960 at limit 22360 and
     # 500,036,682 at 22361 for any set with the part 1; set:1 keeps the
     # admitted edge cheap, since every count is 1
     code, out, _ = run_cli(capsys, "series", "set:1", "--limit", "22360", "--format", "csv")
     assert code == 0 and out == ",".join(["1"] * 22361) + "\n"
 
-    def refuse(A, limit):
+    def refuse(*args):
         raise AssertionError("series expanded")
 
-    monkeypatch.setattr(genfun, "composition_series", refuse)
+    # the CLI streams every series through polyring.expand under this name
+    monkeypatch.setattr(cli, "expand", refuse)
     for argv, bits in (
         (("series", "set:1", "--limit", "22361"), 500036682),
         (("series", "not:mod:3:0", "--limit", "40000"), 1600040000),
