@@ -15,15 +15,22 @@ at every root of D.
 All numerics run at a caller-chosen precision (at most MAX_DIGITS) plus
 guard digits.  An Aberth-Ehrlich iteration in double precision seeds
 every root, and Newton steps in fixed-point Gaussian integers refine
-each one to the working precision plus NEWTON_GUARD_BITS.  From then on
-each root is the exact dyadic point (a + bi) / 2^s that Newton produced,
-held as two integers: the snap of tiny parts to zero, the exact
-conjugate of each root above the axis standing in for the one below it,
-the Gerschgorin-type inclusion disks (Carstensen 1991) with the pole
-separation check in the same pairwise loop, the sort and the residues
-(fixed-point Horner plus one exact division) all run on integers.  The
-disk radii are rigorous upper bounds, and pairwise disjoint disks hold
-exactly one root each, so they certify the set that is returned.  A
+each seed on or above the real axis to the working precision plus
+NEWTON_GUARD_BITS.  These two uncertified stages read the denominator
+through its sparse form, the nonzero taps of D or of (1 - x) D, the
+step of the paper's lemma, whichever has fewer: 1 - x - ... - x^k
+becomes 1 - 2x + x^(k+1), evaluated with powers by repeated squaring.
+From then on each root is the exact dyadic point (a + bi) / 2^s that
+Newton produced, held as two integers: the snap of tiny parts to zero,
+the exact conjugate of each root above the axis standing in for the
+one below it, the Gerschgorin-type inclusion disks (Carstensen 1991)
+with the pole separation check in the same pairwise loop, the sort and
+the residues (fixed-point Horner plus one exact division) all run on
+integers.  The certified stages use the dense Horner and its proved
+rounding bound; an exact conjugate pair shares one value bound and one
+residue.  The disk radii are rigorous upper bounds, and pairwise
+disjoint disks hold exactly one root each, so they certify the set
+that is returned however it was found.  A
 root set that fails any check raises ConvergenceError.  Each returned
 root carries its point (a, b, s), and the residues and the dominance
 report read the integers there.  mpmath numbers are built only for
@@ -55,7 +62,7 @@ from fractions import Fraction
 from mpmath import mp
 from mpmath.libmp import from_man_exp
 
-from .polyring import divmod_fractions, poly_gcd
+from .polyring import _step, divmod_fractions, poly_gcd
 
 GUARD_DIGITS = 15
 # Requested precision above this is refused before any work.  The cost
@@ -115,24 +122,50 @@ class ComplexRoot:
         return mp.fabs(self.value)
 
 
+def _sparse_form(coeffs):
+    """The nonzero taps (e, c) of p = sum(coeffs[e] x^e), or of q = (1 - x)
+    p when that has fewer, the step of the paper's lemma, and whether the
+    stepped form was taken: 1 - x - ... - x^k becomes 1 - 2x + x^(k+1)."""
+    stepped = _step([*coeffs, 0], 1)
+    dense, sparse = ([(e, c) for e, c in enumerate(cs) if c] for cs in (coeffs, stepped))
+    return (sparse, True) if len(sparse) < len(dense) else (dense, False)
+
+
+def _float_ratio(form, z):
+    """p(z) / p'(z) in floats from the sparse form: q(z) and z q'(z)
+    summed over the taps, each power z^e from the last by z ** gap.  In
+    the stepped form q = (1 - x) p this is z q (1 - z) / ((1 - z) z q' +
+    z q), which divides by no power of 1 - z."""
+    taps, stepped = form
+    q = dq = 0j
+    power, at = 1, 0
+    for e, c in taps:
+        power *= z ** (e - at)
+        at = e
+        q += c * power
+        dq += c * e * power
+    zq = z * q
+    if not stepped:
+        return zq / dq
+    u = 1 - z
+    return zq * u / (u * dq + zq)
+
+
 def _aberth_seeds(coeffs):
     """Double-precision approximations to all roots of sum(coeffs[k] x^k)
-    by the Aberth-Ehrlich iteration; ConvergenceError when the iteration
+    by the Aberth-Ehrlich iteration, each Newton ratio read from the
+    sparse form (_float_ratio); ConvergenceError when the iteration
     leaves the float range or two approximations collide."""
     d = len(coeffs) - 1
+    form = _sparse_form(coeffs)
     try:
-        cs = [float(c) for c in reversed(coeffs)]
-        radius = abs(cs[-1] / cs[0]) ** (1 / d) or 1.0
+        radius = abs(float(coeffs[0]) / float(coeffs[-1])) ** (1 / d) or 1.0
         # the angular offset breaks the start's symmetry under conjugation
         zs = [radius * cmath.exp(1j * (2 * math.pi * k / d + 0.4)) for k in range(d)]
         for _ in range(ABERTH_SWEEPS):
             moved = False
             for i, z in enumerate(zs):
-                p = dp = 0j
-                for c in cs:
-                    dp = dp * z + p
-                    p = p * z + c
-                ratio = p / dp
+                ratio = _float_ratio(form, z)
                 pull = sum(1 / (z - w) for j, w in enumerate(zs) if j != i)
                 step = ratio / (1 - ratio * pull)
                 zs[i] = z - step
@@ -146,37 +179,84 @@ def _aberth_seeds(coeffs):
     return zs
 
 
-def _newton(coeffs, dcoeffs, z, bits):
-    """Refine the float root approximation z of the polynomial with
-    coefficients `coeffs` (derivative `dcoeffs`) by Newton steps in fixed
-    point, z = (a + bi) / 2^w, doubling w up to `bits`.  Returns (a, b)
-    at w = bits; ConvergenceError where p' vanishes."""
-    w = 50
-    a, b = round(math.ldexp(z.real, w)), round(math.ldexp(z.imag, w))
+def _power(a, b, n, w):
+    """z^n for z = (a + bi) / 2^w and n >= 1 as integers at scale 2^w, by
+    repeated squaring with both parts of every product floored."""
+    pr, pi = a, b
+    for bit in bin(n)[3:]:
+        pr, pi = (pr * pr - pi * pi) >> w, (2 * pr * pi) >> w
+        if bit == "1":
+            pr, pi = (pr * a - pi * b) >> w, (pr * b + pi * a) >> w
+    return pr, pi
+
+
+def _newton_step(form, a, b, w):
+    """The Newton step p(z) / p'(z) at z = (a + bi) / 2^w as integers at
+    scale 2^w, from the sparse form as in _float_ratio: q(z) and z q'(z)
+    in fixed point, each power from the last by _power.
+    ConvergenceError where the step's denominator vanishes."""
+    taps, stepped = form
+    qr = qi = dr = di = 0
+    pr, pi, at = 1 << w, 0, 0
+    for e, c in taps:
+        if e > at:
+            gr, gi = _power(a, b, e - at, w)
+            pr, pi = (pr * gr - pi * gi) >> w, (pr * gi + pi * gr) >> w
+            at = e
+        qr, qi = qr + c * pr, qi + c * pi
+        dr, di = dr + c * e * pr, di + c * e * pi
+    nr, ni = (qr * a - qi * b) >> w, (qr * b + qi * a) >> w  # z q(z)
+    if stepped:
+        ur, ui = (1 << w) - a, -b  # 1 - z
+        dr, di = ((dr * ur - di * ui) >> w) + nr, ((dr * ui + di * ur) >> w) + ni
+        nr, ni = (nr * ur - ni * ui) >> w, (nr * ui + ni * ur) >> w
+    norm = dr * dr + di * di
+    if not norm:
+        raise ConvergenceError("Newton step met a vanishing derivative")
+    return ((nr * dr + ni * di) << w) // norm, ((ni * dr - nr * di) << w) // norm
+
+
+def _fixed(z, w):
+    """The float z as integers (a, b) at scale 2^w, w >= 50."""
+    return round(math.ldexp(z.real, 50)) << (w - 50), round(math.ldexp(z.imag, 50)) << (w - 50)
+
+
+def _newton(form, z, bits):
+    """Refine the float root approximation z of the polynomial with the
+    sparse form `form` (see _sparse_form) by Newton steps in fixed point,
+    z = (a + bi) / 2^w, doubling w up to `bits`.  Returns (a, b) at w =
+    bits; ConvergenceError where the step's denominator vanishes.
+
+    The stepped form loses about 2 log2(1 / |1 - z|) bits to the factor
+    1 - z, so near z = 1 the steps run that many bits past `bits`, and
+    the result is floored back to 2^bits."""
+    extra = 2 * max(0, -math.frexp(abs(1 - z))[1]) if form[1] else 0
+    top, w = bits + extra, 50
+    a, b = _fixed(z, w)
     for _ in range(NEWTON_STEPS):
-        grow = min(w, bits - w)
+        grow = min(w, top - w)
         a, b, w = a << grow, b << grow, w + grow
-        pr, pi = _horner(coeffs, a, b, w, w)
-        dr, di = _horner(dcoeffs, a, b, w, w)
-        norm = dr * dr + di * di
-        if not norm:
-            raise ConvergenceError("Newton step met a vanishing derivative")
-        step_re = ((pr * dr + pi * di) << w) // norm
-        step_im = ((pi * dr - pr * di) << w) // norm
+        step_re, step_im = _newton_step(form, a, b, w)
         a, b = a - step_re, b - step_im
         # a step below 2^(-w/2) leaves an error near 2^-w: converged
-        if w == bits and max(abs(step_re), abs(step_im)) >> (w // 2) == 0:
+        if w == top and max(abs(step_re), abs(step_im)) >> (w // 2) == 0:
             break
-    return a, b
+    return a >> extra, b >> extra
 
 
 def _float_seeded_roots(poly, prec):
     """Aberth seeds refined by Newton to prec plus guard bits: the exact
     points (a, b) that Newton returns at its scale 2^s, s = prec +
-    NEWTON_GUARD_BITS, unrounded and unsnapped (see _pair)."""
+    NEWTON_GUARD_BITS, unrounded and unsnapped (see _pair).  Only the
+    seeds on or near the real axis and above it are refined; a seed with
+    Im z < -1e-7 (1 + |z|) comes back unrefined at scale 2^s, for _pair
+    to count and replace by the exact conjugate of its partner."""
     s = prec + NEWTON_GUARD_BITS
-    dcoeffs = poly.derivative().coeffs
-    return [_newton(poly.coeffs, dcoeffs, z, s) for z in _aberth_seeds(poly.coeffs)], s
+    form = _sparse_form(poly.coeffs)
+    return [
+        _fixed(z, s) if z.imag < -1e-7 * (1 + abs(z)) else _newton(form, z, s)
+        for z in _aberth_seeds(poly.coeffs)
+    ], s
 
 
 def _horner(coeffs, a, b, s, w):
@@ -225,18 +305,24 @@ def _inclusion_disks(poly, pts, s, digits, prec):
     component of m of them holds exactly m roots (Braess and Hadeler
     1973; Carstensen, Numer. Math. 1991), so pairwise disjoint disks
     hold one root each.  Each residual depends only on its own point and
-    s, not on the other points.  The gaps |z_i - z_j|^2 are exact
-    integers at scale 4^s.  |p(z_i)| is bounded above by _value_bound,
-    the product of gaps is rounded down and each radius is rounded up to
-    a 41-bit dyadic, so every r_i is a rigorous upper bound.
+    s, not on the other points: a point that is the exact conjugate of
+    the one before it, as _pair emits them, takes that point's bound,
+    since |p(conj z)| = |p(z)| for real p.  The gaps |z_i - z_j|^2 are
+    exact integers at scale 4^s, and each point's product of them is
+    formed on its own.  |p(z_i)| is bounded above by _value_bound, the
+    product of gaps is rounded down and each radius is rounded up to a
+    41-bit dyadic, so every r_i is a rigorous upper bound.
     """
     d, cs = poly.degree, poly.coeffs
     lc = cs[-1]
     gaps = [[(a - c) ** 2 + (b - e) ** 2 for c, e in pts] for a, b in pts]
     mantissas, exponents, residuals = [], [], []  # r_i <= mantissas[i] * 2^-exponents[i]
     for i, (a, b) in enumerate(pts):
-        value, w = _value_bound(cs, a, b, s, prec)
-        residuals.append(mp.ldexp(mp.mpf(value, rounding="u"), -w))
+        # |p(conj z)| = |p(z)| for real p: an exact conjugate reuses the bound
+        if not (i and pts[i - 1] == (a, -b)):
+            value, w = _value_bound(cs, a, b, s, prec)
+            residual = mp.ldexp(mp.mpf(value, rounding="u"), -w)
+        residuals.append(residual)
         low, shift = 1, 0  # low * 2^shift <= prod_{j != i} gaps[i][j]
         for j, g in enumerate(gaps[i]):
             if j != i:
@@ -273,8 +359,10 @@ def _pair(pts, s, digits):
     conjugate, in place of the points below it.  A real part below
     2^(1 - prec) at s = prec + NEWTON_GUARD_BITS becomes 0, so a purely
     imaginary root stays exactly so, and a point near the axis is put on
-    it.  ConvergenceError unless as many points lie below the axis as
-    above; the inclusion disks then certify the set that comes out."""
+    it.  The points below the axis are only counted, so they may be the
+    unrefined seeds that _float_seeded_roots leaves there.
+    ConvergenceError unless as many points lie below the axis as above;
+    the inclusion disks then certify the set that comes out."""
     one, snap, tiny = 1 << s, 10 ** (digits - 8), 1 << (NEWTON_GUARD_BITS + 1)
     reals, upper, below = [], [], 0
     for a, b in pts:
@@ -321,9 +409,11 @@ def find_roots(poly, digits=50):
     One pipeline, each failure a ClosedFormError: refuse an input whose
     estimated cost is above MAX_SECONDS, and a repeated factor
     (gcd(p, p') nonconstant); seed every root by an Aberth-Ehrlich
-    iteration in double precision; refine each by Newton steps in
-    fixed-point Gaussian integers, doubling the precision up to the
-    working precision (digits plus GUARD_DIGITS) plus NEWTON_GUARD_BITS.
+    iteration in double precision; refine each seed on or above the axis
+    by Newton steps in fixed-point Gaussian integers, doubling the
+    precision up to the working precision (digits plus GUARD_DIGITS) plus
+    NEWTON_GUARD_BITS.  Both stages evaluate the sparse form of p (see
+    _sparse_form), which only needs to find the roots, not certify them.
     From there on every root is the exact dyadic point (a + bi) / 2^s
     Newton returned, and each returned ComplexRoot is built from that
     point (a, b, s), its value the same point as an mpc.  Tiny real
@@ -405,7 +495,10 @@ def partial_fractions(gf, digits=50):
     returned mpc residues everything runs on each pole's exact point
     (a, b, s), read from ComplexRoot.point: each residue comes from
     fixed-point Horner evaluations of N and D' at 64 bits past the
-    working precision and one exact division.
+    working precision and one exact division.  A pole that is the exact
+    conjugate of the one before it, as find_roots sorts each pair, takes
+    the conjugate of that pole's residue, since r(conj z) = conj r(z)
+    for real N and D.
     """
     _check_digits(digits)
     num, den = gf.num, gf.den
@@ -422,7 +515,15 @@ def partial_fractions(gf, digits=50):
     dprime = den.derivative()
     with mp.workdps(digits + GUARD_DIGITS):
         prec = mp.prec
-        parts = [_residue(num, dprime, *pole.point, prec) for pole in poles]
+        parts = []
+        for i, pole in enumerate(poles):
+            a, b, s = pole.point
+            if i and poles[i - 1].point == (a, -b, s):
+                # r(conj z) = conj r(z) for real N and D
+                re, im, k = parts[-1]
+                parts.append((re, -im, k))
+            else:
+                parts.append(_residue(num, dprime, a, b, s, prec))
         top = max(k for _, _, k in parts)
         real = sum(re << (top - k) for re, _, k in parts)
         imag = sum(im << (top - k) for _, im, k in parts)

@@ -315,6 +315,8 @@ PINNED = Path(__file__).parent / "data"
     [
         ("set:1,2,3,5,8,13,21,31", "80", "closed_form_set_1_2_3_5_8_13_21_31_digits80.txt"),
         ("not:mod:30:0", "16", "closed_form_not_mod_30_0_digits16.txt"),
+        ("not:mod:300:0", "16", "closed_form_not_mod_300_0_digits16.txt"),
+        ("ge:150", "50", "closed_form_ge_150_digits50.txt"),
     ],
 )
 def test_closed_form_pinned_output(capsys, spec, digits, name):

@@ -1,3 +1,5 @@
+import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -19,7 +21,7 @@ from compenum.closedform import (
 from compenum.genfun import composition_gf, count
 from compenum.oracle import random_partset
 from compenum.partset import parse_setspec
-from compenum.polyring import IntPolynomial
+from compenum.polyring import IntPolynomial, _step
 
 # denominator -> (real root, conjugate pair), 10 digit reference values
 REFERENCE_ROOTS = {
@@ -141,13 +143,16 @@ def test_seed_outside_the_float_range_raises(polyroots_calls):
     assert polyroots_calls == []
 
 
-@pytest.mark.parametrize("digits", [16, 50])
-def test_every_census_denominator_certifies_on_the_one_path(polyroots_calls, digits):
+def _census_sets():
     rng = random.Random(12)
     sets = [parse_setspec(f"not:mod:{k}:0") for k in range(2, 61)]
-    sets += [random_partset(rng) for _ in range(200)]
+    return sets + [random_partset(rng) for _ in range(200)]
+
+
+@pytest.mark.parametrize("digits", [16, 50])
+def test_every_census_denominator_certifies_on_the_one_path(polyroots_calls, digits):
     certified = 0
-    for A in sets:
+    for A in _census_sets():
         den = composition_gf(A).den
         try:
             roots = find_roots(den, digits)
@@ -156,6 +161,83 @@ def test_every_census_denominator_certifies_on_the_one_path(polyroots_calls, dig
         assert len(roots) == den.degree
         certified += 1
     assert polyroots_calls == [] and certified >= 250
+
+
+def test_one_newton_refinement_and_one_residue_per_conjugate_pair(monkeypatch):
+    # over the census sets above, Newton refines only the roots on and
+    # above the axis, and each residue below it is its partner's exact
+    # conjugate
+    calls = []
+    newton = closedform._newton
+
+    def counted(*args):
+        calls.append(args)
+        return newton(*args)
+
+    monkeypatch.setattr(closedform, "_newton", counted)
+    for A in _census_sets():
+        gf = composition_gf(A)
+        if gf.den.degree < 1:
+            continue
+        calls.clear()
+        try:
+            pf = partial_fractions(gf, 16)
+        except RepeatedRootError:
+            continue
+        points = [pole.point for pole in pf.poles]
+        assert len(calls) == sum(b >= 0 for _, b, _ in points)
+        assert sorted(points) == sorted((a, -b, s) for a, b, s in points)
+        residues = dict(zip(points, pf.residue_coeffs))
+        with mp.workdps(16 + GUARD_DIGITS):  # the residues' own precision
+            for (a, b, s), r in residues.items():
+                if b < 0:
+                    assert r == mp.conj(residues[(a, -b, s)])
+
+
+def _ratio_cases(seed, near_one):
+    """A random_partset denominator p, both of its forms as tap lists,
+    and a random point for each: within 2^-10 of 1 for the stepped form
+    when near_one, else of modulus 0.3 to 1.5."""
+    rng = random.Random(seed)
+    den = composition_gf(random_partset(rng)).den
+    for stepped in (False, True):
+        cs = _step([*den.coeffs, 0], 1) if stepped else den.coeffs
+        form = ([(e, c) for e, c in enumerate(cs) if c], stepped)
+        if stepped and near_one:
+            z = 1 + math.ldexp(rng.random(), -10) * cmath.exp(2j * math.pi * rng.random())
+        else:
+            z = rng.uniform(0.3, 1.5) * cmath.exp(2j * math.pi * rng.random())
+        yield den, form, z
+
+
+def _dense_ratio(den, z):
+    """p(z) / p'(z) by dense Horner in mpmath, and the relative error a
+    sum over p's coefficients can make: its condition number, times
+    |1 - z|^-2 in the stepped form near z = 1."""
+    p = mp.polyval(den.coeffs[::-1], z)
+    dp = mp.polyval(den.derivative().coeffs[::-1], z)
+    size = sum(abs(c) * abs(z) ** k for k, c in enumerate(den.coeffs))
+    return p / dp, size / abs(p) + size * den.degree / abs(z * dp)
+
+
+@given(st.integers(0, 2**32), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_sparse_newton_ratio_matches_dense_horner(seed, near_one):
+    # the float ratio of the Aberth sweeps and the fixed-point Newton step
+    # read the sparse form of p or of (1 - x) p; both must give p / p'
+    w = 200
+    for den, form, z in _ratio_cases(seed, near_one):
+        assume(den.degree >= 1)
+        lost = max(1, abs(1 - z) ** -2) if form[1] else 1
+        with mp.workdps(120):
+            want, kappa = _dense_ratio(den, mp.mpc(z))
+            got = closedform._float_ratio(form, z)
+            assert abs(got - want) <= 2**-40 * kappa * lost * abs(want)
+            a, b = closedform._fixed(z, w)
+            want, kappa = _dense_ratio(den, mp.mpc(mp.ldexp(a, -w), mp.ldexp(b, -w)))
+            step = closedform._newton_step(form, a, b, w)
+            got = mp.mpc(mp.ldexp(step[0], -w), mp.ldexp(step[1], -w))
+            assert abs(got - want) <= 2 ** (16 - w) * kappa * lost * abs(want)
 
 
 @given(
@@ -378,6 +460,17 @@ def test_eval_closed_reconstructs_counts():
             got = eval_closed(pf, n)
             assert abs(got.value - exact) / max(1, exact) <= 1e-6
             assert got.imag_residual < 1e-20
+
+
+@pytest.mark.parametrize("digits", [16, 20, 32, 80])
+def test_eval_closed_noise_where_the_count_is_zero(digits):
+    """Where c(n) = 0 the pole sum is rounding noise: ap:2:14 has only
+    even parts, ge:15 none below 15.  It stays below 10^-(digits-10).
+    ROADMAP item 6, a certified eval-closed, will print an exact 0."""
+    for spec, ns in (("ap:2:14", range(1, 401, 2)), ("ge:15", range(1, 15))):
+        pf = partial_fractions(composition_gf(parse_setspec(spec)), digits)
+        for n in ns:
+            assert abs(eval_closed(pf, n).value) <= mp.mpf(10) ** -(digits - 10)
 
 
 def test_eval_closed_pinned_values():
