@@ -15,10 +15,10 @@ certify at the requested precision (diagnostics on standard error).
 Output is deterministic for identical inputs.  Only the commands that
 use them import mpmath, closedform and oracle.
 
-`series` and `table --mod3` run the one series expander,
-polyring.expand, on exact decimal.Decimal values in a local context
-that traps any rounding, and write the terms in chunks of joined
-strings: str(Decimal) is linear in the digits, where str(int) is
+`series`, `table --mod3` and the seed `recurrence` prints run the one
+series expander, polyring.expand, on exact decimal.Decimal values in a
+local context that traps any rounding, and write the terms in chunks of
+joined strings: str(Decimal) is linear in the digits, where str(int) is
 quadratic before CPython 3.12.  `count` and exact `nth` print results
 above STR_BITS bits by the same divide and conquer through Decimal as
 CPython 3.12's _pylong.
@@ -195,18 +195,24 @@ def cmd_series(args, parser):
 
 def cmd_recurrence(args, parser):
     A = parse_setspec(args.setspec)
-    # the order from the reduced form, the seed from the sparse stream
-    rec = recurrence_from_gf(genfun.composition_gf(A), genfun.composition_terms(A))
-    if args.format == "json":
-        print(json.dumps(rec.to_dict()))
-    else:
-        print(f"order: {rec.order}")
-        print("coeffs: " + ", ".join(str(c) for c in rec.coeffs))
-        print(
-            "corrections: "
-            + (", ".join(f"{i}:{v}" for i, v in rec.corrections) or "none")
-        )
-        print("initial: " + ", ".join(str(t) for t in rec.initial_terms))
+    gf = genfun.composition_gf(A)
+    with _exact():
+        # the order from the reduced form, the seed streamed from the sparse
+        # one as exact Decimals, whose str is that of the ints
+        rec = recurrence_from_gf(gf, _decimal_terms(A, max(gf.den.degree, gf.num.degree)))
+        seed = map(str, rec.initial_terms)
+        if args.format == "json":  # json.dumps of the ints, byte for byte
+            fields = rec.to_dict()
+            del fields["initial"]
+            _write_joined(seed, ", ", json.dumps(fields)[:-1] + ', "initial": [', "]}\n")
+        else:
+            print(f"order: {rec.order}")
+            print("coeffs: " + ", ".join(str(c) for c in rec.coeffs))
+            print(
+                "corrections: "
+                + (", ".join(f"{i}:{v}" for i, v in rec.corrections) or "none")
+            )
+            _write_joined(seed, ", ", "initial: ", "\n")
     return 0
 
 

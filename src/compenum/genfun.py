@@ -135,8 +135,9 @@ def count(A, n):
 
     c_A(0) = 1 by the empty-composition convention.  Read off the
     generating function by the Bostan-Mori halving of
-    RationalGF.coefficient, in about log2(n) big-integer products, not
-    by direct set iteration; the plain DP form lives in the oracle
-    module as an independent cross-check.
+    RationalGF.coefficient, in about log2(n) steps of four big-integer
+    products of half-length polynomials, not by direct set iteration;
+    the plain DP form lives in the oracle module as an independent
+    cross-check.
     """
     return composition_gf(A).coefficient(n)

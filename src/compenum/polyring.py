@@ -12,11 +12,12 @@ Euclid of poly_gcd and for divmod_fractions, which divides q and r by
 lc(d)^k.
 
 A single coefficient c_n, exact (RationalGF.coefficient) or mod m
-(coefficient_mod), comes from one Bostan-Mori halving kernel that packs
-each polynomial product into one big integer (Kronecker substitution),
-so int multiplication does the convolution.  Over Z the slots widen
-every step, and each product is packed from and unpacked to signed
-lists; mod m the residues are packed once and stay packed, every slot
+(coefficient_mod), comes from one Bostan-Mori halving kernel that
+multiplies the even and odd halves of N and D, each packed into one big
+integer (Kronecker substitution), so int multiplication does the
+convolution.  Over Z the slots widen every step, and the halves are
+packed from and the results unpacked to signed lists; mod m the residues
+are packed once, as one integer [N | D], and stay packed, every slot
 reduced at once by whole-integer operations.  The one series expander,
 expand, streams c_0, c_1, ... by the linear recurrence, for series and
 for the packed length rows, whose denominator it keeps split as
@@ -30,6 +31,7 @@ degree of the denominator.
 from __future__ import annotations
 
 import math
+import struct
 from fractions import Fraction
 from itertools import chain, islice, repeat
 from operator import mul, sub
@@ -258,11 +260,11 @@ class RationalGF:
     def coefficient(self, n):
         """c_n exactly, by Bostan-Mori halving over Z.
 
-        About log2(n) steps of two packed big-integer products each;
-        coefficient_mod runs the same kernel mod m.  The last steps
-        multiply a few slots about the size of c_n, so the cost follows
-        bits(c_n) and den.degree, not n * den.degree as streaming
-        terms() does.
+        About log2(n) steps of four packed products of halves of N and D
+        each, two of them squarings; coefficient_mod runs the same kernel
+        mod m.  The last steps multiply a few slots about the size of c_n,
+        so the cost follows bits(c_n) and den.degree, not n * den.degree
+        as streaming terms() does.
         """
         if n < 0:
             raise ValueError("n must be nonnegative")
@@ -387,70 +389,79 @@ def coefficient_mod(gf, n, m):
 
 def _halve(num, den, n, m):
     # Bostan-Mori halving (arXiv:2008.08822) of coefficient lists with
-    # den[0] = 1, over Z when m = 0 and of residues mod m otherwise:
-    # N(x)D(-x) / D(x)D(-x) has an even denominator, so [x^n] needs only
-    # the numerator terms of n's parity; halve n and repeat.  [x^n] N/D
-    # depends only on N and D mod x^(n+1), so no list keeps more than
-    # n + 1 terms.  Over Z the slots widen every step, so each product is
-    # packed and unpacked (_pack, _unpack); mod m they do not (_halve_mod).
-    num, den = num[: n + 1], den[: n + 1]
+    # den[0] = 1, over Z when m = 0 and of residues mod m otherwise.  With
+    # D = De(x^2) + x Do(x^2) and N alike, [x^n] N(x)D(-x) / D(x)D(-x) is,
+    # in y = x^2, the term of Ne De - y No Do (n even) or No De - Ne Do (n
+    # odd) over De^2 - y Do^2: four products of halves, two of them
+    # squarings, and nothing computed only to be dropped; halve n and
+    # repeat.  [x^n] N/D depends only on N and D mod x^(n+1), so no list
+    # keeps more than n + 1 terms.  Over Z the slots widen every step, so
+    # the halves are packed and the results unpacked (_pack, _unpack); mod
+    # m they do not (_halve_mod).
     if m:
-        return _halve_mod(num, den, n, m)
+        return _halve_mod(num[: n + 1], den[: n + 1], n, m)
     while n and num:
-        # a product coefficient sums at most len(den) products of two
-        # coefficients below 2^bits; the slot adds one bit, the sign's
+        num, den = num[: n + 1], den[: n + 1]
+        # a slot holds len(den) products below 2^(2 * bits), plus the sign
         bits = max(map(abs, chain(num, den))).bit_length()
         width = (2 * bits + len(den).bit_length() + 8) // 8
-        mirror = _pack([-c if i & 1 else c for i, c in enumerate(den)], width)
-        num = _unpack(_pack(num, width) * mirror, len(num) + len(den) - 1, n & 1, n, width)
+        ne, no, de, do = (_pack(p, width) for p in (num[0::2], num[1::2], den[0::2], den[1::2]))
+        count = (len(num) + len(den) - (n & 1)) // 2
+        num = _unpack(no * de - ne * do if n & 1 else ne * de - (no * do << 8 * width), count, width)
         if n > 1:  # once n halves to 0, the denominator is not read again
-            den = _unpack(_pack(den, width) * mirror, 2 * len(den) - 1, 0, n, width)
+            den = _unpack(de * de - (do * do << 8 * width), len(den), width)
         n >>= 1
     return num[0] if num else 0
 
 
 def _halve_mod(num, den, n, m):
     # The halving on residues in [0, m), packed once into slots of `bits`
-    # bits and kept packed.  A product slot sums at most len(den) terms
-    # below m * m (a mirror slot can be m), so slots of more than
-    # bit_length(len(den) * m^2) bits never carry; a whole byte more is at
-    # most the exact kernel's width for the same m and len(den).  Each
-    # step takes the slots of n's parity of both products, joins N's and
-    # D's into one integer and reduces all its slots at once: Barrett
-    # rounds (_barrett) bring each below 3m, then SWAR conditional
-    # subtractions (a test and a subtraction in every slot at once, off
-    # the slot's top bit as a guard) below m.
+    # bits as one integer [N | D] and kept packed; each step slices its
+    # bytes into slots (_slicer) and joins every other one into Ne, De, No
+    # and Do.  -Do is the mirror m - Do, and -Do^2 is top - Do^2, with
+    # floor(size/2) * m * (m - 1), a multiple of m and at least any slot of
+    # Do^2, in every slot of top.  So a result slot is at most size * m *
+    # (m - 1): slots of more than bit_length(size * m^2) bits never carry,
+    # and a whole byte more is at most the exact kernel's width for the
+    # same m and len(den).  Barrett rounds (_barrett) bring every slot of
+    # the joined results below 3m at once, then SWAR conditional
+    # subtractions (a test and a subtraction in every slot at once, off the
+    # slot's top bit as a guard) below m.
+    num = num or [0]  # slot 0 is N's
     size, count = len(den), len(num)
     width = (size * m * m).bit_length() // 8 + 1
     bits = 8 * width
     rounds, subs = _barrett(m, size * m * (m - 1), bits)
-    # the most slots N and D hold together: after the first step N keeps
-    # at most max(its slots then, size)
-    most = max(len(range(n & 1, min(count + size - 1, n + 1), 2)), size) + size
-    ones = int.from_bytes((b"\x01" + bytes(width - 1)) * most, "little")
+    # N's slots: (count + size) // 2 at most, so never more than max(count, size)
+    ones = int.from_bytes((b"\x01" + bytes(width - 1)) * (max(count, size) + size), "little")
     rounds = [(s, ones * ((1 << bits - s) - 1), mu, t, ones * ((1 << bits - t) - 1)) for s, mu, t in rounds]
     guard = ones * ((1 << bits - 1) - m)  # r + guard has its top bit set iff r >= m
-    pack = lambda coeffs: int.from_bytes(b"".join(c.to_bytes(width, "little") for c in coeffs), "little")
-    num, den, odd_size = pack(num), pack(den), None
-    while n and num:
-        if odd_size != size:  # size shrinks only once n + 1 < 2 * size - 1
-            odd_size = size
-            odd = int.from_bytes((bytes(width) + b"\x01" + bytes(width - 1)) * (size // 2), "little")
-            odd_m, odd = odd * m, odd * ((1 << bits) - 1)
-        mirror = den + odd_m - ((den & odd) << 1)  # D(-x): m - c in each odd slot
-        picked = _slots(num * mirror, count + size - 1, n & 1, n, width)
-        count = len(picked) // width
-        if n > 1:  # once n halves to 0, the denominator is not read again
-            picked += _slots(den * mirror, 2 * size - 1, 0, n, width)
-            size = len(picked) // width - count
-        both = int.from_bytes(picked, "little")
+    both = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in chain(num, den)), "little")
+    sized = laid = None
+    while n:
+        if sized != size:  # size shrinks only once n + 1 < size
+            sized, k = size, size // 2
+            mirror = m * (ones & (1 << k * bits) - 1)
+            top = k * m * (m - 1) * (ones & (1 << max(2 * k - 1, 0) * bits) - 1)
+        if laid != count + size:  # settles after a few steps
+            laid = count + size
+            split = _slicer(laid, width)
+        slots = split(both.to_bytes(laid * width, "little"))
+        halves = slots[:count:2], slots[count::2], slots[1:count:2], slots[count + 1 :: 2]
+        ne, de, no, do = [int.from_bytes(b"".join(h), "little") for h in halves]
+        num = no * de + ne * (mirror - do) if n & 1 else ne * de + (no * (mirror - do) << bits)
+        count = (count + size - (n & 1)) // 2
+        den = de * de + ((top - do * do) << bits) if n > 1 else 0
+        n >>= 1
+        if n < count or n < size:  # keep N and D mod x^(n+1)
+            count, size = min(count, n + 1), min(size, n + 1)
+            num, den = num & (1 << count * bits) - 1, den & (1 << size * bits) - 1
+        both = num | den << count * bits
         for s, low, mu, t, quotient in rounds:
             both -= ((both >> s & low) * mu >> t & quotient) * m
         for _ in range(subs):
             both -= ((both + guard) >> bits - 1 & ones) * m
-        num, den = both & (1 << count * bits) - 1, both >> count * bits
-        n >>= 1
-    return num & (1 << bits) - 1
+    return both & (1 << bits) - 1
 
 
 def _barrett(m, top, bits):
@@ -477,19 +488,9 @@ def _barrett(m, top, bits):
     return out, top // m
 
 
-def _slots(value, count, parity, n, width):
-    # the bytes of slots parity, parity + 2, ... up to n of a packed
-    # product of `count` slots: one slice per slot when they are few, one
-    # strided slice per byte column when they outnumber a slot's bytes
-    raw = value.to_bytes(count * width, "little")
-    stop = min(count, n + 1) * width
-    starts = range(parity * width, stop, 2 * width)
-    if len(starts) <= width:
-        return b"".join([raw[i : i + width] for i in starts])
-    picked = bytearray(len(starts) * width)
-    for j in range(width):
-        picked[j::width] = raw[parity * width + j : stop : 2 * width]
-    return picked
+def _slicer(count, width):
+    # unpacks the bytes of `count` slots of `width` bytes into a tuple, in one call
+    return struct.Struct(f"{width}s" * count).unpack
 
 
 def _pack(coeffs, width):
@@ -500,13 +501,11 @@ def _pack(coeffs, width):
     return int.from_bytes(packed, "little") - _halves(len(coeffs), width)
 
 
-def _unpack(value, count, parity, n, width):
-    # slots parity, parity + 2, ... up to n of a packed product of `count`
-    # slots, exact once every slot's half is added back
-    starts = range(parity * width, min(count, n + 1) * width, 2 * width)
+def _unpack(value, count, width):
+    # the `count` slots of a packed value, exact once each slot's half is back
     half = 1 << 8 * width - 1
     raw = (value + _halves(count, width)).to_bytes(count * width, "little")
-    return [int.from_bytes(raw[i : i + width], "little") - half for i in starts]
+    return [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, len(raw), width)]
 
 
 def _halves(count, width):

@@ -183,14 +183,19 @@ def test_recurrence_file_that_is_not_a_full_object_names_what_is_wrong(tmp_path,
 
 
 def test_recurrence_seeds_from_the_sparse_stream(capsys):
-    # the seed streams from length_parts, not from the reduced denominator,
-    # and prints the same bytes as the seed from that denominator; the
-    # last set's reduced row has 1357 taps, the stream's 10
+    # the seed streams from length_parts as exact Decimals, not from the
+    # reduced denominator as ints, and prints the same bytes as the int
+    # seed from that denominator, in both formats; the sparse set's reduced
+    # row has 1357 taps, the stream's 10, and not:mod:300:0's 301-term seed
+    # is written in more than one chunk
     sparse = "mod:840:588,718,809+157,698,877"
-    for spec in ("not:mod:3:0", "not:mod:40:0", "not:ap:20:9", "mod:9:2,6,7,8", "set:", "set:4", "ge:3", sparse):
+    specs = ("not:mod:3:0", "not:mod:40:0", "not:mod:300:0", "not:ap:20:9", "mod:9:2,6,7,8", "set:", "set:4", "ge:3", sparse)
+    for spec in specs:
         code, out, _ = run_cli(capsys, "recurrence", spec)
         dense = recurrence_from_gf(composition_gf(parse_setspec(spec)))
         assert code == 0 and out == json.dumps(dense.to_dict()) + "\n"
+        code, out, _ = run_cli(capsys, "recurrence", spec, "--format", "plain")
+        assert code == 0 and out.splitlines()[3] == "initial: " + ", ".join(map(str, dense.initial_terms))
 
 
 def test_recurrence_plain_format(capsys):

@@ -145,13 +145,22 @@ WORST_LENGTHS = (1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 1
 
 
 def test_coefficient_mod_at_its_worst_case_slots():
-    # residues m - 1 in every slot fill the products' slots the most, and a
-    # zero odd den coefficient makes its mirror slot m; numerators run
-    # longer than den.  The exact reference takes -1 for m - 1, which keeps
-    # it small and gives the same residues.
+    # Residues m - 1 fill the products' slots the most.  With De and Do all
+    # m - 1 past De(0) = 1, De^2 + y(top - Do^2) holds both halves' largest
+    # products; with Do all 0 the mirror m - Do is m in every slot and top -
+    # Do^2 is top, so a D slot nears size * m * (m - 1) without carrying;
+    # with De = 1 and Do all m - 1, Do^2 is largest and top - Do^2 smallest,
+    # floor(size/2) * (m - 1), in the middle slot.  Numerators of both
+    # parities run longer than den.  The exact reference takes -1 for m - 1,
+    # which keeps it small and gives the same residues.
     for size in WORST_LENGTHS:
-        for den in ([1] + [-1] * (size - 1), [1] + [-(i % 2 == 0) for i in range(1, size)]):
-            for num in ([-1], [-1] * (size + 5)):
+        dens = (
+            [1] + [-1] * (size - 1),
+            [1] + [-(i % 2 == 0) for i in range(1, size)],
+            [1] + [-(i % 2) for i in range(1, size)],
+        )
+        for den in dens:
+            for num in ([-1], [-1] * (size + 5), [-1] * (size + 6)):
                 gf = RationalGF(poly(*num), poly(*den))
                 j = size.bit_length()
                 for n in {0, 1, 2, 31, 32, 2**j - 1, 2**j}:
@@ -161,18 +170,51 @@ def test_coefficient_mod_at_its_worst_case_slots():
                         assert coefficient_mod(residues, n, m) == want % m, (size, n, m)
 
 
+@st.composite
+def halving_inputs(draw):
+    # (num, den, n): den of each length parity, its odd half all zero or
+    # empty (D = 1) too, numerators up to three times as long as den, and n
+    # from 0 to 3 * len(den); nonzero last coefficients keep the lengths
+    last = st.integers(-9, 9).filter(bool)
+    size = draw(st.integers(1, 12))
+    middle = st.lists(st.integers(-9, 9), min_size=max(size - 2, 0), max_size=max(size - 2, 0))
+    den = [1, *draw(middle), draw(last)][:size]
+    if draw(st.booleans()):
+        den[1::2] = [0] * (size // 2)
+    num = draw(st.lists(st.integers(-9, 9), max_size=3 * size))
+    num += [draw(last)] * draw(st.integers(0, 1))
+    return num, den, draw(st.integers(0, 3 * size))
+
+
+@given(halving_inputs(), st.sampled_from((2, 3, 97, 2**61 - 1, 2**128 - 159)))
+@example(([3, -1, 2, 5], [1], 3), 97)  # D = 1: Do is empty
+@example(([3, -1, 2, 5, 7], [1], 4), 2)
+@example(([], [1, -1], 3), 97)  # N = 0
+@example(([2], [1, 0, -1, 0, -3], 7), 97)  # an all-zero odd half
+@example(([1] * 10, [1, -1, -1], 9), 2**61 - 1)  # N longer than D
+@example(([1] * 9, [1, -1, -1, 2], 12), 3)
+@settings(max_examples=300, deadline=None)
+def test_both_codecs_split_every_parity(args, m):
+    num, den, n = args
+    gf = RationalGF(poly(*num), poly(*den))
+    want = gf.series(n)[n]
+    assert gf.coefficient(n) == want
+    assert coefficient_mod(gf, n, m) == want % m
+
+
 def test_residue_slots_are_never_wider_than_the_signed_ones(monkeypatch):
-    # the width a product's slots are read at is at most the exact
-    # kernel's (2 * bitlen(m) + bitlen(len(den)) + 8) // 8 for the same m
-    # and len(den), and it does not change from step to step
+    # the width the packed [N | D] is split at into its even and odd
+    # slots is at most the exact kernel's (2 * bitlen(m) + bitlen(len(den))
+    # + 8) // 8 for the same m and len(den), and it does not change from
+    # step to step
     widths = []
 
-    def recording(value, count, parity, n, width):
+    def recording(count, width):
         widths.append(width)
-        return slots(value, count, parity, n, width)
+        return slicer(count, width)
 
-    slots = polyring._slots
-    monkeypatch.setattr(polyring, "_slots", recording)
+    slicer = polyring._slicer
+    monkeypatch.setattr(polyring, "_slicer", recording)
     for size in WORST_LENGTHS:
         for m in WORST_MODULI:
             widths.clear()
