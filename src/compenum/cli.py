@@ -6,17 +6,18 @@ closed forms, the three-column mod-3 table, joint length counts, and
 the verification suites.
 
 Exit status: 0 on success, 1 when a verification report fails, 2 on
-usage or parse errors, on exact results and packed bylength rows (slots
-sized by genfun.composition_bits) over MAX_EXACT_BITS, on series and
-mod-3 tables whose terms are bounded above MAX_SERIES_BITS in all, on
---digits outside 16..closedform.MAX_DIGITS, and on closed forms whose
-estimated cost exceeds closedform.MAX_SECONDS or whose poles do not
-certify at the requested precision (diagnostics on standard error).
-Output is deterministic for identical inputs.  Only the commands that
-use them import mpmath, closedform and oracle.
+usage or parse errors, on setspec integers and verify's --k, --m, --a
+and --b above partset.MAX_VALUE, on exact results and packed bylength
+rows (slots sized by genfun.composition_bits) over MAX_EXACT_BITS, on
+series, mod-3 tables and recurrence seeds whose terms are bounded above
+MAX_SERIES_BITS in all, on --digits outside 16..closedform.MAX_DIGITS,
+and on closed forms whose estimated cost exceeds closedform.MAX_SECONDS
+or whose poles do not certify at the requested precision (diagnostics
+on standard error).  Output is deterministic for identical inputs.
+Only the commands that use them import mpmath, closedform and oracle.
 
-`series`, `table --mod3` and the seed `recurrence` prints run the one
-series expander, polyring.expand, on exact decimal.Decimal values in a
+`series`, `table --mod3` and the seed `recurrence` prints read one
+stream, genfun.composition_terms, of exact decimal.Decimal values in a
 local context that traps any rounding, and write the terms in chunks of
 joined strings: str(Decimal) is linear in the digits, where str(int) is
 quadratic before CPython 3.12.  `count` and exact `nth` print results
@@ -38,8 +39,8 @@ from itertools import islice
 
 from . import genfun
 from .bivariate import length_row, packed_width
-from .partset import parse_setspec
-from .polyring import coefficient_mod, expand
+from .partset import MAX_VALUE, parse_setspec
+from .polyring import coefficient_mod
 from .recurrence import LinearRecurrence, recurrence_from_gf
 
 DISPLAY_DIGITS = 12
@@ -80,6 +81,17 @@ def _positive(text):
     return value
 
 
+def _bounded(text):
+    # verify's --k, --m, --a and --b, bounded as setspec integers are
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value > MAX_VALUE:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_VALUE}")
+    return value
+
+
 def _real_str(x):
     from mpmath import nstr
 
@@ -95,15 +107,6 @@ def _exact():
     traps = [decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.Overflow]
     ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=traps)
     return decimal.localcontext(ctx)
-
-
-def _decimal_terms(A, limit):
-    # c(0)..c(limit) as exact Decimals, to run in _exact(): Decimal addition
-    # costs about what int addition does, and str(Decimal) is linear in the
-    # digits where str(int) is quadratic
-    num, low, high = genfun.length_parts(A)
-    num, den = ([Decimal(c) for c in p.coeffs] for p in (num, low - high))
-    return islice(expand(num, den), limit + 1)
 
 
 def _int_str(n):
@@ -143,12 +146,6 @@ def _write_joined(strings, sep="", head="", tail=""):
     write(tail)
 
 
-def _write_indexed(values):
-    # one "i value" line per entry, written at once: a print per line
-    # costs more than the numbers on long rows
-    sys.stdout.write("".join(f"{i} {v}\n" for i, v in enumerate(values)))
-
-
 def _refuse(bits, limit, what, hint=""):
     """ValueError (exit 2) when `what`, bounded by `bits` bits, is over `limit` bits."""
     if bits > limit:
@@ -157,6 +154,24 @@ def _refuse(bits, limit, what, hint=""):
             f"{what} may hold up to {bits} bits ({digits} decimal digits), "
             f"more than the {limit}-bit limit{hint}"
         )
+
+
+def _series(A, limit, what=None):
+    """c(0)..c(limit) as exact Decimals, to read in _exact(); ValueError
+    (exit 2) before any expansion when (limit + 1) * composition_bits,
+    a bound on the bits of all of them, is over MAX_SERIES_BITS."""
+    bits = (limit + 1) * genfun.composition_bits(A, limit)
+    _refuse(bits, MAX_SERIES_BITS, what or f"the series to --limit {limit}")
+    return islice(genfun.composition_terms(A, Decimal), limit + 1)
+
+
+def _print_exact(n, bits, gf):
+    """Print c_n of the generating function gf() exactly, refused (exit 2)
+    by MAX_EXACT_BITS on its bound `bits` before gf is called."""
+    hint = "; use `nth <setspec> <n> --mod M` for a residue"
+    _refuse(bits, MAX_EXACT_BITS, f"the exact term at n = {n}", hint)
+    print(_int_str(gf().coefficient(n)))
+    return 0
 
 
 def _recurrence_bits(gf, n):
@@ -171,47 +186,38 @@ def _recurrence_bits(gf, n):
 
 def cmd_count(args, parser):
     A = parse_setspec(args.setspec)
-    bits = genfun.composition_bits(A, args.n)
-    hint = "; use `nth <setspec> <n> --mod M` for a residue"
-    _refuse(bits, MAX_EXACT_BITS, f"the exact term at n = {args.n}", hint)
-    print(_int_str(genfun.count(A, args.n)))
-    return 0
+    return _print_exact(args.n, genfun.composition_bits(A, args.n), lambda: genfun.composition_gf(A))
 
 
 def cmd_series(args, parser):
     A = parse_setspec(args.setspec)
-    bits = (args.limit + 1) * genfun.composition_bits(A, args.limit)
-    _refuse(bits, MAX_SERIES_BITS, f"the series to --limit {args.limit}")
     with _exact():
-        terms = _decimal_terms(A, args.limit)
+        terms = map(str, _series(A, args.limit))
         if args.format == "csv":
-            _write_joined(map(str, terms), ",", tail="\n")
+            _write_joined(terms, ",", tail="\n")
         elif args.format == "json":  # json.dumps of the ints, byte for byte
-            _write_joined(map(str, terms), ", ", "[", "]\n")
+            _write_joined(terms, ", ", "[", "]\n")
         else:
-            _write_joined(f"{i} {v!s}\n" for i, v in enumerate(terms))
+            _write_joined(f"{i} {v}\n" for i, v in enumerate(terms))
     return 0
 
 
 def cmd_recurrence(args, parser):
     A = parse_setspec(args.setspec)
     gf = genfun.composition_gf(A)
+    order = max(gf.den.degree, gf.num.degree)
     with _exact():
         # the order from the reduced form, the seed streamed from the sparse
         # one as exact Decimals, whose str is that of the ints
-        rec = recurrence_from_gf(gf, _decimal_terms(A, max(gf.den.degree, gf.num.degree)))
+        rec = recurrence_from_gf(gf, _series(A, order, f"the recurrence seed to n = {order}"))
         seed = map(str, rec.initial_terms)
         if args.format == "json":  # json.dumps of the ints, byte for byte
             fields = rec.to_dict()
             del fields["initial"]
             _write_joined(seed, ", ", json.dumps(fields)[:-1] + ', "initial": [', "]}\n")
         else:
-            print(f"order: {rec.order}")
-            print("coeffs: " + ", ".join(str(c) for c in rec.coeffs))
-            print(
-                "corrections: "
-                + (", ".join(f"{i}:{v}" for i, v in rec.corrections) or "none")
-            )
+            print(f"order: {rec.order}\ncoeffs: " + ", ".join(map(str, rec.coeffs)))
+            print("corrections: " + (", ".join(f"{i}:{v}" for i, v in rec.corrections) or "none"))
             _write_joined(seed, ", ", "initial: ", "\n")
     return 0
 
@@ -230,12 +236,19 @@ def _poly_part_str(poly_part):
     return " + ".join(pieces) if pieces else "0"
 
 
-def cmd_closed_form(args, parser):
+def _closed_form(args):
+    # (gf, its partial fractions) for closed-form and eval-closed
     from . import closedform
 
     closedform._check_digits(args.digits)  # refuse oversized precision before any work
     gf = genfun.composition_gf(parse_setspec(args.setspec))
-    pf = closedform.partial_fractions(gf, args.digits)
+    return gf, closedform.partial_fractions(gf, args.digits)
+
+
+def cmd_closed_form(args, parser):
+    from . import closedform
+
+    gf, pf = _closed_form(args)
     print(f"generating function: {gf}")
     print(f"polynomial part: {_poly_part_str(pf.poly_part)}")
     if not pf.poles:
@@ -251,20 +264,14 @@ def cmd_closed_form(args, parser):
         )
     print(f"growth rate: {_real_str(report.growth_rate)}")
     print(f"unique dominant pole: {'yes' if report.unique_dominant else 'no'}")
-    print(
-        "nearest-integer rounding valid: "
-        + ("yes" if report.nearest_integer_valid else "no")
-    )
+    print(f"nearest-integer rounding valid: {'yes' if report.nearest_integer_valid else 'no'}")
     return 0
 
 
 def cmd_eval_closed(args, parser):
     from . import closedform
 
-    closedform._check_digits(args.digits)  # refuse oversized precision before any work
-    gf = genfun.composition_gf(parse_setspec(args.setspec))
-    pf = closedform.partial_fractions(gf, args.digits)
-    value, _ = closedform.eval_closed(pf, args.n)
+    value, _ = closedform.eval_closed(_closed_form(args)[1], args.n)
     print(_real_str(value))
     return 0
 
@@ -274,24 +281,26 @@ def cmd_nth(args, parser):
         if len(args.operands) != 1:
             parser.error("with --recurrence-file, give just n")
         with open(args.recurrence_file, encoding="utf-8") as fh:
-            gf = LinearRecurrence.from_dict(json.load(fh)).to_gf()
+            try:
+                data = json.load(fh)
+            except ValueError as exc:  # not JSON, or not UTF-8
+                raise ValueError(f"malformed recurrence file {args.recurrence_file}: {exc}") from None
+        loaded = LinearRecurrence.from_dict(data).to_gf()
+        gf = lambda: loaded
         n = _parse_operand_n(args.operands[0], parser)
-        bits = _recurrence_bits(gf, n)
+        bits = _recurrence_bits(loaded, n)
     else:
         if len(args.operands) != 2:
             parser.error("expected: nth <setspec> <n> (or nth <n> --recurrence-file F)")
         A = parse_setspec(args.operands[0])
-        gf = genfun.composition_gf(A)
+        gf = lambda: genfun.composition_gf(A)
         n = _parse_operand_n(args.operands[1], parser)
         bits = genfun.composition_bits(A, n)
-    if args.mod is not None:
-        if args.mod < 2:
-            parser.error("--mod must be >= 2")
-        print(coefficient_mod(gf, n, args.mod))
-    else:
-        hint = "; use `nth <setspec> <n> --mod M` for a residue"
-        _refuse(bits, MAX_EXACT_BITS, f"the exact term at n = {n}", hint)
-        print(_int_str(gf.coefficient(n)))
+    if args.mod is None:
+        return _print_exact(n, bits, gf)
+    if args.mod < 2:
+        parser.error("--mod must be >= 2")
+    print(coefficient_mod(gf(), n, args.mod))
     return 0
 
 
@@ -307,20 +316,16 @@ def cmd_bylength(args, parser):
     # row n arrives packed in one coefficient of n + 1 slots
     bits = (args.n + 1) * 8 * packed_width(A, args.n)
     _refuse(bits, MAX_EXACT_BITS, f"the packed row at n = {args.n}")
-    _write_indexed(length_row(A, args.n))
+    _write_joined(f"{i} {v}\n" for i, v in enumerate(length_row(A, args.n)))
     return 0
 
 
 def cmd_table(args, parser):
     if not args.mod3:
         parser.error("pass --mod3 (the only table currently available)")
-    limit = args.limit
-    sets = [parse_setspec(spec) for spec in ("not:ap:1:3", "not:ap:2:3", "not:mod:3:0")]
-    for A in sets:
-        bits = (limit + 1) * genfun.composition_bits(A, limit)
-        _refuse(bits, MAX_SERIES_BITS, f"the series to --limit {limit}")
+    specs = ("not:ap:1:3", "not:ap:2:3", "not:mod:3:0")
     with _exact():
-        columns = [islice(_decimal_terms(A, limit), 1, None) for A in sets]
+        columns = [islice(_series(parse_setspec(spec), args.limit), 1, None) for spec in specs]
         _write_joined(f"{n},{a!s},{b!s},{c!s}\n" for n, (a, b, c) in enumerate(zip(*columns), 1))
     return 0
 
@@ -337,31 +342,20 @@ def _verify_reports(args, parser):
         return [oracle.verify_theorem("thm2", limit, k=k) for k in ks]
     if family == "thm3":
         if args.k is None and args.m is None:
-            return [
-                oracle.verify_theorem("thm3", limit, k=k, m=m)
-                for k in range(2, 7)
-                for m in range(2, k)
-            ]
+            return [oracle.verify_theorem("thm3", limit, k=k, m=m) for k in range(2, 7) for m in range(2, k)]
         return [oracle.verify_theorem("thm3", limit, k=args.k, m=args.m)]
     if family == "cayley":
         return [oracle.verify_cayley_shift(limit)]
     if family == "zeilberger":
         if args.a is None and args.b is None:
-            return [
-                oracle.verify_sills_zeilberger(a, b, limit)
-                for a in range(1, 5)
-                for b in range(1, 5)
-            ]
+            return [oracle.verify_sills_zeilberger(a, b, limit) for a in range(1, 5) for b in range(1, 5)]
         a = args.a if args.a is not None else 1
         b = args.b if args.b is not None else 2
         return [oracle.verify_sills_zeilberger(a, b, limit)]
     if family == "oracle":
         rng = random.Random(args.seed)
         cap = min(limit, 16)  # enumeration is exponential in the limit
-        return [
-            oracle.verify_triangle(oracle.random_partset(rng), limit=cap)
-            for _ in range(10)
-        ]
+        return [oracle.verify_triangle(oracle.random_partset(rng), limit=cap) for _ in range(10)]
     # family == "all"
     return list(oracle.run_verification_suite(args.seed, limit))
 
@@ -371,19 +365,11 @@ def cmd_verify(args, parser):
 
     reports = _verify_reports(args, parser)
     lenient = args.family == "all"
-    expected = [
-        lenient and oracle.expected_discrepancy(rep) for rep in reports
-    ]
+    expected = [lenient and oracle.expected_discrepancy(rep) for rep in reports]
     overall = all(rep.passed or exp for rep, exp in zip(reports, expected))
     if args.format == "json":
-        payload = {
-            "passed": overall,
-            "reports": [
-                dict(rep.to_dict(), expected_discrepancy=exp)
-                for rep, exp in zip(reports, expected)
-            ],
-        }
-        print(json.dumps(payload))
+        dicts = [dict(rep.to_dict(), expected_discrepancy=exp) for rep, exp in zip(reports, expected)]
+        print(json.dumps({"passed": overall, "reports": dicts}))
     else:
         for rep, exp in zip(reports, expected):
             if rep.passed:
@@ -473,10 +459,8 @@ def _build_parser():
         "family",
         choices=("thm1", "thm2", "thm3", "cayley", "zeilberger", "oracle", "all"),
     )
-    p.add_argument("--k", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--a", type=int)
-    p.add_argument("--b", type=int)
+    for flag in ("--k", "--m", "--a", "--b"):
+        p.add_argument(flag, type=_bounded)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--limit", type=_positive, default=25)
     p.add_argument("--format", choices=("plain", "json"), default="plain")

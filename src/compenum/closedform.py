@@ -62,7 +62,7 @@ from fractions import Fraction
 from mpmath import mp
 from mpmath.libmp import from_man_exp
 
-from .polyring import _step, divmod_fractions, poly_gcd
+from .polyring import _sparser, divmod_fractions, poly_gcd
 
 GUARD_DIGITS = 15
 # Requested precision above this is refused before any work.  The cost
@@ -124,11 +124,11 @@ class ComplexRoot:
 
 def _sparse_form(coeffs):
     """The nonzero taps (e, c) of p = sum(coeffs[e] x^e), or of q = (1 - x)
-    p when that has fewer, the step of the paper's lemma, and whether the
-    stepped form was taken: 1 - x - ... - x^k becomes 1 - 2x + x^(k+1)."""
-    stepped = _step([*coeffs, 0], 1)
-    dense, sparse = ([(e, c) for e, c in enumerate(cs) if c] for cs in (coeffs, stepped))
-    return (sparse, True) if len(sparse) < len(dense) else (dense, False)
+    p where polyring.expand would stream that, the step of the paper's
+    lemma, and whether the stepped form was taken: 1 - x - ... - x^k
+    becomes 1 - 2x + x^(k+1)."""
+    _, row, _, stepped = _sparser((), coeffs)
+    return [(e, c) for e, c in enumerate(row) if c], stepped
 
 
 def _float_ratio(form, z):

@@ -114,13 +114,14 @@ def composition_gf(A):
     return RationalGF(IntPolynomial(num), IntPolynomial(den))
 
 
-def composition_terms(A):
+def composition_terms(A, number=int):
     """count(A, 0), count(A, 1), ... without end, streamed by
     polyring.expand from length_parts at y = 1, or from (1 - x) times
     it where that is sparser.  No gcd is taken: a common factor changes
-    no term."""
+    no term.  The terms are of the type `number`, which needs only + -
+    and *: the CLI prints exact decimal.Decimal terms."""
     num, low, high = length_parts(A)
-    return expand(num.coeffs, (low - high).coeffs)
+    return expand(*([number(c) for c in p.coeffs] for p in (num, low - high)))
 
 
 def composition_series(A, order):
@@ -131,13 +132,8 @@ def composition_series(A, order):
 
 
 def count(A, n):
-    """c_A(n): the number of compositions of n with all parts in A.
-
-    c_A(0) = 1 by the empty-composition convention.  Read off the
-    generating function by the Bostan-Mori halving of
-    RationalGF.coefficient, in about log2(n) steps of four big-integer
-    products of half-length polynomials, not by direct set iteration;
-    the plain DP form lives in the oracle module as an independent
-    cross-check.
-    """
+    """c_A(n): the number of compositions of n with all parts in A,
+    c_A(0) = 1, by RationalGF.coefficient on composition_gf(A), as the
+    CLI's count and nth do; the plain DP form lives in the oracle module
+    as an independent cross-check."""
     return composition_gf(A).coefficient(n)

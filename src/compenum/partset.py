@@ -19,6 +19,13 @@ from dataclasses import dataclass
 
 from .polyring import IntPolynomial
 
+# parse_setspec refuses any integer above this: the generating function's
+# lists grow with the modulus and the largest exception (`count
+# ge:30000000 5` died with a MemoryError).  At the bound, on a 2-core host
+# with CPython 3.11, `count` of mod:, set:, ge: and ap:1000000:1 at n = 5
+# takes 0.6 to 1.8 s and at most 206 MB; `count mod:720720:1 5` 1.3 s.
+MAX_VALUE = 1_000_000
+
 
 class SetSpecError(ValueError):
     """Malformed set expression; ``position`` is the offset of the problem."""
@@ -172,8 +179,8 @@ class PartSet:
 #   base    := "all" | "ge:" INT | "set:" [INT ("," INT)*]
 #            | "mod:" INT ":" [INT ("," INT)*] | "ap:" INT ":" INT
 #
-# ASCII only, no whitespace.  INT is a run of decimal digits; 0 is legal
-# only where a residue is expected.
+# ASCII only, no whitespace.  INT is a run of decimal digits, at most
+# MAX_VALUE; 0 is legal only where a residue is expected.
 
 
 def parse_setspec(text):
@@ -186,7 +193,7 @@ def parse_setspec(text):
     Z>0; ``all`` is Z>0.  A ``+v,...`` list after a base term adds
     values to it, then a ``-v,...`` list removes values, which is the
     form str(PartSet) prints.  Raises SetSpecError with the offending
-    position on malformed input.
+    position on malformed input and on any integer above MAX_VALUE.
     """
     if not isinstance(text, str):
         raise SetSpecError("set expression must be a string", 0)
@@ -262,7 +269,10 @@ def _parse_int(text, pos):
         end += 1
     if end == pos:
         raise SetSpecError("expected an integer", pos)
-    return int(text[pos:end]), end
+    digits = text[pos:end].lstrip("0")
+    if len(digits) > len(str(MAX_VALUE)) or int(digits or 0) > MAX_VALUE:
+        raise SetSpecError(f"integer above {MAX_VALUE}", pos)
+    return int(digits or 0), end
 
 
 def _expect_colon(text, pos):

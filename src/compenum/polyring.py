@@ -268,7 +268,7 @@ class RationalGF:
         """
         if n < 0:
             raise ValueError("n must be nonnegative")
-        return _halve(list(self.num.coeffs), list(self.den.coeffs), n, 0)
+        return _halve(list(self.num.coeffs), list(self.den.coeffs), n)
 
     def __eq__(self, other):
         if not isinstance(other, RationalGF):
@@ -308,7 +308,7 @@ def expand(num, low, high=(), shift=0):
     """
     if not low or low[0] != 1 or (high and high[0]):
         raise ValueError("need low[0] = 1 and high[0] = 0")
-    num, low, high = _sparser(num, low, high)
+    num, low, high, _ = _sparser(num, low, high)
     size = max(len(low), len(high)) - 1
     hist = [0] * size  # the terms before c_0
     get, push = hist.__getitem__, hist.append
@@ -345,11 +345,13 @@ def _step(p, e):
     return list(map(sub, p, p[-e:] + p[:-e]))
 
 
-def _sparser(num, low, high):
-    # the rows, or all three times 1 - x if low[1:] and high then have fewer taps
+def _sparser(num, low, high=()):
+    # the rows, or all three times 1 - x if low[1:] and high then have
+    # fewer taps, and whether they were stepped
     stepped = [_step([*p, 0], 1) for p in (num, low, high)]
     taps = lambda low, high: sum(map(bool, low[1:])) + sum(map(bool, high))
-    return stepped if taps(*stepped[1:]) < taps(low, high) else (num, low, high)
+    fewer = taps(*stepped[1:]) < taps(low, high)
+    return (*stepped, True) if fewer else (num, low, high, False)
 
 
 def _taps(taps, size):
@@ -384,12 +386,13 @@ def coefficient_mod(gf, n, m):
     """
     if n < 0 or m < 2:
         raise ValueError("need n >= 0 and modulus m >= 2")
-    return _halve([c % m for c in gf.num.coeffs], [c % m for c in gf.den.coeffs], n, m)
+    num, den = ([c % m for c in p.coeffs[: n + 1]] for p in (gf.num, gf.den))
+    return _halve_mod(num, den, n, m)
 
 
-def _halve(num, den, n, m):
-    # Bostan-Mori halving (arXiv:2008.08822) of coefficient lists with
-    # den[0] = 1, over Z when m = 0 and of residues mod m otherwise.  With
+def _halve(num, den, n):
+    # Bostan-Mori halving (arXiv:2008.08822) of coefficient lists over Z
+    # with den[0] = 1, the kernel _halve_mod runs on residues.  With
     # D = De(x^2) + x Do(x^2) and N alike, [x^n] N(x)D(-x) / D(x)D(-x) is,
     # in y = x^2, the term of Ne De - y No Do (n even) or No De - Ne Do (n
     # odd) over De^2 - y Do^2: four products of halves, two of them
@@ -398,8 +401,6 @@ def _halve(num, den, n, m):
     # keeps more than n + 1 terms.  Over Z the slots widen every step, so
     # the halves are packed and the results unpacked (_pack, _unpack); mod
     # m they do not (_halve_mod).
-    if m:
-        return _halve_mod(num[: n + 1], den[: n + 1], n, m)
     while n and num:
         num, den = num[: n + 1], den[: n + 1]
         # a slot holds len(den) products below 2^(2 * bits), plus the sign

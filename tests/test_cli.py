@@ -4,14 +4,15 @@ import random
 import subprocess
 import sys
 import time
+from itertools import islice
 from math import comb
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from compenum import cli
-from compenum.bivariate import odd_parts_by_length
+from compenum import cli, genfun
+from compenum.bivariate import length_row, odd_parts_by_length
 from compenum.cli import main
 from compenum.genfun import composition_gf, composition_series, count
 from compenum.oracle import random_partset
@@ -182,6 +183,34 @@ def test_recurrence_file_that_is_not_a_full_object_names_what_is_wrong(tmp_path,
         assert (code, out, err) == (2, "", f"error: malformed recurrence dict: {message}\n")
 
 
+def test_recurrence_file_that_is_not_json_names_the_file(tmp_path, capsys):
+    path = tmp_path / "rec.json"
+    for data, message in (
+        (b"order 1", "Expecting value: line 1 column 1 (char 0)"),
+        (b"\xd0\xff", "'utf-8' codec can't decode byte 0xd0 in position 0: invalid continuation byte"),
+    ):
+        path.write_bytes(data)
+        code, out, err = run_cli(capsys, "nth", "5", "--recurrence-file", str(path))
+        assert (code, out, err) == (2, "", f"error: malformed recurrence file {path}: {message}\n")
+
+
+def test_recurrence_seed_refused_before_any_term_streams(capsys, monkeypatch):
+    # the seed c(0)..c(order) falls under the series bound: (order + 1) *
+    # composition_bits is 4.0 * 10^8 bits at order 20000, admitted
+    code, out, _ = run_cli(capsys, "recurrence", "not:mod:20000:0")
+    assert code == 0 and out.startswith('{"order": 20000, ') and out.endswith("]}\n")
+
+    def refuse(*args):
+        raise AssertionError("seed streamed")
+
+    monkeypatch.setattr(genfun, "composition_terms", refuse)
+    for spec, bits in (("not:mod:60000:0", 3600060000), ("not:mod:22361:0", 500036682), ("mod:60000:1", 3600060000)):
+        for fmt in ("json", "plain"):
+            code, out, err = run_cli(capsys, "recurrence", spec, "--format", fmt)
+            assert code == 2 and out == "" and err.count("\n") == 1
+            assert f"seed to n = {spec.split(':')[-2]} may hold up to {bits} bits" in err
+
+
 def test_recurrence_seeds_from_the_sparse_stream(capsys):
     # the seed streams from length_parts as exact Decimals, not from the
     # reduced denominator as ints, and prints the same bytes as the int
@@ -231,6 +260,21 @@ def test_nth_mod_from_recurrence_file_uses_its_seed(tmp_path, capsys):
     assert code == 0 and out == "629620523060\n"
 
 
+@given(st.integers(0, 10_000), st.integers(0, 400))
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_merged_routes_print_alike(capsys, seed, n):
+    # count and exact nth share one helper, bylength writes through
+    # _write_joined, and the CLI's Decimal stream is composition_series
+    A = random_partset(random.Random(seed), max_modulus=12)
+    counted = run_cli(capsys, "count", str(A), str(n))
+    assert counted[0] == 0 and run_cli(capsys, "nth", str(A), str(n)) == counted
+    row = "".join(f"{i} {v}\n" for i, v in enumerate(length_row(A, n)))
+    assert run_cli(capsys, "bylength", str(A), str(n)) == (0, row, "")
+    with cli._exact():
+        decimals = list(islice(genfun.composition_terms(A, decimal.Decimal), n + 1))
+    assert composition_series(A, n) == tuple(map(int, decimals))
+
+
 def test_results_past_4300_digits(capsys):
     code, out, _ = run_cli(capsys, "count", "all", "14400")
     assert code == 0 and out == f"{2**14399}\n"
@@ -257,6 +301,27 @@ def test_oversized_exact_results_refused_up_front(tmp_path, capsys):
     assert code == 0 and out == f"{count(parse_setspec('not:mod:4:0'), 1000)}\n"
 
 
+def test_huge_setspec_and_verify_integers_refused(capsys):
+    for argv in (
+        ("count", "ge:30000000", "5"),
+        ("count", "mod:50000000:1", "5"),
+        ("count", "set:40000000", "5"),
+        ("nth", "ap:1:1000001", "5", "--mod", "7"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith("error: integer above 1000000 (position ")
+    code, out, _ = run_cli(capsys, "count", "mod:720720:1", "5")
+    assert (code, out) == (0, "1\n")
+    for flag in ("--k", "--m", "--a", "--b"):
+        code, out, err = run_cli(capsys, "verify", "zeilberger", flag, "1000001")
+        assert code == 2 and out == "" and f"argument {flag}: must be at most 1000000" in err
+    code, out, err = run_cli(capsys, "verify", "thm2", "--k", "x")
+    assert code == 2 and "argument --k: invalid int value: 'x'" in err
+    code, out, _ = run_cli(capsys, "verify", "zeilberger", "--a", "1000000", "--b", "1", "--limit", "1")
+    assert code == 0 and out.endswith("verification passed\n")
+
+
 def test_sparse_part_sets_bounded_by_smallest_part(capsys):
     # c(n) <= (a + 1)^ceil((n - 1) / a) for smallest part a admits these
     code, out, _ = run_cli(capsys, "count", "set:7", "3000000")
@@ -279,8 +344,8 @@ def test_oversized_series_refused_before_any_expansion(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("series expanded")
 
-    # the CLI streams every series through polyring.expand under this name
-    monkeypatch.setattr(cli, "expand", refuse)
+    # the CLI streams every series through this one stream
+    monkeypatch.setattr(genfun, "composition_terms", refuse)
     for argv, bits in (
         (("series", "set:1", "--limit", "22361"), 500036682),
         (("series", "not:mod:3:0", "--limit", "40000"), 1600040000),

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from compenum.oracle import random_partset
-from compenum.partset import PartSet, SetSpecError, parse_setspec
+from compenum.partset import MAX_VALUE, PartSet, SetSpecError, parse_setspec
 
 
 def members_brute(A, n):
@@ -62,6 +62,27 @@ def test_parse_errors_carry_position(bad, pos):
     with pytest.raises(SetSpecError) as exc:
         parse_setspec(bad)
     assert exc.value.position == pos
+
+
+def test_parse_refuses_integers_above_the_bound():
+    top, over = MAX_VALUE, MAX_VALUE + 1
+    assert parse_setspec(f"mod:{top}:{top - 1}") == PartSet(top, frozenset({top - 1}))
+    assert parse_setspec(f"set:000{top}") == PartSet.finite({top})
+    assert parse_setspec(f"ge:{top}").least() == top
+    assert parse_setspec(f"ap:{top}:{top}-{top}").removed == frozenset({top})
+    for spec, pos in (
+        (f"mod:{over}:1", 4),
+        (f"ge:{over}", 3),
+        (f"set:5,{over}", 6),
+        (f"ap:{over}:1", 3),
+        (f"ap:1:{over}", 5),
+        (f"not:all+{over}", 8),
+        (f"all-3,{over}", 6),
+        (f"set:000{over}", 4),
+        ("set:" + "9" * 5000, 4),  # refused from its length, not converted
+    ):
+        with pytest.raises(SetSpecError, match=f"integer above {top} \\(position {pos}\\)"):
+            parse_setspec(spec)
 
 
 def test_parse_rejects_trailing_garbage():
