@@ -9,8 +9,9 @@ Exit status: 0 on success, 1 when a verification report fails, 2 on
 usage or parse errors, on setspec integers and verify's --k, --m, --a
 and --b above partset.MAX_VALUE, on exact results and packed bylength
 rows (slots sized by genfun.composition_bits) over MAX_EXACT_BITS, on
-series, mod-3 tables and recurrence seeds whose terms are bounded above
-MAX_SERIES_BITS in all, on --digits outside 16..closedform.MAX_DIGITS,
+series, mod-3 tables, recurrence seeds and the seeds of `verify thm2`
+and `verify thm3 --k` whose terms are bounded above MAX_SERIES_BITS in
+all, on --digits outside 16..closedform.MAX_DIGITS,
 and on closed forms whose estimated cost exceeds closedform.MAX_SECONDS
 or whose poles do not certify at the requested precision (diagnostics
 on standard error).  Output is deterministic for identical inputs.
@@ -335,6 +336,9 @@ def _verify_reports(args, parser):
 
     family = args.family
     limit = args.limit
+    if family in ("thm2", "thm3") and args.k is not None:
+        # both seeds of order k hold c(j) <= 2^(j-1) for j = 1..k
+        _refuse(args.k * (args.k + 1) // 2, MAX_SERIES_BITS, f"the seed of order {args.k}")
     if family == "thm1":
         return [oracle.verify_theorem("thm1", limit)]
     if family == "thm2":

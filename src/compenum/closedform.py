@@ -13,34 +13,27 @@ or not the fraction is proper because N and the division remainder agree
 at every root of D.
 
 All numerics run at a caller-chosen precision (at most MAX_DIGITS) plus
-guard digits.  An Aberth-Ehrlich iteration in double precision seeds
-every root, and Newton steps in fixed-point Gaussian integers refine
-each seed on or above the real axis to the working precision plus
-NEWTON_GUARD_BITS.  These two uncertified stages read the denominator
-through its sparse form, the nonzero taps of D or of (1 - x) D, the
-step of the paper's lemma, whichever has fewer: 1 - x - ... - x^k
-becomes 1 - 2x + x^(k+1), evaluated with powers by repeated squaring.
-From then on each root is the exact dyadic point (a + bi) / 2^s that
-Newton produced, held as two integers: the snap of tiny parts to zero,
-the exact conjugate of each root above the axis standing in for the
-one below it, the Gerschgorin-type inclusion disks (Carstensen 1991)
-with the pole separation check in the same pairwise loop, the sort and
-the residues (fixed-point Horner plus one exact division) all run on
-integers.  The certified stages use the dense Horner and its proved
-rounding bound; an exact conjugate pair shares one value bound and one
-residue.  The disk radii are rigorous upper bounds, and pairwise
-disjoint disks hold exactly one root each, so they certify the set
-that is returned however it was found.  A
-root set that fails any check raises ConvergenceError.  Each returned
-root carries its point (a, b, s), and the residues and the dominance
-report read the integers there.  mpmath numbers are built only for
-what is shown: each root's value is its point as an mpc, exact, each
-radius an exact dyadic, and residuals and residues are rounded to the
-working precision.
-Every step is deterministic, so repeated runs give identical output.
-Only squarefree denominators are supported; a repeated factor makes the
-simple-pole formula wrong, and find_roots refuses with
-RepeatedRootError instead of returning garbage.
+guard digits, and read each polynomial p through its sparse form (see
+_sparse_form), the step of the paper's lemma: 1 - x - ... - x^k becomes
+1 - 2x + x^(k+1).  An Aberth-Ehrlich iteration in double precision
+seeds every root, and Newton steps in fixed-point Gaussian integers
+refine each seed on or above the real axis to the working precision
+plus NEWTON_GUARD_BITS.  From then on each root is the exact dyadic
+point (a + bi) / 2^s that Newton produced, held as two integers, and
+the rest runs on integers: the snap onto the axis, the exact conjugates
+that stand in for the roots below it, the Gerschgorin-type inclusion
+disks (Carstensen 1991) with the pole separation check, the sort and
+the residues.  One fixed-point evaluator, _sparse_eval, serves Newton,
+the disks' value bounds and the residues: it gives q(z) and z q'(z)
+with a rigorous running bound on the error in q(z).  The disk radii are
+rigorous upper bounds, and pairwise disjoint disks hold one root each,
+so they certify the returned set however it was found; a set that fails
+any check raises ConvergenceError.  mpmath numbers are built only for
+what is shown: a root's value is its point as an exact mpc, a radius an
+exact dyadic, and residuals and residues are rounded to the working
+precision.  Every step is deterministic.  Only squarefree denominators
+are supported: find_roots refuses a repeated factor with
+RepeatedRootError, since it makes the simple-pole formula wrong.
 
 Since the generating functions here have den(0) = 1, a root inside the
 unit circle means exponential coefficient growth at rate 1/|alpha|; the
@@ -151,13 +144,12 @@ def _float_ratio(form, z):
     return zq * u / (u * dq + zq)
 
 
-def _aberth_seeds(coeffs):
+def _aberth_seeds(coeffs, form):
     """Double-precision approximations to all roots of sum(coeffs[k] x^k)
-    by the Aberth-Ehrlich iteration, each Newton ratio read from the
-    sparse form (_float_ratio); ConvergenceError when the iteration
-    leaves the float range or two approximations collide."""
+    by the Aberth-Ehrlich iteration, each Newton ratio read from its
+    sparse form `form` (_float_ratio); ConvergenceError when the
+    iteration leaves the float range or two approximations collide."""
     d = len(coeffs) - 1
-    form = _sparse_form(coeffs)
     try:
         radius = abs(float(coeffs[0]) / float(coeffs[-1])) ** (1 / d) or 1.0
         # the angular offset breaks the start's symmetry under conjugation
@@ -179,34 +171,54 @@ def _aberth_seeds(coeffs):
     return zs
 
 
-def _power(a, b, n, w):
-    """z^n for z = (a + bi) / 2^w and n >= 1 as integers at scale 2^w, by
-    repeated squaring with both parts of every product floored."""
-    pr, pi = a, b
-    for bit in bin(n)[3:]:
-        pr, pi = (pr * pr - pi * pi) >> w, (2 * pr * pi) >> w
-        if bit == "1":
-            pr, pi = (pr * a - pi * b) >> w, (pr * b + pi * a) >> w
-    return pr, pi
-
-
-def _newton_step(form, a, b, w):
-    """The Newton step p(z) / p'(z) at z = (a + bi) / 2^w as integers at
-    scale 2^w, from the sparse form as in _float_ratio: q(z) and z q'(z)
-    in fixed point, each power from the last by _power.
-    ConvergenceError where the step's denominator vanishes."""
-    taps, stepped = form
-    qr = qi = dr = di = 0
-    pr, pi, at = 1 << w, 0, 0
-    for e, c in taps:
+def _sparse_eval(form, a, b, s, w):
+    """q(z) and z q'(z) for the sparse form (see _sparse_form) at the
+    dyadic point z = (a + bi) / 2^s, s <= w, as integers (qr, qi, dr, di)
+    at scale 2^w, and an integer err >= |qr + qi i - 2^w q(z)|.  Each
+    power z^e is the last one times z^gap, found by repeated squaring,
+    with both parts of every product floored.  Each power carries a
+    running bound on its error: a floored product of x + dx and y + dy,
+    values and errors in units of 2^-w, is off from xy by at most (|x +
+    dx| |dy| + (|y + dy| + |dy|) |dx|) / 2^w + 2 units, with |x + dx| <=
+    |Re| + |Im|.  The tap sum is exact, so err sums |c| times the bounds."""
+    a, b = a << (w - s), b << (w - s)
+    size = abs(a) + abs(b)
+    qr = qi = dr = di = err = 0
+    pr, pi, perr, at = 1 << w, 0, 0, 0
+    for e, c in form[0]:
         if e > at:
-            gr, gi = _power(a, b, e - at, w)
+            gr, gi, gerr = a, b, 0  # z^(e - at)
+            for bit in bin(e - at)[3:]:
+                gerr = -(-gerr * (2 * (abs(gr) + abs(gi)) + gerr) >> w) + 2
+                gr, gi = (gr * gr - gi * gi) >> w, (2 * gr * gi) >> w
+                if bit == "1":
+                    gerr = -(-gerr * size >> w) + 2
+                    gr, gi = (gr * a - gi * b) >> w, (gr * b + gi * a) >> w
+            perr = -(-((abs(pr) + abs(pi)) * gerr + (abs(gr) + abs(gi) + gerr) * perr) >> w) + 2
             pr, pi = (pr * gr - pi * gi) >> w, (pr * gi + pi * gr) >> w
             at = e
         qr, qi = qr + c * pr, qi + c * pi
         dr, di = dr + c * e * pr, di + c * e * pi
+        err += abs(c) * perr
+    return qr, qi, dr, di, err
+
+
+def _scale(form, a, b, s):
+    """A scale w for _sparse_eval at z = (a + bi) / 2^s: 64 bits past s
+    and the likely rounding error, about 2 e |c| |z|^e units for a tap c
+    x^e.  The error bound that comes back holds at any w."""
+    top = form[0][-1][0]
+    lift = top * max(0.0, math.log2(a * a + b * b + 1) / 2 - s)
+    return s + 64 + (2 * top * sum(abs(c) for _, c in form[0])).bit_length() + math.ceil(lift)
+
+
+def _newton_step(form, a, b, w):
+    """The Newton step p(z) / p'(z) at z = (a + bi) / 2^w as integers at
+    scale 2^w, from q(z) and z q'(z) (_sparse_eval) as in _float_ratio.
+    ConvergenceError where the step's denominator vanishes."""
+    qr, qi, dr, di, _ = _sparse_eval(form, a, b, w, w)
     nr, ni = (qr * a - qi * b) >> w, (qr * b + qi * a) >> w  # z q(z)
-    if stepped:
+    if form[1]:
         ur, ui = (1 << w) - a, -b  # 1 - z
         dr, di = ((dr * ur - di * ui) >> w) + nr, ((dr * ui + di * ur) >> w) + ni
         nr, ni = (nr * ur - ni * ui) >> w, (nr * ui + ni * ur) >> w
@@ -244,83 +256,64 @@ def _newton(form, z, bits):
     return a >> extra, b >> extra
 
 
-def _float_seeded_roots(poly, prec):
-    """Aberth seeds refined by Newton to prec plus guard bits: the exact
-    points (a, b) that Newton returns at its scale 2^s, s = prec +
-    NEWTON_GUARD_BITS, unrounded and unsnapped (see _pair).  Only the
-    seeds on or near the real axis and above it are refined; a seed with
-    Im z < -1e-7 (1 + |z|) comes back unrefined at scale 2^s, for _pair
-    to count and replace by the exact conjugate of its partner."""
+def _float_seeded_roots(poly, form, prec):
+    """Aberth seeds of poly, whose sparse form is `form`, refined by
+    Newton to prec plus guard bits: the exact points (a, b) that Newton
+    returns at its scale 2^s, s = prec + NEWTON_GUARD_BITS, unrounded
+    and unsnapped (see _pair).  Only the seeds on or near the real axis
+    and above it are refined; a seed with Im z < -1e-7 (1 + |z|) comes
+    back unrefined at scale 2^s, for _pair to count and replace by the
+    exact conjugate of its partner."""
     s = prec + NEWTON_GUARD_BITS
-    form = _sparse_form(poly.coeffs)
     return [
         _fixed(z, s) if z.imag < -1e-7 * (1 + abs(z)) else _newton(form, z, s)
-        for z in _aberth_seeds(poly.coeffs)
+        for z in _aberth_seeds(poly.coeffs, form)
     ], s
 
 
-def _horner(coeffs, a, b, s, w):
-    """p((a + bi) / 2^s) as integers (vr, vi) at scale 2^w, by Horner's
-    rule with both parts of every product floored."""
-    vr, vi = coeffs[-1] << w, 0
-    for c in coeffs[-2::-1]:
-        vr, vi = ((vr * a - vi * b) >> s) + (c << w), (vr * b + vi * a) >> s
-    return vr, vi
-
-
-def _horner_scale(d, a, b, s, prec):
-    """A scale w for _horner on a polynomial of degree <= d at z = (a +
-    bi) / 2^s, 64 bits past s, prec and the rounding error, and that
-    error as an integer bound in units of 2^-w.
-
-    Each step floors both parts of v * z, an error below 2 units, so the
-    result is off by less than 2 * sum_{j<d} |z|^j units; that sum is
-    bounded above in integers through radius / 2^8 >= |z|.
-    """
-    radius = math.isqrt(((a * a + b * b) << 16) >> (2 * s)) + 1
-    term, total = 1 << 8, 0  # total / 2^8 >= sum_{j<d} (radius / 2^8)^j
-    for _ in range(d):
-        total += term
-        term = -(-term * radius >> 8)
-    slack = -(-2 * total >> 8)
-    return max(s, prec) + 64 + slack.bit_length(), slack
-
-
-def _value_bound(coeffs, a, b, s, prec):
+def _value_bound(form, a, b, s):
     """An integer m and a scale w with |p(z)| <= m / 2^w at the dyadic
-    point z = (a + bi) / 2^s: _horner plus its rounding error bound."""
-    w, slack = _horner_scale(len(coeffs) - 1, a, b, s, prec)
-    vr, vi = _horner(coeffs, a, b, s, w)
-    return math.isqrt(vr * vr + vi * vi) + 1 + slack, w
+    point z = (a + bi) / 2^s: |q(z)| from _sparse_eval plus its error
+    bound, in the stepped form divided by an integer lower bound on
+    |1 - z|, since there |p| = |q| / |1 - z|.  ConvergenceError at z = 1
+    in the stepped form, where that division cannot bound p."""
+    w = _scale(form, a, b, s)
+    qr, qi, _, _, err = _sparse_eval(form, a, b, s, w)
+    m = math.isqrt(qr * qr + qi * qi) + 1 + err
+    if form[1]:
+        low = math.isqrt(((1 << s) - a) ** 2 + b * b)  # <= 2^s |1 - z|
+        if not low:
+            raise ConvergenceError("the stepped form cannot bound p at z = 1")
+        m = -(-(m << s) // low)
+    return m, w
 
 
-def _inclusion_disks(poly, pts, s, digits, prec):
+def _inclusion_disks(form, pts, s, digits):
     """Pairs (r_i, e_i) with radius r_i >= d |p(z_i)| / (|lc| prod_{j != i}
-    |z_i - z_j|) and residual e_i >= |p(z_i)|, as mpf, at the points z_i
-    = (a_i + b_i i) / 2^s.  ConvergenceError unless the disks |z - z_i|
-    <= r_i are pairwise disjoint and every two points are more than
-    10^-(digits-10) apart: gap^2 * 10^(2(digits-10)) > 4^s.
+    |z_i - z_j|) and residual e_i >= |p(z_i)|, as mpf, at the d points z_i
+    = (a_i + b_i i) / 2^s, one per root of the polynomial p of sparse
+    form `form`.  ConvergenceError unless the disks |z - z_i| <= r_i are
+    pairwise disjoint and every two points are more than 10^-(digits-10)
+    apart: gap^2 * 10^(2(digits-10)) > 4^s.
 
     The union of these disks holds every root of p, and a connected
     component of m of them holds exactly m roots (Braess and Hadeler
     1973; Carstensen, Numer. Math. 1991), so pairwise disjoint disks
     hold one root each.  Each residual depends only on its own point and
-    s, not on the other points: a point that is the exact conjugate of
-    the one before it, as _pair emits them, takes that point's bound,
-    since |p(conj z)| = |p(z)| for real p.  The gaps |z_i - z_j|^2 are
-    exact integers at scale 4^s, and each point's product of them is
-    formed on its own.  |p(z_i)| is bounded above by _value_bound, the
-    product of gaps is rounded down and each radius is rounded up to a
-    41-bit dyadic, so every r_i is a rigorous upper bound.
+    s: the exact conjugate of the point before it, as _pair emits them,
+    takes that point's bound, since |p(conj z)| = |p(z)| for real p.  The
+    gaps |z_i - z_j|^2 are exact integers at scale 4^s, and each point's
+    product of them is formed on its own.  |p(z_i)| is bounded above by
+    _value_bound, the product of gaps is rounded down and each radius is
+    rounded up to a 41-bit dyadic, so every r_i is a rigorous upper bound.
     """
-    d, cs = poly.degree, poly.coeffs
-    lc = cs[-1]
+    d, lc = len(pts), form[0][-1][1]  # |lc| is the same in both forms
     gaps = [[(a - c) ** 2 + (b - e) ** 2 for c, e in pts] for a, b in pts]
     mantissas, exponents, residuals = [], [], []  # r_i <= mantissas[i] * 2^-exponents[i]
     for i, (a, b) in enumerate(pts):
         # |p(conj z)| = |p(z)| for real p: an exact conjugate reuses the bound
         if not (i and pts[i - 1] == (a, -b)):
-            value, w = _value_bound(cs, a, b, s, prec)
+            value, w = _value_bound(form, a, b, s)
             residual = mp.ldexp(mp.mpf(value, rounding="u"), -w)
         residuals.append(residual)
         low, shift = 1, 0  # low * 2^shift <= prod_{j != i} gaps[i][j]
@@ -408,22 +401,18 @@ def find_roots(poly, digits=50):
 
     One pipeline, each failure a ClosedFormError: refuse an input whose
     estimated cost is above MAX_SECONDS, and a repeated factor
-    (gcd(p, p') nonconstant); seed every root by an Aberth-Ehrlich
-    iteration in double precision; refine each seed on or above the axis
-    by Newton steps in fixed-point Gaussian integers, doubling the
-    precision up to the working precision (digits plus GUARD_DIGITS) plus
-    NEWTON_GUARD_BITS.  Both stages evaluate the sparse form of p (see
-    _sparse_form), which only needs to find the roots, not certify them.
-    From there on every root is the exact dyadic point (a + bi) / 2^s
-    Newton returned, and each returned ComplexRoot is built from that
-    point (a, b, s), its value the same point as an mpc.  Tiny real
-    parts become 0, near-real roots are snapped onto the axis, and each
-    root above it is emitted with its exact conjugate in place of the
-    roots below it (see _pair), so the returned set is exactly closed
-    under conjugation; inclusion disks (see _inclusion_disks), which
-    must be pairwise disjoint with every two roots more than
-    10^-(digits-10) apart, and a residual bound certify the set.  Each
-    root carries its disk radius.
+    (gcd(p, p') nonconstant); build the sparse form of p once (see
+    _sparse_form) for every later stage to read; seed every root by an
+    Aberth-Ehrlich iteration in double precision; refine each seed on or
+    above the axis by fixed-point Newton steps up to the working
+    precision (digits plus GUARD_DIGITS) plus NEWTON_GUARD_BITS.  Each
+    returned ComplexRoot is built from the exact dyadic point (a, b, s)
+    Newton returned.  Tiny real parts become 0, near-real roots are
+    snapped onto the axis, and each root above it is emitted with its
+    exact conjugate in place of the roots below it (see _pair); inclusion
+    disks (see _inclusion_disks), pairwise disjoint with every two roots
+    more than 10^-(digits-10) apart, and a residual bound, both from
+    _value_bound, certify the set.  Each root carries its disk radius.
     Output is sorted by (modulus, |arg|, arg), which puts the
     growth-dominant root first; moduli within the certification
     tolerance count as equal, so rounding noise never decides the order
@@ -444,11 +433,12 @@ def find_roots(poly, digits=50):
     common = poly_gcd(poly, poly.derivative())
     if common.degree >= 1:
         raise RepeatedRootError(f"repeated factor (gcd with derivative is {common})")
+    form = _sparse_form(poly.coeffs)
     with mp.workdps(digits + GUARD_DIGITS):
         prec = mp.prec
-        pts, s = _float_seeded_roots(poly, prec)
+        pts, s = _float_seeded_roots(poly, form, prec)
         pts = _pair(pts, s, digits)
-        disks = _inclusion_disks(poly, pts, s, digits, prec)
+        disks = _inclusion_disks(form, pts, s, digits)
         bound = mp.mpf(10) ** (-(digits - 10)) * max(1, max(abs(c) for c in poly.coeffs))
         for _, resid in disks:
             if resid > bound:
@@ -470,20 +460,33 @@ class PartialFraction:
     precision_digits: int = 50
 
 
-def _residue(num, dprime, a, b, s, prec):
+def _residue(nform, dform, a, b, s, prec):
     """r = -N(z) / (z D'(z)) at z = (a + bi) / 2^s as integers (re, im,
-    k) with r = (re + im i) / 2^k to about prec + 32 bits: fixed-point
-    Horner for N and D', then one exact complex division, floored."""
-    w, _ = _horner_scale(max(num.degree, dprime.degree), a, b, s, prec)
-    nr, ni = _horner(num.coeffs, a, b, s, w)
-    dr, di = _horner(dprime.coeffs, a, b, s, w)
-    qr, qi = a * dr - b * di, a * di + b * dr  # z D'(z) at scale 2^(s + w)
-    norm = qr * qr + qi * qi
-    # r = -(nr + ni i)(qr - qi i) 2^s / |q|^2; keep prec + 32 bits of it
-    t = max(0, prec + 32 + max(abs(qr), abs(qi)).bit_length() - max(abs(nr), abs(ni)).bit_length())
-    re = -((nr * qr + ni * qi) << t) // norm
-    im = -((ni * qr - nr * qi) << t) // norm
-    return re, im, t - s
+    k) with r = (re + im i) / 2^k to about prec + 32 bits: N, and z D'
+    from q and z q', read from the sparse forms of N and D by
+    _sparse_eval, then one exact complex division, floored.  A stepped
+    form holds q = (1 - x) p, so there N = q_N / (1 - z), and z q' = (1 -
+    z) z D' - z D gives z D' = (z q' (1 - z) + z q) / (1 - z)^2; each
+    factor 1 - z moves to the other side of the division."""
+    w = max(_scale(nform, a, b, s), _scale(dform, a, b, s))
+    nr, ni, _, _, _ = _sparse_eval(nform, a, b, s, w)
+    qr, qi, dr, di, _ = _sparse_eval(dform, a, b, s, w)
+    ur, ui = (1 << s) - a, -b  # 1 - z at scale 2^s
+    e = 0  # N / (z D') = (nr + ni i) / (dr + di i) / 2^e
+    if dform[1]:
+        dr, di = dr * ur - di * ui + qr * a - qi * b, dr * ui + di * ur + qr * b + qi * a
+        vr, vi = ur * ur - ui * ui, 2 * ur * ui  # (1 - z)^2
+        nr, ni = nr * vr - ni * vi, nr * vi + ni * vr
+        e += s
+    if nform[1]:
+        dr, di = dr * ur - di * ui, dr * ui + di * ur
+        e -= s
+    norm = dr * dr + di * di
+    # r = -(nr + ni i)(dr - di i) / |d|^2 / 2^e; keep prec + 32 bits of it
+    t = max(0, prec + 32 + max(abs(dr), abs(di)).bit_length() - max(abs(nr), abs(ni)).bit_length())
+    re = -((nr * dr + ni * di) << t) // norm
+    im = -((ni * dr - nr * di) << t) // norm
+    return re, im, t + e
 
 
 def partial_fractions(gf, digits=50):
@@ -493,26 +496,21 @@ def partial_fractions(gf, digits=50):
     the certified, separated poles from find_roots, then checks that the
     residues reproduce the n = 0 coefficient.  Between the roots and the
     returned mpc residues everything runs on each pole's exact point
-    (a, b, s), read from ComplexRoot.point: each residue comes from
-    fixed-point Horner evaluations of N and D' at 64 bits past the
-    working precision and one exact division.  A pole that is the exact
-    conjugate of the one before it, as find_roots sorts each pair, takes
-    the conjugate of that pole's residue, since r(conj z) = conj r(z)
-    for real N and D.
+    (a, b, s), read from ComplexRoot.point: each residue comes from the
+    sparse forms of N and D, read by _sparse_eval at 64 bits past the
+    working precision, and one exact division (see _residue).  A pole
+    that is the exact conjugate of the one before it, as find_roots sorts
+    each pair, takes the conjugate of that pole's residue, since
+    r(conj z) = conj r(z) for real N and D.
     """
     _check_digits(digits)
     num, den = gf.num, gf.den
     if den.degree < 1:
         # den is the constant 1: the series is the numerator itself
-        return PartialFraction(
-            tuple(Fraction(c) for c in num.coeffs) if num else (),
-            (),
-            (),
-            digits,
-        )
+        return PartialFraction(tuple(map(Fraction, num.coeffs)), (), (), digits)
     quot, _ = divmod_fractions(num, den)
     poles = find_roots(den, digits)
-    dprime = den.derivative()
+    nform, dform = _sparse_form(num.coeffs), _sparse_form(den.coeffs)
     with mp.workdps(digits + GUARD_DIGITS):
         prec = mp.prec
         parts = []
@@ -523,7 +521,7 @@ def partial_fractions(gf, digits=50):
                 re, im, k = parts[-1]
                 parts.append((re, -im, k))
             else:
-                parts.append(_residue(num, dprime, a, b, s, prec))
+                parts.append(_residue(nform, dform, a, b, s, prec))
         top = max(k for _, _, k in parts)
         real = sum(re << (top - k) for re, _, k in parts)
         imag = sum(im << (top - k) for _, im, k in parts)

@@ -322,6 +322,25 @@ def test_huge_setspec_and_verify_integers_refused(capsys):
     assert code == 0 and out.endswith("verification passed\n")
 
 
+def test_verify_seed_refused_before_any_recurrence(capsys, monkeypatch):
+    # the seeds of order k hold about k^2 / 2 bits; k = 31622, the last
+    # order under MAX_SERIES_BITS, gets through to the recurrences
+    from compenum import oracle
+
+    def refuse(*args):
+        raise AssertionError("a recurrence was built")
+
+    monkeypatch.setattr(oracle, "no_multiples_recurrence", refuse)
+    monkeypatch.setattr(oracle, "avoid_residue_recurrence", refuse)
+    for family, k, m in (("thm2", 10**6, ()), ("thm2", 31623, ()), ("thm3", 10**6, ("--m", "1"))):
+        code, out, err = run_cli(capsys, "verify", family, "--k", str(k), *m, "--limit", "1")
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: the seed of order {k} may hold up to {k * (k + 1) // 2} bits (")
+        assert err.endswith("more than the 500000000-bit limit\n")
+    with pytest.raises(AssertionError, match="a recurrence was built"):
+        run_cli(capsys, "verify", "thm2", "--k", "31622", "--limit", "1")
+
+
 def test_sparse_part_sets_bounded_by_smallest_part(capsys):
     # c(n) <= (a + 1)^ceil((n - 1) / a) for smallest part a admits these
     code, out, _ = run_cli(capsys, "count", "set:7", "3000000")
@@ -432,7 +451,7 @@ def test_closed_form_root_iteration_failure_exits_two(capsys, monkeypatch):
     from compenum import closedform
 
     # equal seeds refine to one root, so the root set does not certify
-    monkeypatch.setattr(closedform, "_aberth_seeds", lambda cs: [0.5] * (len(cs) - 1))
+    monkeypatch.setattr(closedform, "_aberth_seeds", lambda cs, form: [0.5] * (len(cs) - 1))
     code, out, err = run_cli(capsys, "closed-form", "not:mod:3:0")
     assert code == 2 and out == ""
     assert err == "error: root inclusion disks overlap\n"

@@ -100,7 +100,7 @@ def test_equal_modulus_roots_ordered_by_argument(digits):
 
 def test_root_iteration_failure_raises(monkeypatch):
     # equal seeds refine to one root, so the root set does not certify
-    monkeypatch.setattr(closedform, "_aberth_seeds", lambda cs: [0.5] * (len(cs) - 1))
+    monkeypatch.setattr(closedform, "_aberth_seeds", lambda cs, form: [0.5] * (len(cs) - 1))
     with pytest.raises(ConvergenceError, match="^root inclusion disks overlap$"):
         find_roots(poly([1, -1, -1]))
 
@@ -122,10 +122,10 @@ def test_uncertified_seed_raises_without_a_second_root_finder(monkeypatch, polyr
     p = poly([1, 0, -1, 0, 0, 0, -1])  # real roots +-0.826...
     seeded = closedform._float_seeded_roots
 
-    def near_duplicate(q, prec):
+    def near_duplicate(q, form, prec):
         # move the seed of -0.826 to 1e-60 from +0.826: both residuals
         # pass, but the two disks overlap
-        pts, s = seeded(q, prec)
+        pts, s = seeded(q, form, prec)
         lo = min(range(len(pts)), key=lambda i: pts[i][0])
         a, b = max(pts)
         pts[lo] = (a + (1 << s) // 10**60, b)
@@ -275,8 +275,9 @@ def test_roots_match_polyroots_inside_their_disks(seed, digits, nudge):
             step = nudge * gap * mp.expjpi(2 * rng.random()) * 2**s
             a, b, _ = r.point
             moved.append((a + int(mp.nint(step.real)), b + int(mp.nint(step.imag))))
+        form = closedform._sparse_form(den.coeffs)
         try:
-            disks = closedform._inclusion_disks(den, moved, s, digits, mp.mp.prec)
+            disks = closedform._inclusion_disks(form, moved, s, digits)
         except ConvergenceError:
             disks = None
     if disks is not None:
@@ -284,6 +285,19 @@ def test_roots_match_polyroots_inside_their_disks(seed, digits, nudge):
             for (a, b), (radius, _) in zip(moved, disks):
                 z = mp.mpc(mp.ldexp(a, -s), mp.ldexp(b, -s))
                 assert sum(abs(xi - z) <= radius for xi in exact) == 1
+
+
+def _assert_residues_match_mpmath(gf, pf, digits, dps, **polyroots_args):
+    """Each residue of pf within 10^-digits (1 + |r|) of -N(xi) / (xi
+    D'(xi)), the independent route: mpmath.polyroots at dps digits, then
+    mpmath Horner at the root xi nearest the pole."""
+    dprime = gf.den.derivative()
+    with mp.workdps(dps):
+        exact = mp.polyroots(gf.den.coeffs[::-1], **polyroots_args)
+        for pole, r in zip(pf.poles, pf.residue_coeffs):
+            xi = min(exact, key=lambda w: abs(w - pole.value))
+            want = -gf.num(xi) / (xi * dprime(xi))
+            assert abs(r - want) <= mp.mpf(10) ** -digits * (1 + abs(want))
 
 
 @given(st.integers(0, 2**32), st.sampled_from((16, 20, 32, 50, 80)))
@@ -295,14 +309,86 @@ def test_residues_match_mpmath_horner(seed, digits):
         pf = partial_fractions(gf, digits)
     except RepeatedRootError:
         assume(False)
-    dprime = gf.den.derivative()
-    with mp.workdps(2 * digits + 60):
-        # the independent route: polyroots, then mpmath Horner at each root
-        exact = mp.polyroots(gf.den.coeffs[::-1], maxsteps=2000, extraprec=200)
-        for pole, r in zip(pf.poles, pf.residue_coeffs):
-            xi = min(exact, key=lambda w: abs(w - pole.value))
-            want = -gf.num(xi) / (xi * dprime(xi))
-            assert abs(r - want) <= mp.mpf(10) ** -digits * (1 + abs(want))
+    _assert_residues_match_mpmath(gf, pf, digits, 2 * digits + 60, maxsteps=2000, extraprec=200)
+
+
+@pytest.mark.parametrize("digits", [16, 50])
+@pytest.mark.parametrize("k", range(2, 61))
+def test_stepped_form_residues_match_mpmath_horner(k, digits):
+    # from k = 3 on the denominator of not:mod:k:0 is read in the stepped
+    # form 1 - 2x + x^(k+1), which divides by 1 - z; its poles reach to
+    # about 2 pi / k from z = 1.  polyroots starts from the poles, which
+    # only saves it sweeps at degree 60
+    gf = composition_gf(parse_setspec(f"not:mod:{k}:0"))
+    assert closedform._sparse_form(gf.den.coeffs)[1] == (k >= 3)
+    pf = partial_fractions(gf, digits)
+    init = [pole.value for pole in pf.poles]
+    _assert_residues_match_mpmath(gf, pf, digits, digits + 30, extraprec=60, roots_init=init)
+
+
+@st.composite
+def _bound_cases(draw):
+    """Integer coefficients (dense or sparse random ones, or a
+    random_partset denominator), one of their two sparse forms and a
+    dyadic point (a, b, s): of modulus 0.3 to 2, or for the stepped form
+    2^-10 to 2^-40 from 1."""
+    source = draw(st.sampled_from(("dense", "sparse", "partset")))
+    if source == "dense":
+        coeffs = draw(st.lists(st.integers(-9, 9), min_size=2, max_size=41))
+        assume(any(coeffs))
+    elif source == "sparse":
+        nonzero = st.integers(-9, 9).filter(bool)
+        taps = draw(st.dictionaries(st.integers(0, 120), nonzero, min_size=1, max_size=5))
+        coeffs = [taps.get(e, 0) for e in range(max(taps) + 1)]
+    else:
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        coeffs = composition_gf(random_partset(rng, draw(st.sampled_from((6, 12, 24))))).den.coeffs
+    stepped = draw(st.booleans())
+    cs = _step([*coeffs, 0], 1) if stepped else coeffs
+    form = ([(e, c) for e, c in enumerate(cs) if c], stepped)
+    s = draw(st.integers(20, 200))
+    turn = cmath.exp(2j * math.pi * draw(st.floats(0, 1)))
+    if stepped and draw(st.booleans()):
+        near = draw(st.integers(10, 40))
+        s = max(s, near + 20)
+        a, b = round(math.ldexp(turn.real, s - near)), round(math.ldexp(turn.imag, s - near))
+        return coeffs, form, ((1 << s) + a, b, s)
+    z = draw(st.floats(0.3, 2)) * turn
+    return coeffs, form, (round(math.ldexp(z.real, s)), round(math.ldexp(z.imag, s)), s)
+
+
+def _exact_value(coeffs, a, b, s):
+    """p((a + bi) / 2^s) for p = sum(coeffs[k] x^k), as two Fractions."""
+    zr, zi = Fraction(a, 2**s), Fraction(b, 2**s)
+    pr = pi = Fraction(0)
+    for c in reversed(coeffs):
+        pr, pi = pr * zr - pi * zi + c, pr * zi + pi * zr
+    return pr, pi
+
+
+@given(_bound_cases())
+@settings(max_examples=200, deadline=None)
+def test_value_bound_holds_exactly(case):
+    # |p(z)| <= m / 2^w, and the evaluator's q(z) within its own error
+    # bound, against p and q summed in Fractions
+    coeffs, form, (a, b, s) = case
+    assume(not form[1] or (a, b) != (1 << s, 0))  # z = 1 is refused
+    m, w = closedform._value_bound(form, a, b, s)
+    pr, pi = _exact_value(coeffs, a, b, s)
+    assert pr * pr + pi * pi <= Fraction(m, 2**w) ** 2
+    qr, qi, _, _, err = closedform._sparse_eval(form, a, b, s, w)
+    taps = dict(form[0])
+    er, ei = _exact_value([taps.get(e, 0) for e in range(max(taps) + 1)], a, b, s)
+    assert (qr - er * 2**w) ** 2 + (qi - ei * 2**w) ** 2 <= err * err
+
+
+def test_stepped_value_bound_refuses_z_one():
+    # 1 - x - x^2 - x^3 in the stepped form 1 - 2x + x^4: p = q / (1 - z)
+    # cannot be bounded at z = 1, the stepped form's own root
+    form = ([(0, 1), (1, -2), (4, 1)], True)
+    for s in (1, 20, 100):
+        with pytest.raises(ConvergenceError, match="z = 1"):
+            closedform._value_bound(form, 1 << s, 0, s)
 
 
 @pytest.mark.parametrize("digits", [16, 50, 80])
@@ -336,14 +422,14 @@ def test_residual_depends_only_on_its_own_root(digits):
     # 1 - x - x^2 - x^3; moving another point by one unit at scale 2^s
     # leaves the first point's residual bit-identical
     p = poly([1, -1, -1, -1])
+    form = closedform._sparse_form(p.coeffs)
     with mp.workdps(digits + GUARD_DIGITS):
-        prec = mp.mp.prec
-        pts, s = closedform._float_seeded_roots(p, prec)
+        pts, s = closedform._float_seeded_roots(p, form, mp.mp.prec)
         pts = closedform._pair(pts, s, digits)
-        before = closedform._inclusion_disks(p, pts, s, digits, prec)
+        before = closedform._inclusion_disks(form, pts, s, digits)
         a, b = pts[1]
         pts[1] = (a + 1, b)
-        after = closedform._inclusion_disks(p, pts, s, digits, prec)
+        after = closedform._inclusion_disks(form, pts, s, digits)
     assert after[0][1] == before[0][1]
 
 
@@ -381,7 +467,7 @@ def _fake_roots(monkeypatch, pts):
     """Make find_roots start from the exact dyadic points x + yi, given
     as pairs (x, y) of Fractions, in place of the refined seeds."""
 
-    def seeded(poly, prec):
+    def seeded(poly, form, prec):
         s = prec + closedform.NEWTON_GUARD_BITS
         return [(int(x * 2**s), int(y * 2**s)) for x, y in pts], s
 
