@@ -13,9 +13,10 @@ or not the fraction is proper because N and the division remainder agree
 at every root of D.
 
 All numerics run at a caller-chosen precision (at most MAX_DIGITS) plus
-guard digits, and read each polynomial p through its sparse form (see
-_sparse_form), the step of the paper's lemma: 1 - x - ... - x^k becomes
-1 - 2x + x^(k+1).  An Aberth-Ehrlich iteration in double precision
+guard digits, and read the denominator D through its sparse form (see
+_sparse_form), built once: the step of the paper's lemma, 1 - x - ... -
+x^k becomes 1 - 2x + x^(k+1), taken where that is sparser and
+D(1) != 0.  An Aberth-Ehrlich iteration in double precision
 seeds every root, and Newton steps in fixed-point Gaussian integers
 refine each seed on or above the real axis to the working precision
 plus NEWTON_GUARD_BITS.  From then on each root is the exact dyadic
@@ -116,11 +117,11 @@ class ComplexRoot:
 
 
 def _sparse_form(coeffs):
-    """The nonzero taps (e, c) of p = sum(coeffs[e] x^e), or of q = (1 - x)
-    p where polyring.expand would stream that, the step of the paper's
-    lemma, and whether the stepped form was taken: 1 - x - ... - x^k
-    becomes 1 - 2x + x^(k+1)."""
-    _, row, _, stepped = _sparser((), coeffs)
+    """The nonzero taps (e, c) of a denominator D = sum(coeffs[e] x^e), or of
+    q = (1 - x) D where that has fewer taps and D(1) != 0 (else q has a
+    double root at 1), and whether that step was taken: the paper's lemma
+    steps 1 - x - ... - x^k to 1 - 2x + x^(k+1)."""
+    _, row, _, stepped = _sparser((), coeffs) if sum(coeffs) else ((), coeffs, (), False)
     return [(e, c) for e, c in enumerate(row) if c], stepped
 
 
@@ -399,10 +400,10 @@ def _order(pts, s, digits):
 def find_roots(poly, digits=50):
     """All complex roots of an integer polynomial, certified to `digits`.
 
-    One pipeline, each failure a ClosedFormError: refuse an input whose
-    estimated cost is above MAX_SECONDS, and a repeated factor
-    (gcd(p, p') nonconstant); build the sparse form of p once (see
-    _sparse_form) for every later stage to read; seed every root by an
+    Builds the sparse form of p once (see _sparse_form) and runs
+    _find_roots on it: one pipeline, each failure a ClosedFormError.
+    Refuse an input whose estimated cost is above MAX_SECONDS, and a
+    repeated factor (gcd(p, p') nonconstant); seed every root by an
     Aberth-Ehrlich iteration in double precision; refine each seed on or
     above the axis by fixed-point Newton steps up to the working
     precision (digits plus GUARD_DIGITS) plus NEWTON_GUARD_BITS.  Each
@@ -424,6 +425,11 @@ def find_roots(poly, digits=50):
         raise ValueError("zero polynomial has no root set")
     if poly.degree < 1:
         return ()
+    return _find_roots(poly, _sparse_form(poly.coeffs), digits)
+
+
+def _find_roots(poly, form, digits):
+    """find_roots' pipeline on poly, of degree >= 1, and its sparse form."""
     seconds = 1e-5 * poly.degree**2 * (1 + (digits / 92) ** 1.6)
     if seconds > MAX_SECONDS:
         raise ClosedFormError(
@@ -433,7 +439,6 @@ def find_roots(poly, digits=50):
     common = poly_gcd(poly, poly.derivative())
     if common.degree >= 1:
         raise RepeatedRootError(f"repeated factor (gcd with derivative is {common})")
-    form = _sparse_form(poly.coeffs)
     with mp.workdps(digits + GUARD_DIGITS):
         prec = mp.prec
         pts, s = _float_seeded_roots(poly, form, prec)
@@ -462,25 +467,22 @@ class PartialFraction:
 
 def _residue(nform, dform, a, b, s, prec):
     """r = -N(z) / (z D'(z)) at z = (a + bi) / 2^s as integers (re, im,
-    k) with r = (re + im i) / 2^k to about prec + 32 bits: N, and z D'
-    from q and z q', read from the sparse forms of N and D by
-    _sparse_eval, then one exact complex division, floored.  A stepped
-    form holds q = (1 - x) p, so there N = q_N / (1 - z), and z q' = (1 -
-    z) z D' - z D gives z D' = (z q' (1 - z) + z q) / (1 - z)^2; each
-    factor 1 - z moves to the other side of the division."""
+    k) with r = (re + im i) / 2^k to about prec + 32 bits: N from its
+    plain taps `nform` and z D' from D's sparse form `dform`, both read
+    by _sparse_eval, then one exact complex division, floored.  In the
+    stepped form (only where sparser and D(1) != 0) q = (1 - x) D, and
+    z q' = (1 - z) z D' - z D gives z D' = (z q' (1 - z) + z q) /
+    (1 - z)^2, so N is multiplied by (1 - z)^2."""
     w = max(_scale(nform, a, b, s), _scale(dform, a, b, s))
     nr, ni, _, _, _ = _sparse_eval(nform, a, b, s, w)
     qr, qi, dr, di, _ = _sparse_eval(dform, a, b, s, w)
-    ur, ui = (1 << s) - a, -b  # 1 - z at scale 2^s
     e = 0  # N / (z D') = (nr + ni i) / (dr + di i) / 2^e
     if dform[1]:
+        ur, ui = (1 << s) - a, -b  # 1 - z at scale 2^s
         dr, di = dr * ur - di * ui + qr * a - qi * b, dr * ui + di * ur + qr * b + qi * a
         vr, vi = ur * ur - ui * ui, 2 * ur * ui  # (1 - z)^2
         nr, ni = nr * vr - ni * vi, nr * vi + ni * vr
-        e += s
-    if nform[1]:
-        dr, di = dr * ur - di * ui, dr * ui + di * ur
-        e -= s
+        e = s
     norm = dr * dr + di * di
     # r = -(nr + ni i)(dr - di i) / |d|^2 / 2^e; keep prec + 32 bits of it
     t = max(0, prec + 32 + max(abs(dr), abs(di)).bit_length() - max(abs(nr), abs(ni)).bit_length())
@@ -496,21 +498,22 @@ def partial_fractions(gf, digits=50):
     the certified, separated poles from find_roots, then checks that the
     residues reproduce the n = 0 coefficient.  Between the roots and the
     returned mpc residues everything runs on each pole's exact point
-    (a, b, s), read from ComplexRoot.point: each residue comes from the
-    sparse forms of N and D, read by _sparse_eval at 64 bits past the
-    working precision, and one exact division (see _residue).  A pole
-    that is the exact conjugate of the one before it, as find_roots sorts
-    each pair, takes the conjugate of that pole's residue, since
-    r(conj z) = conj r(z) for real N and D.
+    (a, b, s), read from ComplexRoot.point: each residue comes from N's
+    plain nonzero taps and D's sparse form, built once for roots and
+    residues (stepped only where sparser and D(1) != 0), read by
+    _sparse_eval at 64 bits past the working precision, and one exact
+    division (see _residue).  The exact conjugate of the pole before it,
+    as find_roots sorts each pair, takes the conjugate of that residue.
     """
     _check_digits(digits)
     num, den = gf.num, gf.den
-    if den.degree < 1:
-        # den is the constant 1: the series is the numerator itself
+    if not num or den.degree < 1:
+        # the zero series, or den is the constant 1: the series is num itself
         return PartialFraction(tuple(map(Fraction, num.coeffs)), (), (), digits)
     quot, _ = divmod_fractions(num, den)
-    poles = find_roots(den, digits)
-    nform, dform = _sparse_form(num.coeffs), _sparse_form(den.coeffs)
+    dform = _sparse_form(den.coeffs)
+    poles = _find_roots(den, dform, digits)
+    nform = ([(e, c) for e, c in enumerate(num.coeffs) if c], False)
     with mp.workdps(digits + GUARD_DIGITS):
         prec = mp.prec
         parts = []

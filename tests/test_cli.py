@@ -435,14 +435,15 @@ def test_closed_form_report(capsys):
 def test_closed_form_finds_roots_once(capsys, monkeypatch):
     from compenum import closedform
 
+    # partial_fractions runs find_roots' pipeline on the form it built
     calls = []
-    real = closedform.find_roots
+    real = closedform._find_roots
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(closedform, "find_roots", counted)
+    monkeypatch.setattr(closedform, "_find_roots", counted)
     code, _, _ = run_cli(capsys, "closed-form", "not:mod:3:0")
     assert code == 0 and len(calls) == 1
 

@@ -21,7 +21,7 @@ from compenum.closedform import (
 from compenum.genfun import composition_gf, count
 from compenum.oracle import random_partset
 from compenum.partset import parse_setspec
-from compenum.polyring import IntPolynomial, _step
+from compenum.polyring import IntPolynomial, RationalGF, _step
 
 # denominator -> (real root, conjugate pair), 10 digit reference values
 REFERENCE_ROOTS = {
@@ -240,6 +240,21 @@ def test_sparse_newton_ratio_matches_dense_horner(seed, near_one):
             assert abs(got - want) <= 2 ** (16 - w) * kappa * lost * abs(want)
 
 
+def _assert_roots_match_mpmath(p, roots, digits, dps, **polyroots_args):
+    """Each root within 10^-digits (1 + |xi|) and within its disk of its
+    own root xi of p, the independent route: mpmath.polyroots at dps
+    digits, far more precise than the disks.  Returns mpmath's roots."""
+    with mp.workdps(dps):
+        exact = mp.polyroots(p.coeffs[::-1], **polyroots_args)
+        unmatched = list(exact)
+        for r in roots:
+            xi = min(unmatched, key=lambda w: abs(w - r.value))
+            unmatched.remove(xi)
+            assert abs(xi - r.value) <= mp.mpf(10) ** -digits * (1 + abs(xi))
+            assert abs(xi - r.value) <= r.radius
+    return exact
+
+
 @given(
     st.integers(0, 2**32),
     st.sampled_from((16, 20, 32, 50, 80)),
@@ -254,15 +269,9 @@ def test_roots_match_polyroots_inside_their_disks(seed, digits, nudge):
         roots = find_roots(den, digits)
     except RepeatedRootError:
         assume(False)
-    with mp.workdps(2 * digits + 60):
-        # the independent route, far more precise than the disks
-        exact = mp.polyroots(den.coeffs[::-1], maxsteps=2000, extraprec=200)
-        unmatched = list(exact)
-        for r in roots:
-            xi = min(unmatched, key=lambda w: abs(w - r.value))
-            unmatched.remove(xi)
-            assert abs(xi - r.value) <= mp.mpf(10) ** -digits * (1 + abs(xi))
-            assert abs(xi - r.value) <= r.radius
+    exact = _assert_roots_match_mpmath(
+        den, roots, digits, 2 * digits + 60, maxsteps=2000, extraprec=200
+    )
     # the certificate holds for any centres: move each by `nudge` times
     # the gap to its nearest neighbour, and whenever the disks come out
     # disjoint each must hold exactly one root; the moved centres are
@@ -285,6 +294,22 @@ def test_roots_match_polyroots_inside_their_disks(seed, digits, nudge):
             for (a, b), (radius, _) in zip(moved, disks):
                 z = mp.mpc(mp.ldexp(a, -s), mp.ldexp(b, -s))
                 assert sum(abs(xi - z) <= radius for xi in exact) == 1
+
+
+@pytest.mark.parametrize("digits", [16, 50, 80])
+@pytest.mark.parametrize("k", range(2, 41))
+def test_roots_of_a_polynomial_vanishing_at_one(k, digits):
+    # p = 1 + x + ... + x^k - (k + 1) x^(k+1) has the simple root 1, so
+    # (1 - x) p, though sparser, has a double root there: p is read
+    # unstepped, and Newton lands on 1 exactly.  polyroots starts from
+    # the roots, which only saves it sweeps
+    p = poly([1] * (k + 1) + [-(k + 1)])
+    assert closedform._sparse_form(p.coeffs)[1] is False
+    roots = find_roots(p, digits)
+    assert len(roots) == k + 1
+    assert sum(r.point == (1 << r.point[2], 0, r.point[2]) for r in roots) == 1
+    init = [r.value for r in roots]
+    _assert_roots_match_mpmath(p, roots, digits, digits + 30, extraprec=60, roots_init=init)
 
 
 def _assert_residues_match_mpmath(gf, pf, digits, dps, **polyroots_args):
@@ -310,6 +335,41 @@ def test_residues_match_mpmath_horner(seed, digits):
     except RepeatedRootError:
         assume(False)
     _assert_residues_match_mpmath(gf, pf, digits, 2 * digits + 60, maxsteps=2000, extraprec=200)
+
+
+@pytest.mark.parametrize("digits", [16, 30, 80])
+def test_residues_of_a_numerator_the_lemma_would_step(digits):
+    # N = 2 (1 + ... + x^8) is sparser as (1 - x) N = 2 - 2x^9, but N is
+    # read as its plain taps; D = 1 - 2x + x^3 vanishes at 1, one of its
+    # poles, so neither is stepped
+    gf = RationalGF(poly([2] * 9), poly([1, -2, 0, 1]))
+    pf = partial_fractions(gf, digits)
+    assert len(pf.poles) == 3 and pf.poles[1].value == 1
+    _assert_residues_match_mpmath(gf, pf, digits, 2 * digits + 60)
+
+
+def test_partial_fractions_builds_the_denominators_sparse_form_once(monkeypatch):
+    built = []
+    sparse_form = closedform._sparse_form
+
+    def counted(coeffs):
+        built.append(tuple(coeffs))
+        return sparse_form(coeffs)
+
+    monkeypatch.setattr(closedform, "_sparse_form", counted)
+    for spec in ("not:mod:3:0", "not:mod:30:0", "mod:4:2", "not:ap:2:3", "set:1,30"):
+        gf = composition_gf(parse_setspec(spec))
+        built.clear()
+        partial_fractions(gf, 16)
+        assert built == [gf.den.coeffs]
+
+
+def test_zero_numerator_is_the_zero_series():
+    pf = partial_fractions(RationalGF(0, poly([1, -1, -1])), 16)
+    assert pf == closedform.PartialFraction((), (), (), 16)
+    for n in (0, 1, 7):
+        assert eval_closed(pf, n) == (0, 0)
+    assert dominance_report(pf).poles == ()
 
 
 @pytest.mark.parametrize("digits", [16, 50])
@@ -399,10 +459,10 @@ def test_pole_separation_checked_at_the_threshold(monkeypatch, digits, direction
     gf = composition_gf(parse_setspec("not:mod:3:0"))
     poles = []
 
-    def fake_roots(poly, digits):
+    def fake_roots(poly, form, digits):
         return tuple(closedform.ComplexRoot(pt, mp.mpf(0), mp.mpf(0)) for pt in poles)
 
-    monkeypatch.setattr(closedform, "find_roots", fake_roots)
+    monkeypatch.setattr(closedform, "_find_roots", fake_roots)
     with mp.workdps(digits + GUARD_DIGITS):
         s = mp.mp.prec + closedform.NEWTON_GUARD_BITS
     # points (a, b, s) for (a + bi) / 2^s; the step is twice the
@@ -529,8 +589,6 @@ def test_duplicated_root_above_the_axis_overlaps(monkeypatch):
 
 
 def test_repeated_root_detected():
-    from compenum.polyring import RationalGF
-
     with pytest.raises(RepeatedRootError):
         find_roots(poly([1, -2, 1]))  # (1 - x)^2
     with pytest.raises(RepeatedRootError):
