@@ -36,9 +36,9 @@ _LAZY_MODULES = {
     ),
     "oracle": (
         "DEFAULT_ENUM_LIMIT Check CheckRow Composition VerificationReport compositions "
-        "dp_count dp_count_series dp_length_table expected_discrepancy length_slice_series "
-        "random_partset row_check_against_slices run_verification_suite suite_passed "
-        "verify_cayley_shift verify_sills_zeilberger verify_theorem verify_triangle"
+        "dp_count dp_count_series dp_length_table expected_discrepancy family_reports "
+        "length_slice_series random_partset row_check_against_slices run_verification_suite "
+        "suite_passed verify_cayley_shift verify_sills_zeilberger verify_theorem verify_triangle"
     ),
 }
 _LAZY = {name: module for module, names in _LAZY_MODULES.items() for name in names.split()}

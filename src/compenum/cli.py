@@ -7,11 +7,12 @@ the verification suites.
 
 Exit status: 0 on success, 1 when a verification report fails, 2 on
 usage or parse errors, on setspec integers and verify's --k, --m, --a
-and --b above partset.MAX_VALUE, on exact results and packed bylength
-rows (slots sized by genfun.composition_bits) over MAX_EXACT_BITS, on
-series, mod-3 tables, recurrence seeds and the seeds of `verify thm2`
-and `verify thm3 --k` whose terms are bounded above MAX_SERIES_BITS in
-all, on --digits outside 16..closedform.MAX_DIGITS,
+and --b above partset.MAX_VALUE, on a verify flag that the family does
+not take (oracle.family_reports lists each family's), on exact results
+and packed bylength rows (slots sized by genfun.composition_bits) over
+MAX_EXACT_BITS, on series, mod-3 tables, recurrence seeds and the seeds
+of `verify thm2` and `verify thm3 --k` whose terms are bounded above
+MAX_SERIES_BITS in all, on --digits outside 16..closedform.MAX_DIGITS,
 and on closed forms whose estimated cost exceeds closedform.MAX_SECONDS
 or whose poles do not certify at the requested precision (diagnostics
 on standard error).  Output is deterministic for identical inputs.
@@ -33,7 +34,6 @@ import decimal
 import functools
 import json
 import math
-import random
 import sys
 from decimal import Decimal
 from itertools import islice
@@ -331,43 +331,14 @@ def cmd_table(args, parser):
     return 0
 
 
-def _verify_reports(args, parser):
-    from . import oracle
-
-    family = args.family
-    limit = args.limit
-    if family in ("thm2", "thm3") and args.k is not None:
-        # both seeds of order k hold c(j) <= 2^(j-1) for j = 1..k
-        _refuse(args.k * (args.k + 1) // 2, MAX_SERIES_BITS, f"the seed of order {args.k}")
-    if family == "thm1":
-        return [oracle.verify_theorem("thm1", limit)]
-    if family == "thm2":
-        ks = [args.k] if args.k is not None else range(2, 7)
-        return [oracle.verify_theorem("thm2", limit, k=k) for k in ks]
-    if family == "thm3":
-        if args.k is None and args.m is None:
-            return [oracle.verify_theorem("thm3", limit, k=k, m=m) for k in range(2, 7) for m in range(2, k)]
-        return [oracle.verify_theorem("thm3", limit, k=args.k, m=args.m)]
-    if family == "cayley":
-        return [oracle.verify_cayley_shift(limit)]
-    if family == "zeilberger":
-        if args.a is None and args.b is None:
-            return [oracle.verify_sills_zeilberger(a, b, limit) for a in range(1, 5) for b in range(1, 5)]
-        a = args.a if args.a is not None else 1
-        b = args.b if args.b is not None else 2
-        return [oracle.verify_sills_zeilberger(a, b, limit)]
-    if family == "oracle":
-        rng = random.Random(args.seed)
-        cap = min(limit, 16)  # enumeration is exponential in the limit
-        return [oracle.verify_triangle(oracle.random_partset(rng), limit=cap) for _ in range(10)]
-    # family == "all"
-    return list(oracle.run_verification_suite(args.seed, limit))
-
-
 def cmd_verify(args, parser):
     from . import oracle
 
-    reports = _verify_reports(args, parser)
+    if args.family in ("thm2", "thm3") and args.k is not None:
+        # both seeds of order k hold c(j) <= 2^(j-1) for j = 1..k
+        _refuse(args.k * (args.k + 1) // 2, MAX_SERIES_BITS, f"the seed of order {args.k}")
+    params = {"k": args.k, "m": args.m, "a": args.a, "b": args.b}
+    reports = oracle.family_reports(args.family, args.limit, args.seed, **params)
     lenient = args.family == "all"
     expected = [lenient and oracle.expected_discrepancy(rep) for rep in reports]
     overall = all(rep.passed or exp for rep, exp in zip(reports, expected))

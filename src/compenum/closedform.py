@@ -264,12 +264,19 @@ def _float_seeded_roots(poly, form, prec):
     and unsnapped (see _pair).  Only the seeds on or near the real axis
     and above it are refined; a seed with Im z < -1e-7 (1 + |z|) comes
     back unrefined at scale 2^s, for _pair to count and replace by the
-    exact conjugate of its partner."""
+    exact conjugate of its partner.  A simple root at 0, where
+    _float_ratio would divide 0 by 0, is the exact point (0, 0), and
+    the seeds are those of poly / x (x^2 | poly is refused before)."""
     s = prec + NEWTON_GUARD_BITS
+    coeffs, seed_form, zero = poly.coeffs, form, []
+    if not coeffs[0]:
+        coeffs, zero = coeffs[1:], [(0, 0)]
+        seed_form = _sparse_form(coeffs)
+    seeds = _aberth_seeds(coeffs, seed_form) if len(coeffs) > 1 else []
     return [
         _fixed(z, s) if z.imag < -1e-7 * (1 + abs(z)) else _newton(form, z, s)
-        for z in _aberth_seeds(poly.coeffs, form)
-    ], s
+        for z in seeds
+    ] + zero, s
 
 
 def _value_bound(form, a, b, s):

@@ -10,7 +10,12 @@ S(x)^m by convolution; none of them touches the polynomial pipeline.
 On top of them sit the verifiers: each builds a report of named checks
 whose rows carry (n, lhs, rhs) so a failure is inspectable, plus
 free-text findings for anything worth flagging that is not itself a
-pass/fail row.
+pass/fail row.  Every theorem and oracle report runs the same route
+checks on its part set (_route_checks): the recurrence round trip and
+the unreduced series stream against dp to the report's limit, and
+enumeration against dp to min(limit, ENUM_LIMIT).  family_reports holds
+each family's parameter grid, the one list that run_verification_suite
+and the CLI's verify both read.
 
 Some checks are expected to fail by design and are documented in the
 reports rather than patched: the closed-form initial values for the
@@ -243,7 +248,7 @@ def verify_cayley_shift(limit=25):
     ge2 = PartSet.from_threshold(2)
     odd_counts = dp_count_series(odd, limit + 1)
     ge2_counts = dp_count_series(ge2, limit + 1)
-    fib = no_multiples_recurrence(2).terms(limit + 1)
+    fib = no_multiples_recurrence(2).to_gf().series(limit + 1)
     checks = (
         Check(
             "odd-part count of n vs min-part-2 count of n+1",
@@ -306,7 +311,7 @@ def _two_letter_counts(a, b, limit):
     return tuple(w)
 
 
-def verify_sills_zeilberger(a, b, limit=25):
+def verify_sills_zeilberger(a=1, b=2, limit=25):
     """Compositions from the two parts {a, b} vs the progression forms.
 
     Counts of n from parts {a, b} equal counts of n + a from parts
@@ -355,27 +360,54 @@ def verify_sills_zeilberger(a, b, limit=25):
     )
 
 
+def _route_checks(A, dp, limit):
+    """The checks every theorem and oracle report runs on its part set
+    A against the dp counts dp[0..limit]: the recurrence round trip
+    through the reduced generating function and the unreduced series
+    stream, both to limit, and exhaustive enumeration to
+    min(limit, ENUM_LIMIT), since it is exponential in n."""
+    recurrence = recurrence_from_gf(composition_gf(A)).to_gf().series(limit)
+    series = composition_series(A, limit)
+    top = min(limit, ENUM_LIMIT)
+    return (
+        Check(
+            "generating function recurrence vs dp counts",
+            tuple(CheckRow(n, recurrence[n], dp[n]) for n in range(limit + 1)),
+        ),
+        Check(
+            "generating function series vs dp counts",
+            tuple(CheckRow(n, series[n], dp[n]) for n in range(limit + 1)),
+        ),
+        Check(
+            "exhaustive enumeration vs dp counts",
+            tuple(
+                CheckRow(n, len(compositions(A, n, limit=top)), dp[n])
+                for n in range(top + 1)
+            ),
+        ),
+    )
+
+
 def verify_theorem(family, limit=25, k=None, m=None):
     """Multi-way check of one stated counting result.
 
     family is one of "thm1" (odd parts are Fibonacci), "thm2" (parts
     not divisible by k), "thm3" (parts avoiding one residue class mod
     k), "all_2n1" (unrestricted counts are 2^(n-1)).  Each report
-    compares the family's sequence against the dp oracle, the
-    generating function recurrence against the same oracle, and
-    exhaustive enumeration for n <= ENUM_LIMIT.  For thm2 and thm3 a
-    further check replays the stated closed-form initial values against
-    the dp oracle; for thm3 that check fails wherever the closed form is
-    wrong (everywhere past n = 1 when m = 1, and from n = m + 2 on
-    otherwise, the coincidence at m = 2, n = 4 excepted), and the
-    mismatches are spelled out in a finding rather than corrected.
+    compares the family's sequence against the dp oracle, then runs the
+    shared route checks (_route_checks).  For thm2 and thm3 a further
+    check replays the stated closed-form initial values against the dp
+    oracle; for thm3 that check fails wherever the closed form is wrong
+    (everywhere past n = 1 when m = 1, and from n = m + 2 on otherwise,
+    the coincidence at m = 2, n = 4 excepted), and the mismatches are
+    spelled out in a finding rather than corrected.
     """
     if limit < 1:
         raise ValueError("limit must be positive")
     stated_initials = None
     if family == "thm1":
         A = parse_setspec("mod:2:1")
-        seq = no_multiples_recurrence(2).terms(limit)
+        seq = no_multiples_recurrence(2).to_gf().series(limit)
         params = {"limit": limit}
     elif family == "thm2":
         k = 3 if k is None else k
@@ -383,7 +415,7 @@ def verify_theorem(family, limit=25, k=None, m=None):
             raise ValueError("thm2 needs k >= 2")
         A = parse_setspec(f"not:mod:{k}:0")
         rec = no_multiples_recurrence(k)
-        seq = rec.terms(limit)
+        seq = rec.to_gf().series(limit)
         stated_initials = rec.initial_terms
         params = {"k": k, "limit": limit}
     elif family == "thm3":
@@ -392,7 +424,7 @@ def verify_theorem(family, limit=25, k=None, m=None):
         if not (1 <= m < k):
             raise ValueError("thm3 needs 1 <= m < k")
         A = parse_setspec(f"not:ap:{m}:{k}")
-        seq = avoid_residue_recurrence(k, m).terms(limit)
+        seq = avoid_residue_recurrence(k, m).to_gf().series(limit)
         stated_initials = avoid_residue_seed_formula(k, m)
         params = {"k": k, "m": m, "limit": limit}
     elif family == "all_2n1":
@@ -403,43 +435,22 @@ def verify_theorem(family, limit=25, k=None, m=None):
         raise ValueError(f"unknown verification family {family!r}")
 
     dp = dp_count_series(A, limit)
-    gf_terms = recurrence_from_gf(composition_gf(A)).terms(limit)
-    top = min(limit, ENUM_LIMIT)
     checks = [
         Check(
             "theorem sequence vs dp counts",
             tuple(CheckRow(n, seq[n], dp[n]) for n in range(1, limit + 1)),
         )
     ]
-    if stated_initials is not None:
-        seed_top = min(k, limit)
-        checks.append(
-            Check(
-                "stated initial values vs dp counts",
-                tuple(
-                    CheckRow(n, stated_initials[n], dp[n])
-                    for n in range(1, seed_top + 1)
-                ),
-            )
-        )
-    checks.append(
-        Check(
-            "generating function recurrence vs dp counts",
-            tuple(CheckRow(n, gf_terms[n], dp[n]) for n in range(limit + 1)),
-        )
-    )
-    checks.append(
-        Check(
-            "exhaustive enumeration vs dp counts",
-            tuple(
-                CheckRow(n, len(compositions(A, n, limit=top)), dp[n])
-                for n in range(top + 1)
-            ),
-        )
-    )
     findings = []
     if stated_initials is not None:
-        seed_check = checks[1]
+        seed_check = Check(
+            "stated initial values vs dp counts",
+            tuple(
+                CheckRow(n, stated_initials[n], dp[n])
+                for n in range(1, min(k, limit) + 1)
+            ),
+        )
+        checks.append(seed_check)
         if not seed_check.passed:
             listed = ", ".join(
                 f"n={row.n} (stated {row.lhs}, true {row.rhs})"
@@ -455,28 +466,16 @@ def verify_theorem(family, limit=25, k=None, m=None):
                 f"values derived by coefficient comparison matches the oracle at "
                 f"every n, as does the generating function route"
             )
+    checks.extend(_route_checks(A, dp, limit))
     return VerificationReport(family, params, tuple(checks), tuple(findings))
 
 
 def verify_triangle(A, limit=16):
-    """Enumeration count = dp count = generating function coefficient."""
+    """Enumeration count = dp count = generating function coefficient:
+    the shared route checks (_route_checks) on A alone."""
     if limit < 0:
         raise ValueError("limit must be nonnegative")
-    dp = dp_count_series(A, limit)
-    series = composition_series(A, limit)
-    checks = (
-        Check(
-            "exhaustive enumeration vs dp counts",
-            tuple(
-                CheckRow(n, len(compositions(A, n, limit=limit)), dp[n])
-                for n in range(limit + 1)
-            ),
-        ),
-        Check(
-            "dp counts vs generating function series",
-            tuple(CheckRow(n, dp[n], series[n]) for n in range(limit + 1)),
-        ),
-    )
+    checks = _route_checks(A, dp_count_series(A, limit), limit)
     return VerificationReport("oracle", {"set": str(A), "limit": limit}, checks)
 
 
@@ -494,8 +493,44 @@ def random_partset(rng, max_modulus=6):
     return PartSet(k, residues, frozenset(added), frozenset(removed))
 
 
+def family_reports(family, limit=25, seed=0, **given):
+    """The reports of one verification family over its grid: the one
+    list that both run_verification_suite and the CLI's verify read.
+
+    thm2 runs k = 2..6, thm3 every 1 <= m < k <= 6, zeilberger every
+    1 <= a, b <= 4, oracle ten sets drawn by random_partset from
+    random.Random(seed), and "all" every family in turn, all_2n1
+    included.  The parameters a family takes are the keys of its grid;
+    given any of them (a value not None), it runs once, the verifier's
+    defaults filling in the rest.  Any other parameter raises
+    ValueError naming it.
+    """
+    grid = {
+        "thm2": [{"k": k} for k in range(2, 7)],
+        "thm3": [{"k": k, "m": m} for k in range(2, 7) for m in range(1, k)],
+        "zeilberger": [{"a": a, "b": b} for a in range(1, 5) for b in range(1, 5)],
+    }.get(family, [{}])
+    given = {name: value for name, value in given.items() if value is not None}
+    for name in given:
+        if name not in grid[0]:
+            takes = ", ".join(f"--{key}" for key in grid[0]) or "no parameters"
+            raise ValueError(f"verify {family} takes no --{name} (it takes {takes})")
+    if family == "all":
+        families = ("thm1", "thm2", "thm3", "all_2n1", "cayley", "zeilberger", "oracle")
+        return [report for name in families for report in family_reports(name, limit, seed)]
+    if family == "cayley":
+        return [verify_cayley_shift(limit)]
+    if family == "oracle":
+        rng = random.Random(seed)
+        return [verify_triangle(random_partset(rng), limit) for _ in range(10)]
+    runs = [given] if given else grid
+    if family == "zeilberger":
+        return [verify_sills_zeilberger(limit=limit, **params) for params in runs]
+    return [verify_theorem(family, limit, **params) for params in runs]
+
+
 def run_verification_suite(seed=0, limit=25):
-    """Every verifier over its standard parameter grid.
+    """Every verifier over its standard parameter grid, family_reports("all").
 
     The thm3 reports whose stated initial values are wrong (all of
     m = 1, plus the pairs where the closed form overcounts inside the
@@ -503,21 +538,7 @@ def run_verification_suite(seed=0, limit=25):
     finding, which expected_discrepancy recognizes so the suite as a
     whole can still be judged clean.
     """
-    reports = [verify_theorem("thm1", limit)]
-    for k in range(2, 7):
-        reports.append(verify_theorem("thm2", limit, k=k))
-    for k in range(2, 7):
-        for m in range(1, k):
-            reports.append(verify_theorem("thm3", limit, k=k, m=m))
-    reports.append(verify_theorem("all_2n1", limit))
-    reports.append(verify_cayley_shift(limit))
-    for a in range(1, 5):
-        for b in range(1, 5):
-            reports.append(verify_sills_zeilberger(a, b, limit))
-    rng = random.Random(seed)
-    for _ in range(10):
-        reports.append(verify_triangle(random_partset(rng), limit=12))
-    return tuple(reports)
+    return tuple(family_reports("all", limit, seed))
 
 
 def expected_discrepancy(report):

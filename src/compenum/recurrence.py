@@ -8,10 +8,10 @@ satisfies, by comparing coefficients of x^n,
 so beyond deg N the sequence is homogeneous.  LinearRecurrence stores the
 coefficients d_i, the numerator corrections, and a seed of initial terms
 long enough to cover both the order and every correction, and writes
-them as JSON with to_dict / from_dict.  It evaluates nothing itself:
-to_gf() turns it back into N/D, with N read off the seed, and every
-method answers through that RationalGF (series, coefficient, and
-polyring.coefficient_mod for residues at huge n).
+them as JSON with to_dict / from_dict.  It evaluates nothing: to_gf()
+turns it back into N/D, with N read off the seed, and its terms are read
+off that RationalGF (series, coefficient, and polyring.coefficient_mod
+for residues at huge n).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, islice
 
-from .polyring import IntPolynomial, RationalGF, coefficient_mod
+from .polyring import IntPolynomial, RationalGF
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,8 @@ class LinearRecurrence:
     corrections, so replay_consistent is False for them whenever a
     boundary adjustment got folded into the seed.
 
-    This is the exchange format (to_dict / from_dict); to_gf() is the
-    generating function every evaluation method goes through.
+    This is the exchange format (to_dict / from_dict); its terms are
+    read off the generating function to_gf().
     """
 
     order: int
@@ -63,7 +63,7 @@ class LinearRecurrence:
         object.__setattr__(self, "corrections", corrections)
         object.__setattr__(self, "initial_terms", initial)
 
-    # -- evaluation ------------------------------------------------------
+    # -- generating function -----------------------------------------------
 
     def to_gf(self):
         """N/D with D = 1 - d_1 x - ... - d_k x^k, N = D * seed mod x^len(seed).
@@ -79,18 +79,6 @@ class LinearRecurrence:
         seed = self.initial_terms
         stepped = IntPolynomial((1, -1)) * den * IntPolynomial(seed)
         return RationalGF(IntPolynomial(accumulate(stepped.coeffs[: len(seed)])), den)
-
-    def terms(self, n):
-        """f(0)..f(n) as exact integers (tuple of length n+1)."""
-        return self.to_gf().series(n)
-
-    def nth(self, n):
-        """f(n) exactly, by the halving kernel of RationalGF.coefficient."""
-        return self.to_gf().coefficient(n)
-
-    def nth_mod(self, n, p):
-        """f(n) mod p, for any p >= 2, by coefficient_mod on to_gf()."""
-        return coefficient_mod(self.to_gf(), n, p)
 
     def replay_consistent(self):
         """True when every seed term past f(0) is reproduced by the

@@ -52,7 +52,7 @@ ClosedFormError ComplexRoot ConvergenceError DominanceReport EvalResult
 PartialFraction RepeatedRootError dominance_report eval_closed find_roots
 partial_fractions
 DEFAULT_ENUM_LIMIT Check CheckRow Composition VerificationReport compositions
-dp_count dp_count_series dp_length_table expected_discrepancy length_slice_series
+dp_count dp_count_series dp_length_table expected_discrepancy family_reports length_slice_series
 random_partset row_check_against_slices run_verification_suite suite_passed
 verify_cayley_shift verify_sills_zeilberger verify_theorem verify_triangle
 """
@@ -571,6 +571,32 @@ def test_verify_json(capsys):
     assert len(data["reports"]) == 49
     flagged = [r for r in data["reports"] if r["expected_discrepancy"]]
     assert len(flagged) == 10
+
+
+def test_verify_refuses_flags_the_family_does_not_take(capsys):
+    for family, flag in (("thm2", "--m"), ("cayley", "--k"), ("all", "--a"), ("thm1", "--b")):
+        code, out, err = run_cli(capsys, "verify", family, flag, "3", "--limit", "3")
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: verify {family} takes no {flag} (it takes ")
+    code, out, _ = run_cli(capsys, "verify", "thm3", "--k", "4", "--limit", "3")
+    assert code == 0 and out.startswith("[PASS] thm3 k=4 m=2 limit=3\n")
+    code, out, _ = run_cli(capsys, "verify", "zeilberger", "--b", "3", "--limit", "3")
+    assert code == 0 and out.startswith("[PASS] zeilberger a=1 b=3 limit=3\n")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("limit", [12, 25])
+def test_verify_families_run_the_suite_grid(capsys, limit, seed):
+    # each family's reports are the same as that family's inside `all`
+    def reports(family):
+        argv = ("verify", family, "--seed", str(seed), "--limit", str(limit), "--format", "json")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code in (0, 1)
+        return [(r["name"], r["params"], r["checks"]) for r in json.loads(out)["reports"]]
+
+    suite = reports("all")
+    for family in ("thm1", "thm2", "thm3", "cayley", "zeilberger", "oracle"):
+        assert reports(family) == [r for r in suite if r[0] == family], family
 
 
 def test_usage_errors_exit_two(capsys):

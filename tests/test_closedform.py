@@ -312,6 +312,20 @@ def test_roots_of_a_polynomial_vanishing_at_one(k, digits):
     _assert_roots_match_mpmath(p, roots, digits, digits + 30, extraprec=60, roots_init=init)
 
 
+@pytest.mark.parametrize("digits", [16, 50])
+@pytest.mark.parametrize("coeffs", [(0, 1, 1), (0, 2, -3, 1), (0, 1), (0, 5, 0, 0, 1)])
+def test_simple_root_at_zero(coeffs, digits):
+    # p(0) = 0, where the float Newton ratio reads 0 / 0: the seeds are
+    # those of p / x, 0 is taken exactly, and the disks on p certify all
+    p = poly(coeffs)
+    roots = find_roots(p, digits)
+    assert len(roots) == p.degree
+    assert [r.point[:2] for r in roots].count((0, 0)) == 1
+    _assert_roots_match_mpmath(p, roots, digits, digits + 30)
+    with pytest.raises(RepeatedRootError):
+        find_roots(poly((0,) + coeffs), digits)  # x^2 | x p
+
+
 def _assert_residues_match_mpmath(gf, pf, digits, dps, **polyroots_args):
     """Each residue of pf within 10^-digits (1 + |r|) of -N(xi) / (xi
     D'(xi)), the independent route: mpmath.polyroots at dps digits, then

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from compenum.genfun import composition_gf
 from compenum.oracle import dp_count_series, random_partset
 from compenum.partset import parse_setspec
-from compenum.polyring import IntPolynomial
+from compenum.polyring import IntPolynomial, coefficient_mod
 from compenum.recurrence import (
     LinearRecurrence,
     avoid_residue_recurrence,
@@ -42,7 +42,7 @@ def test_validation_rejects_bad_shapes():
 
 def test_order_zero_with_corrections():
     rec = LinearRecurrence(0, (), ((0, 1),), (1,))
-    assert rec.terms(4) == (1, 0, 0, 0, 0)
+    assert rec.to_gf().series(4) == (1, 0, 0, 0, 0)
 
 
 def test_replay_consistency():
@@ -56,22 +56,22 @@ def test_replay_consistency():
 def test_no_multiples_seed_and_terms():
     rec = no_multiples_recurrence(4)
     assert rec.initial_terms == (1, 1, 2, 4, 7)
-    assert rec.terms(6) == (1, 1, 2, 4, 7, 14, 27)
+    assert rec.to_gf().series(6) == (1, 1, 2, 4, 7, 14, 27)
     for k in range(2, 7):
         dp = dp_count_series(parse_setspec(f"not:mod:{k}:0"), 40)
-        assert no_multiples_recurrence(k).terms(40) == dp
+        assert no_multiples_recurrence(k).to_gf().series(40) == dp
 
 
 def test_avoid_residue_matches_counts_for_every_pair():
     for k in range(2, 7):
         for m in range(1, k):
             dp = dp_count_series(parse_setspec(f"not:ap:{m}:{k}"), 40)
-            assert avoid_residue_recurrence(k, m).terms(40) == dp
+            assert avoid_residue_recurrence(k, m).to_gf().series(40) == dp
 
 
 def test_avoid_residue_small_cases_frozen():
-    assert avoid_residue_recurrence(3, 2).terms(7) == (1, 1, 1, 2, 4, 6, 10, 18)
-    assert avoid_residue_recurrence(3, 1).terms(6) == (1, 0, 1, 1, 1, 3, 3)
+    assert avoid_residue_recurrence(3, 2).to_gf().series(7) == (1, 1, 1, 2, 4, 6, 10, 18)
+    assert avoid_residue_recurrence(3, 1).to_gf().series(6) == (1, 0, 1, 1, 1, 3, 3)
     assert avoid_residue_recurrence(3, 1).initial_terms == (1, 0, 1, 1)
 
 
@@ -97,11 +97,11 @@ def test_constructor_validation():
 
 
 def test_nth_matches_terms():
-    rec = no_multiples_recurrence(2)
-    assert rec.nth(10) == 55
-    terms = rec.terms(30)
+    gf = no_multiples_recurrence(2).to_gf()
+    assert gf.coefficient(10) == 55
+    terms = gf.series(30)
     for n in (0, 1, 2, 17, 30):
-        assert rec.nth(n) == terms[n]
+        assert gf.coefficient(n) == terms[n]
 
 
 def test_nth_mod_matches_exact():
@@ -115,30 +115,30 @@ def test_nth_mod_matches_exact():
         avoid_residue_recurrence(5, 2),
         LinearRecurrence(0, (), ((0, 1),), (1,)),
     ]
-    for rec in recs:
-        terms = rec.terms(2000)
+    for gf in (rec.to_gf() for rec in recs):
+        terms = gf.series(2000)
         for p in MODULI:
             for n in (0, 1, 2, 3, 50, 777, 2000):
-                assert rec.nth_mod(n, p) == terms[n] % p
+                assert coefficient_mod(gf, n, p) == terms[n] % p
 
 
 def test_nth_mod_tribonacci_spot():
     rec = recurrence_from_gf(composition_gf(parse_setspec("not:mod:3:0")))
-    assert rec.nth_mod(20, 10**9 + 7) == 101902
-    assert rec.nth_mod(10**12, 10**9 + 7) == 297441196
+    assert coefficient_mod(rec.to_gf(), 20, 10**9 + 7) == 101902
+    assert coefficient_mod(rec.to_gf(), 10**12, 10**9 + 7) == 297441196
 
 
 def test_nth_mod_order_60_frozen():
     # value from the earlier x^n mod charpoly evaluator
     rec = recurrence_from_gf(composition_gf(parse_setspec("not:mod:60:0")))
     assert rec.order == 60
-    assert rec.nth_mod(10**18 + 3, 2**61 - 1) == 1279753486602326295
+    assert coefficient_mod(rec.to_gf(), 10**18 + 3, 2**61 - 1) == 1279753486602326295
 
 
 def test_nth_mod_rejects_tiny_modulus():
     rec = no_multiples_recurrence(2)
     with pytest.raises(ValueError):
-        rec.nth_mod(5, 1)
+        coefficient_mod(rec.to_gf(), 5, 1)
 
 
 @given(st.integers(0, 10_000), st.integers(0, 300))
@@ -147,7 +147,7 @@ def test_gf_recurrence_agrees_with_dp(seed, n):
     rng = random.Random(seed)
     A = random_partset(rng)
     rec = recurrence_from_gf(composition_gf(A))
-    assert rec.terms(n)[-1] == dp_count_series(A, n)[n]
+    assert rec.to_gf().series(n)[-1] == dp_count_series(A, n)[n]
 
 
 @given(st.integers(0, 10_000), st.sampled_from(MODULI))
@@ -157,7 +157,7 @@ def test_nth_mod_agrees_with_terms_random(seed, p):
     A = random_partset(rng)
     rec = recurrence_from_gf(composition_gf(A))
     n = rng.randrange(0, 600)
-    assert rec.nth_mod(n, p) == rec.terms(n)[-1] % p
+    assert coefficient_mod(rec.to_gf(), n, p) == rec.to_gf().series(n)[-1] % p
 
 
 @st.composite
@@ -189,7 +189,7 @@ def test_json_round_trip():
     rec = recurrence_from_gf(composition_gf(parse_setspec("not:ap:1:3")))
     again = LinearRecurrence.from_dict(rec.to_dict())
     assert again == rec
-    assert again.terms(25) == rec.terms(25)
+    assert again.to_gf().series(25) == rec.to_gf().series(25)
     gf = composition_gf(parse_setspec("not:ap:1:3"))
     back = recurrence_from_gf(gf).to_gf()
     assert (back.num.coeffs, back.den.coeffs) == (gf.num.coeffs, gf.den.coeffs)
