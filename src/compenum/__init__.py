@@ -25,9 +25,9 @@ from .recurrence import (
 
 __version__ = "0.1.0"
 
-# closedform (which loads mpmath) and oracle are imported on first use
-# (PEP 562), so that `import compenum.cli` stays cheap for the commands
-# that need neither
+# closedform and oracle are imported on first use (PEP 562), so that
+# `import compenum.cli` stays cheap for the commands that need neither;
+# the package itself needs nothing outside the standard library
 _LAZY_MODULES = {
     "closedform": (
         "ClosedFormError ComplexRoot ConvergenceError DominanceReport EvalResult "

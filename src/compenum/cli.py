@@ -16,7 +16,11 @@ MAX_SERIES_BITS in all, on --digits outside 16..closedform.MAX_DIGITS,
 and on closed forms whose estimated cost exceeds closedform.MAX_SECONDS
 or whose poles do not certify at the requested precision (diagnostics
 on standard error).  Output is deterministic for identical inputs.
-Only the commands that use them import mpmath, closedform and oracle.
+Only the commands that use them import closedform and oracle.
+`closed-form` and `eval-closed` print the exact dyadic numbers that
+closedform returns through closedform.dyadic_str, to DISPLAY_DIGITS
+significant digits; `eval-closed` prints the count itself where its
+error bound certifies one integer.
 
 `series`, `table --mod3` and the seed `recurrence` prints read one
 stream, genfun.composition_terms, of exact decimal.Decimal values in a
@@ -93,14 +97,22 @@ def _bounded(text):
     return value
 
 
-def _real_str(x):
-    from mpmath import nstr
+def _real_str(man, exp):
+    from .closedform import dyadic_str
 
-    return nstr(x, DISPLAY_DIGITS)
+    return dyadic_str(man, exp, DISPLAY_DIGITS)
 
 
-def _complex_str(z):
-    return _real_str(z.real if z.imag == 0 else z)
+def _fraction_str(x):
+    # a dyadic Fraction, whose denominator is a power of 2
+    return _real_str(x.numerator, 1 - x.denominator.bit_length())
+
+
+def _complex_str(re, im, exp):
+    # (re + im i) * 2^exp as (x + yj), or x alone where im = 0
+    if not im:
+        return _real_str(re, exp)
+    return f"({_real_str(re, exp)} {'-' if im < 0 else '+'} {_real_str(abs(im), exp)}j)"
 
 
 def _exact():
@@ -257,13 +269,14 @@ def cmd_closed_form(args, parser):
         return 0
     report = closedform.dominance_report(pf)
     rows = zip(pf.poles, pf.residue_coeffs, report.classifications)
-    for i, (pole, res, label) in enumerate(rows, start=1):
+    for i, (pole, (re, im, k), label) in enumerate(rows, start=1):
+        a, b, s = pole.point
         print(
-            f"pole {i}: {_complex_str(pole.value)}  "
-            f"residue {_complex_str(res)}  "
-            f"modulus {_real_str(pole.modulus)}  [{label}]"
+            f"pole {i}: {_complex_str(a, b, -s)}  "
+            f"residue {_complex_str(re, im, -k)}  "
+            f"modulus {_fraction_str(pole.modulus)}  [{label}]"
         )
-    print(f"growth rate: {_real_str(report.growth_rate)}")
+    print(f"growth rate: {_fraction_str(report.growth_rate)}")
     print(f"unique dominant pole: {'yes' if report.unique_dominant else 'no'}")
     print(f"nearest-integer rounding valid: {'yes' if report.nearest_integer_valid else 'no'}")
     return 0
@@ -272,8 +285,8 @@ def cmd_closed_form(args, parser):
 def cmd_eval_closed(args, parser):
     from . import closedform
 
-    value, _ = closedform.eval_closed(_closed_form(args)[1], args.n)
-    print(_real_str(value))
+    value, _, scale, exact = closedform.eval_closed(_closed_form(args)[1], args.n)
+    print(_real_str(value, -scale) if exact is None else exact)
     return 0
 
 

@@ -23,18 +23,25 @@ plus NEWTON_GUARD_BITS.  From then on each root is the exact dyadic
 point (a + bi) / 2^s that Newton produced, held as two integers, and
 the rest runs on integers: the snap onto the axis, the exact conjugates
 that stand in for the roots below it, the Gerschgorin-type inclusion
-disks (Carstensen 1991) with the pole separation check, the sort and
-the residues.  One fixed-point evaluator, _sparse_eval, serves Newton,
-the disks' value bounds and the residues: it gives q(z) and z q'(z)
-with a rigorous running bound on the error in q(z).  The disk radii are
-rigorous upper bounds, and pairwise disjoint disks hold one root each,
-so they certify the returned set however it was found; a set that fails
-any check raises ConvergenceError.  mpmath numbers are built only for
-what is shown: a root's value is its point as an exact mpc, a radius an
-exact dyadic, and residuals and residues are rounded to the working
-precision.  Every step is deterministic.  Only squarefree denominators
-are supported: find_roots refuses a repeated factor with
-RepeatedRootError, since it makes the simple-pole formula wrong.
+disks (Carstensen 1991) with the pole separation check, the sort, the
+residues and their evaluation.  One fixed-point evaluator, _sparse_eval,
+serves Newton, the disks' value bounds and the residues: it gives q(z),
+and z q'(z) where asked, each with a rigorous running bound on its
+error, from the exact point or from any point within a given distance
+of it.  The disk radii are rigorous upper bounds, and pairwise disjoint
+disks hold one root each, so they certify the returned set however it
+was found; a set that fails any check raises ConvergenceError.  Every
+number the module returns is exact: points, residues and evaluated
+values are integers over a power of two, and radii, residuals, moduli
+and growth rates dyadic Fractions.  dyadic_str prints them.  Every
+step is deterministic.  Only squarefree denominators are supported:
+find_roots refuses a repeated factor with RepeatedRootError, since it
+makes the simple-pole formula wrong.
+
+eval_closed carries the disks through: each pole's radius bounds how
+far its residue and its power xi^-n may lie from the computed ones, so
+the value comes with a rigorous error bound, and where that interval
+holds one integer, the integer is the count.
 
 Since the generating functions here have den(0) = 1, a root inside the
 unit circle means exponential coefficient growth at rate 1/|alpha|; the
@@ -48,21 +55,19 @@ too low to tell.
 from __future__ import annotations
 
 import cmath
+import decimal
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-
-from mpmath import mp
-from mpmath.libmp import from_man_exp
 
 from .polyring import _sparser, divmod_fractions, poly_gcd
 
 GUARD_DIGITS = 15
 # Requested precision above this is refused before any work.  The cost
 # grows faster than the square of the digits: on a 2-core host with
-# CPython 3.11 and mpmath without gmpy2, `closed-form not:mod:12:0` took
-# 0.35 s at 2000 digits, 1.3 s at 5000 and 3.3 s at 10000.
+# CPython 3.11, `closed-form not:mod:12:0` took 0.26 s at 2000 digits,
+# 0.51 s at 5000 and 1.4 s at 10000, as a whole process.
 MAX_DIGITS = 10_000
 # find_roots refuses, before any root work, an estimated cost above this
 # many seconds: 1e-5 * degree^2 * (1 + (digits / 92)^1.6), fitted within
@@ -72,6 +77,9 @@ MAX_SECONDS = 10
 ABERTH_SWEEPS = 100
 NEWTON_STEPS = 20
 NEWTON_GUARD_BITS = 16
+# eval_closed's powers run this many bits past the poles' scale
+EVAL_GUARD_BITS = 32
+LOG2_10 = math.log(10, 2)
 
 
 class ClosedFormError(ValueError):
@@ -92,28 +100,101 @@ def _check_digits(digits):
         raise ValueError(f"digits must be an integer from 16 to {MAX_DIGITS}")
 
 
+def _prec(digits):
+    """The working precision in bits for `digits` decimal digits:
+    digits + GUARD_DIGITS, plus one digit to spare, times log2(10),
+    rounded.  Newton's points, and so every printed digit, depend on it."""
+    return round((digits + GUARD_DIGITS + 1) * LOG2_10)
+
+
+def _dyadic(m, t):
+    """m / 2^t as an exact Fraction, for any integer t."""
+    return Fraction(m, 1 << t) if t >= 0 else Fraction(m << -t)
+
+
+def _round_bits(m, bits):
+    """The integer m rounded to `bits` significant bits, ties to even,
+    with the bits below them zero."""
+    n = abs(m).bit_length() - bits
+    if n <= 0:
+        return m
+    t = abs(m) >> (n - 1)
+    up = t & 1 and (t & 2 or abs(m) & ((1 << (n - 1)) - 1))
+    r = ((t >> 1) + bool(up)) << n
+    return r if m > 0 else -r
+
+
+def dyadic_str(man, exp, digits):
+    """man * 2^exp in decimal to `digits` significant digits.  The
+    magnitude is truncated to fixed point in binary and then in decimal,
+    to about digits + 3 digits, and rounded half up on the next digit.
+    A decimal exponent x with min(-(digits // 3), -5) < x < digits
+    prints in fixed notation, others as d.ddde+x; trailing zeros are
+    stripped, leaving x.0 for an integer.  Beyond 2^+-3500 the
+    digits come from an exact decimal product rounded down at digits +
+    20 digits instead, so they can differ in the last place only where
+    a value lies that close to a rounding boundary."""
+    if not man:
+        return "0.0"
+    sign, man = "-" * (man < 0), abs(man)
+    top = exp + man.bit_length()
+    if abs(top) <= 3500:
+        bits = int((digits + 3) * LOG2_10) + 10
+        fixprec = max(bits - top, 0)
+        places = int(fixprec / LOG2_10 + 0.5)
+        shift = exp + fixprec
+        fixed = man << shift if shift >= 0 else man >> -shift
+        text = str(fixed * 10**places >> fixprec)
+    else:
+        context = decimal.Context(
+            prec=digits + 20, rounding=decimal.ROUND_DOWN,
+            Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+        )
+        _, tail, places = context.multiply(man, context.power(2, exp)).as_tuple()
+        text, places = "".join(map(str, tail)), -places
+    point = len(text) - places - 1  # the decimal exponent
+    if len(text) > digits and text[digits] in "56789":
+        head = text[:digits].rstrip("9")
+        if head:
+            text = head[:-1] + str(int(head[-1]) + 1) + "0" * (digits - len(head))
+        else:
+            text, point = "1" + "0" * (digits - 1), point + 1
+    else:
+        text = text[:digits]
+    split = 1
+    if min(-(digits // 3), -5) < point < digits:
+        if point < 0:
+            text = "0" * -point + text
+        else:
+            split = point + 1
+            text += "0" * (split - len(text))
+        point = 0
+    text = (text[:split] + "." + text[split:]).rstrip("0")
+    if text[-1] == ".":
+        text += "0"
+    if point == 0:
+        return sign + text
+    return f"{sign}{text}e{point:+d}"
+
+
 @dataclass(frozen=True)
 class ComplexRoot:
     """One simple denominator root, held as the exact dyadic point z =
     (a + bi) / 2^s that Newton returned, point = (a, b, s).  residual >=
     |poly(z)| and the radius of an inclusion disk |x - z| <= radius that
-    holds this root and no other are mpf upper bounds, the radius an
-    exact dyadic.  value is z as an mpc, exact, built once when the root
-    is made.  The modulus is computed at the precision in effect where it
-    is read and is not used for sorting."""
+    holds this root and no other are upper bounds, both exact dyadic
+    Fractions."""
 
     point: tuple
-    residual: object
-    radius: object
-    value: object = field(init=False, compare=False)
-
-    def __post_init__(self):
-        a, b, s = self.point
-        object.__setattr__(self, "value", mp.make_mpc((from_man_exp(a, -s), from_man_exp(b, -s))))
+    residual: Fraction
+    radius: Fraction
 
     @property
     def modulus(self):
-        return mp.fabs(self.value)
+        """|z| rounded down at the point's scale 2^-s, a dyadic Fraction;
+        not used for sorting."""
+        a, b, s = self.point
+        return Fraction(math.isqrt(a * a + b * b), 1 << s)
 
 
 def _sparse_form(coeffs):
@@ -172,36 +253,57 @@ def _aberth_seeds(coeffs, form):
     return zs
 
 
-def _sparse_eval(form, a, b, s, w):
-    """q(z) and z q'(z) for the sparse form (see _sparse_form) at the
-    dyadic point z = (a + bi) / 2^s, s <= w, as integers (qr, qi, dr, di)
-    at scale 2^w, and an integer err >= |qr + qi i - 2^w q(z)|.  Each
-    power z^e is the last one times z^gap, found by repeated squaring,
-    with both parts of every product floored.  Each power carries a
-    running bound on its error: a floored product of x + dx and y + dy,
-    values and errors in units of 2^-w, is off from xy by at most (|x +
-    dx| |dy| + (|y + dy| + |dy|) |dx|) / 2^w + 2 units, with |x + dx| <=
-    |Re| + |Im|.  The tap sum is exact, so err sums |c| times the bounds."""
-    a, b = a << (w - s), b << (w - s)
+def _power(a, b, err, e, w, top=None):
+    """(a + bi)^e, e >= 1, for a base at scale 2^w given within err of
+    some xi, by repeated squaring with both parts of every product
+    floored: integers (gr, gi, gerr, x) with |gr + gi i - 2^(w - x) xi^e|
+    <= gerr.  x = 0 unless `top` is given; then a product that would
+    pass 2^top is shifted down further and x counts the extra bits, so
+    any e costs about log2(e) products of at most 2 top bits.  A floored
+    product of x + dx and y + dy, values and errors in the same units,
+    shifted down by h bits, is off from xy / 2^h by at most (|x + dx|
+    |dy| + (|y + dy| + |dy|) |dx|) / 2^h + 2 units, with |x + dx| <= |Re|
+    + |Im|."""
     size = abs(a) + abs(b)
-    qr = qi = dr = di = err = 0
+    gr, gi, gerr, x = a, b, err, 0
+    for bit in bin(e)[3:]:
+        g = abs(gr) + abs(gi)
+        h = w if top is None else max(w, 2 * g.bit_length() - top)
+        gerr = -(-gerr * (2 * g + gerr) >> h) + 2
+        gr, gi, x = (gr * gr - gi * gi) >> h, (2 * gr * gi) >> h, 2 * x + h - w
+        if bit == "1":
+            g = abs(gr) + abs(gi)
+            h = w if top is None else max(w, g.bit_length() + size.bit_length() - top)
+            gerr = -(-(g * err + (size + err) * gerr) >> h) + 2
+            gr, gi, x = (gr * a - gi * b) >> h, (gr * b + gi * a) >> h, x + h - w
+    return gr, gi, gerr, x
+
+
+def _sparse_eval(form, a, b, s, w, zerr=0, slope=False):
+    """q(z) for the sparse form (see _sparse_form) at the dyadic point z
+    = (a + bi) / 2^s, s <= w, as integers (qr, qi) at scale 2^w with an
+    integer err >= |qr + qi i - 2^w q(xi)| for every xi within zerr /
+    2^w of z (zerr = 0: xi = z).  With slope, z q'(z) and its bound
+    follow as (dr, di, derr); Newton and a residue's denominator read
+    them, and only they pay for the sums.  Each power z^e is the last
+    one times z^gap (_power), both parts of the product floored, and
+    carries a running bound on its error (see _power).  The tap sums are
+    exact, so err sums |c| times the bounds, and derr |c| e times them."""
+    a, b = a << (w - s), b << (w - s)
+    qr = qi = dr = di = err = derr = 0
     pr, pi, perr, at = 1 << w, 0, 0, 0
     for e, c in form[0]:
         if e > at:
-            gr, gi, gerr = a, b, 0  # z^(e - at)
-            for bit in bin(e - at)[3:]:
-                gerr = -(-gerr * (2 * (abs(gr) + abs(gi)) + gerr) >> w) + 2
-                gr, gi = (gr * gr - gi * gi) >> w, (2 * gr * gi) >> w
-                if bit == "1":
-                    gerr = -(-gerr * size >> w) + 2
-                    gr, gi = (gr * a - gi * b) >> w, (gr * b + gi * a) >> w
+            gr, gi, gerr, _ = (a, b, zerr, 0) if e - at == 1 else _power(a, b, zerr, e - at, w)
             perr = -(-((abs(pr) + abs(pi)) * gerr + (abs(gr) + abs(gi) + gerr) * perr) >> w) + 2
             pr, pi = (pr * gr - pi * gi) >> w, (pr * gi + pi * gr) >> w
             at = e
         qr, qi = qr + c * pr, qi + c * pi
-        dr, di = dr + c * e * pr, di + c * e * pi
         err += abs(c) * perr
-    return qr, qi, dr, di, err
+        if slope:
+            dr, di = dr + c * e * pr, di + c * e * pi
+            derr += abs(c * e) * perr
+    return (qr, qi, err, dr, di, derr) if slope else (qr, qi, err)
 
 
 def _scale(form, a, b, s):
@@ -217,7 +319,7 @@ def _newton_step(form, a, b, w):
     """The Newton step p(z) / p'(z) at z = (a + bi) / 2^w as integers at
     scale 2^w, from q(z) and z q'(z) (_sparse_eval) as in _float_ratio.
     ConvergenceError where the step's denominator vanishes."""
-    qr, qi, dr, di, _ = _sparse_eval(form, a, b, w, w)
+    qr, qi, _, dr, di, _ = _sparse_eval(form, a, b, w, w, slope=True)
     nr, ni = (qr * a - qi * b) >> w, (qr * b + qi * a) >> w  # z q(z)
     if form[1]:
         ur, ui = (1 << w) - a, -b  # 1 - z
@@ -286,7 +388,7 @@ def _value_bound(form, a, b, s):
     |1 - z|, since there |p| = |q| / |1 - z|.  ConvergenceError at z = 1
     in the stepped form, where that division cannot bound p."""
     w = _scale(form, a, b, s)
-    qr, qi, _, _, err = _sparse_eval(form, a, b, s, w)
+    qr, qi, err = _sparse_eval(form, a, b, s, w)
     m = math.isqrt(qr * qr + qi * qi) + 1 + err
     if form[1]:
         low = math.isqrt(((1 << s) - a) ** 2 + b * b)  # <= 2^s |1 - z|
@@ -298,9 +400,9 @@ def _value_bound(form, a, b, s):
 
 def _inclusion_disks(form, pts, s, digits):
     """Pairs (r_i, e_i) with radius r_i >= d |p(z_i)| / (|lc| prod_{j != i}
-    |z_i - z_j|) and residual e_i >= |p(z_i)|, as mpf, at the d points z_i
-    = (a_i + b_i i) / 2^s, one per root of the polynomial p of sparse
-    form `form`.  ConvergenceError unless the disks |z - z_i| <= r_i are
+    |z_i - z_j|) and residual e_i >= |p(z_i)|, dyadic Fractions, at the
+    d points z_i = (a_i + b_i i) / 2^s, one per root of the polynomial p
+    of sparse form `form`.  ConvergenceError unless the disks |z - z_i| <= r_i are
     pairwise disjoint and every two points are more than 10^-(digits-10)
     apart: gap^2 * 10^(2(digits-10)) > 4^s.
 
@@ -322,7 +424,7 @@ def _inclusion_disks(form, pts, s, digits):
         # |p(conj z)| = |p(z)| for real p: an exact conjugate reuses the bound
         if not (i and pts[i - 1] == (a, -b)):
             value, w = _value_bound(form, a, b, s)
-            residual = mp.ldexp(mp.mpf(value, rounding="u"), -w)
+            residual = _dyadic(value, w)
         residuals.append(residual)
         low, shift = 1, 0  # low * 2^shift <= prod_{j != i} gaps[i][j]
         for j, g in enumerate(gaps[i]):
@@ -351,7 +453,7 @@ def _inclusion_disks(form, pts, s, digits):
                 raise ConvergenceError("root inclusion disks overlap")
             if gaps[i][j] * scale <= 1 << (2 * s):
                 raise ConvergenceError("poles too close to separate at this precision")
-    return [(mp.ldexp(u, -t), e) for u, t, e in zip(mantissas, exponents, residuals)]
+    return [(_dyadic(u, t), e) for u, t, e in zip(mantissas, exponents, residuals)]
 
 
 def _pair(pts, s, digits):
@@ -446,15 +548,14 @@ def _find_roots(poly, form, digits):
     common = poly_gcd(poly, poly.derivative())
     if common.degree >= 1:
         raise RepeatedRootError(f"repeated factor (gcd with derivative is {common})")
-    with mp.workdps(digits + GUARD_DIGITS):
-        prec = mp.prec
-        pts, s = _float_seeded_roots(poly, form, prec)
-        pts = _pair(pts, s, digits)
-        disks = _inclusion_disks(form, pts, s, digits)
-        bound = mp.mpf(10) ** (-(digits - 10)) * max(1, max(abs(c) for c in poly.coeffs))
-        for _, resid in disks:
-            if resid > bound:
-                raise ConvergenceError(f"residual {mp.nstr(resid, 5)} above certification bound")
+    pts, s = _float_seeded_roots(poly, form, _prec(digits))
+    pts = _pair(pts, s, digits)
+    disks = _inclusion_disks(form, pts, s, digits)
+    bound = max(1, max(abs(c) for c in poly.coeffs))  # times 10^-(digits - 10)
+    for _, resid in disks:
+        if resid.numerator * 10 ** (digits - 10) > bound * resid.denominator:
+            shown = dyadic_str(resid.numerator, 1 - resid.denominator.bit_length(), 5)
+            raise ConvergenceError(f"residual {shown} above certification bound")
     return tuple(
         ComplexRoot((*pts[i], s), disks[i][1], disks[i][0]) for i in _order(pts, s, digits)
     )
@@ -463,39 +564,70 @@ def _find_roots(poly, form, digits):
 @dataclass(frozen=True)
 class PartialFraction:
     """poly_part: exact Fraction coefficients of the division quotient,
-    indexed by n (empty for proper fractions).  poles and residue_coeffs
-    are aligned and sorted with the smallest-modulus pole first."""
+    indexed by n (empty for proper fractions).  poles, residue_coeffs
+    and residue_errors are aligned and sorted with the smallest-modulus
+    pole first.  Each residue is (re, im, k) for (re + im i) / 2^k, both
+    parts rounded to the working precision, and its error e, at the same
+    scale 2^k, bounds its distance e / 2^k from the true residue at the
+    root in the pole's disk."""
 
     poly_part: tuple
     poles: tuple
     residue_coeffs: tuple
     precision_digits: int = 50
+    residue_errors: tuple = ()
 
 
-def _residue(nform, dform, a, b, s, prec):
+def _ball_mul(x, y):
+    """The exact product of two complex integers (re, im) given with
+    errors, x = (re, im, err), at the sum of their scales, and its error
+    |x'| |dy| + |y'| |dx| + |dx| |dy|, with |x'| <= |re| + |im|."""
+    xr, xi, xe = x
+    yr, yi, ye = y
+    return (
+        xr * yr - xi * yi,
+        xr * yi + xi * yr,
+        (abs(xr) + abs(xi)) * ye + (abs(yr) + abs(yi)) * xe + xe * ye,
+    )
+
+
+def _residue(nform, dform, a, b, s, prec, radius):
     """r = -N(z) / (z D'(z)) at z = (a + bi) / 2^s as integers (re, im,
-    k) with r = (re + im i) / 2^k to about prec + 32 bits: N from its
-    plain taps `nform` and z D' from D's sparse form `dform`, both read
-    by _sparse_eval, then one exact complex division, floored.  In the
-    stepped form (only where sparser and D(1) != 0) q = (1 - x) D, and
-    z q' = (1 - z) z D' - z D gives z D' = (z q' (1 - z) + z q) /
-    (1 - z)^2, so N is multiplied by (1 - z)^2."""
+    k, err): r = (re + im i) / 2^k, found to about prec + 32 bits and
+    each part rounded to prec bits, and err / 2^k >= |r - r(xi)| for the
+    root xi within `radius` of z.  N comes from its plain taps `nform`
+    and z D' from D's sparse form `dform`, both read by _sparse_eval with
+    the radius as the error of z, then one exact complex division,
+    floored.  In the stepped form (only where sparser and D(1) != 0) q =
+    (1 - x) D, and z q' = (1 - z) z D' - z D gives z D' = (z q' (1 - z) +
+    z q) / (1 - z)^2, so N is multiplied by (1 - z)^2; 1 - z carries the
+    radius too.  Of a quotient A' / B' of values within eA and eB of A
+    and B, |A / B - A' / B'| <= (eA |B'| + |A'| eB) / (|B'| (|B'| - eB)).
+    ConvergenceError where eB reaches |B'|."""
     w = max(_scale(nform, a, b, s), _scale(dform, a, b, s))
-    nr, ni, _, _, _ = _sparse_eval(nform, a, b, s, w)
-    qr, qi, dr, di, _ = _sparse_eval(dform, a, b, s, w)
-    e = 0  # N / (z D') = (nr + ni i) / (dr + di i) / 2^e
+    zerr = -(-(radius.numerator << w) // radius.denominator)  # radius, up, at 2^w
+    num = _sparse_eval(nform, a, b, s, w, zerr)
+    qr, qi, qerr, dr, di, derr = _sparse_eval(dform, a, b, s, w, zerr, slope=True)
+    den, e = (dr, di, derr), 0  # N / (z D') = num / den / 2^e
     if dform[1]:
-        ur, ui = (1 << s) - a, -b  # 1 - z at scale 2^s
-        dr, di = dr * ur - di * ui + qr * a - qi * b, dr * ui + di * ur + qr * b + qi * a
-        vr, vi = ur * ur - ui * ui, 2 * ur * ui  # (1 - z)^2
-        nr, ni = nr * vr - ni * vi, nr * vi + ni * vr
-        e = s
+        uerr = -(-(radius.numerator << s) // radius.denominator)
+        u = ((1 << s) - a, -b, uerr)  # 1 - z at scale 2^s
+        du, qz = _ball_mul(den, u), _ball_mul((qr, qi, qerr), (a, b, uerr))
+        den = (du[0] + qz[0], du[1] + qz[1], du[2] + qz[2])
+        num, e = _ball_mul(num, _ball_mul(u, u)), s
+    (nr, ni, nerr), (dr, di, derr) = num, den
     norm = dr * dr + di * di
     # r = -(nr + ni i)(dr - di i) / |d|^2 / 2^e; keep prec + 32 bits of it
     t = max(0, prec + 32 + max(abs(dr), abs(di)).bit_length() - max(abs(nr), abs(ni)).bit_length())
     re = -((nr * dr + ni * di) << t) // norm
     im = -((ni * dr - nr * di) << t) // norm
-    return re, im, t + e
+    low = math.isqrt(norm)  # <= |den|
+    if low <= derr:
+        raise ConvergenceError("residues not certified at this precision")
+    size = math.isqrt(nr * nr + ni * ni) + 1  # >= |num|
+    err = -(-((nerr * low + size * derr) << t) // (low * (low - derr))) + 2
+    rr, ri = _round_bits(re, prec), _round_bits(im, prec)
+    return rr, ri, t + e, err + abs(re - rr) + abs(im - ri)
 
 
 def partial_fractions(gf, digits=50):
@@ -503,14 +635,14 @@ def partial_fractions(gf, digits=50):
     genfun.composition_gf returns it, at the given precision: a shared
     factor would show up as a spurious pole or a repeated root.  Takes
     the certified, separated poles from find_roots, then checks that the
-    residues reproduce the n = 0 coefficient.  Between the roots and the
-    returned mpc residues everything runs on each pole's exact point
-    (a, b, s), read from ComplexRoot.point: each residue comes from N's
-    plain nonzero taps and D's sparse form, built once for roots and
-    residues (stepped only where sparser and D(1) != 0), read by
-    _sparse_eval at 64 bits past the working precision, and one exact
-    division (see _residue).  The exact conjugate of the pole before it,
-    as find_roots sorts each pair, takes the conjugate of that residue.
+    residues reproduce the n = 0 coefficient.  Everything runs on each
+    pole's exact point (a, b, s), read from ComplexRoot.point: each
+    residue comes from N's plain nonzero taps and D's sparse form, built
+    once for roots and residues (stepped only where sparser and D(1) !=
+    0), read by _sparse_eval at 64 bits past the working precision, and
+    one exact division (see _residue), with an error bound from the
+    pole's disk.  The exact conjugate of the pole before it, as
+    find_roots sorts each pair, takes the conjugate of that residue.
     """
     _check_digits(digits)
     num, den = gf.num, gf.den
@@ -521,53 +653,90 @@ def partial_fractions(gf, digits=50):
     dform = _sparse_form(den.coeffs)
     poles = _find_roots(den, dform, digits)
     nform = ([(e, c) for e, c in enumerate(num.coeffs) if c], False)
-    with mp.workdps(digits + GUARD_DIGITS):
-        prec = mp.prec
-        parts = []
-        for i, pole in enumerate(poles):
-            a, b, s = pole.point
-            if i and poles[i - 1].point == (a, -b, s):
-                # r(conj z) = conj r(z) for real N and D
-                re, im, k = parts[-1]
-                parts.append((re, -im, k))
-            else:
-                parts.append(_residue(nform, dform, a, b, s, prec))
-        top = max(k for _, _, k in parts)
-        real = sum(re << (top - k) for re, _, k in parts)
-        imag = sum(im << (top - k) for _, im, k in parts)
-        head = quot[0] if quot else Fraction(0)
-        # c(0) = head + sum r_j within 10^-(digits - GUARD_DIGITS)
-        tol = 10 ** (digits - GUARD_DIGITS)
-        if abs(Fraction(real, 1 << top) + head - num[0]) * tol > 1 or abs(imag) * tol > 1 << top:
-            raise ConvergenceError("residues fail the n = 0 normalization check")
-        residues = tuple(mp.mpc(mp.ldexp(re, -k), mp.ldexp(im, -k)) for re, im, k in parts)
-    return PartialFraction(tuple(quot), poles, residues, digits)
+    prec = _prec(digits)
+    parts = []
+    for i, pole in enumerate(poles):
+        a, b, s = pole.point
+        if i and poles[i - 1].point == (a, -b, s):
+            # r(conj z) = conj r(z) for real N and D
+            re, im, k, err = parts[-1]
+            parts.append((re, -im, k, err))
+        else:
+            parts.append(_residue(nform, dform, a, b, s, prec, pole.radius))
+    top = max(k for _, _, k, _ in parts)
+    real = sum(re << (top - k) for re, _, k, _ in parts)
+    imag = sum(im << (top - k) for _, im, k, _ in parts)
+    head = quot[0] if quot else Fraction(0)
+    # c(0) = head + sum r_j within 10^-(digits - GUARD_DIGITS)
+    tol = 10 ** (digits - GUARD_DIGITS)
+    if abs(Fraction(real, 1 << top) + head - num[0]) * tol > 1 or abs(imag) * tol > 1 << top:
+        raise ConvergenceError("residues fail the n = 0 normalization check")
+    residues = tuple(part[:3] for part in parts)
+    return PartialFraction(tuple(quot), poles, residues, digits, tuple(p[3] for p in parts))
 
 
-EvalResult = namedtuple("EvalResult", ["value", "imag_residual"])
+EvalResult = namedtuple("EvalResult", ["value", "error", "scale", "exact"])
 
 
 def eval_closed(pf, n):
-    """Evaluate the closed form at integer n >= 0.
+    """Evaluate the closed form at integer n >= 0, with a certificate.
 
-    Returns (value, imag_residual): the real part of the pole sum plus
-    the exact quotient term, and the leftover imaginary magnitude.  The
-    imaginary part would be exactly zero in ideal arithmetic (conjugate
-    poles carry conjugate residues), so its size is a direct error
-    gauge for the reported value.
+    Returns EvalResult(value, error, scale, exact), integers with
+    |c(n) - value / 2^scale| <= error / 2^scale, where c(n) is the exact
+    quotient term plus the pole sum at the true poles and residues, and
+    exact is the one integer in [value - error, value + error] / 2^scale,
+    or None where that holds none or several.
+
+    The sum runs in fixed point, each conjugate pair once as 2 Re, a
+    real pole once.  Each pole's term starts from 1/z at the scale 2^w,
+    w = EVAL_GUARD_BITS past the poles' scale, off from 1/xi for the root
+    xi in the disk by at most radius / (|z| (|z| - radius)); _power
+    carries that error to xi^-n, and _ball_mul through the product with
+    the residue and its own error.  A power above 2^w keeps its top 2w
+    bits, so no n builds a large integer, and scale is below 0 only for
+    such values, which no integer could be certified for anyway.  ConvergenceError where a pole's disk reaches 0.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    with mp.workdps(pf.precision_digits + GUARD_DIGITS):
-        acc = mp.mpc(0)
-        if n < len(pf.poly_part):
-            q = pf.poly_part[n]
-            acc += mp.mpf(q.numerator) / q.denominator
-        for pole, r in zip(pf.poles, pf.residue_coeffs):
-            acc += r * pole.value ** (-n)
-        value = acc.real
-        residual = abs(acc.imag)
-    return EvalResult(value, residual)
+    w = (pf.poles[0].point[2] if pf.poles else 0) + EVAL_GUARD_BITS
+    terms = []  # (Re, error, x, k, weight): Re / 2^(w + k - x), the error alike
+    for pole, (re, im, k), rerr in zip(pf.poles, pf.residue_coeffs, pf.residue_errors):
+        a, b, s = pole.point
+        if b < 0:
+            continue  # the conjugate of a pole above the axis: counted there
+        norm = a * a + b * b
+        low = math.isqrt(norm)  # <= 2^s |z|
+        rn, rd = pole.radius.numerator, pole.radius.denominator
+        gap = low * rd - (rn << s)  # <= 2^s rd (|z| - radius)
+        if gap <= 0:
+            raise ConvergenceError("a pole's disk reaches 0")
+        # 1/z = (a - bi) 2^s / |2^s z|^2 at scale 2^w
+        uerr = -(-(rn << (2 * s + w)) // (low * gap)) + 2
+        u = ((a << (w + s)) // norm, (-b << (w + s)) // norm, uerr)
+        pr, pi, perr, x = _power(*u, n, w, 2 * w) if n else (1 << w, 0, 0, 0)
+        tr, _, terr = _ball_mul((re, im, rerr), (pr, pi, perr))
+        terms.append((tr, terr, x, k, 2 if b else 1))
+    # the sum at scale 2^bits, bits = w + K - X; a term shifted down adds a unit
+    top_x = max((t[2] for t in terms), default=0)
+    top_k = max((t[3] for t in terms), default=0)
+    total = err = 0
+    for tr, terr, x, k, weight in terms:
+        shift = top_k - k - (top_x - x)
+        if shift >= 0:
+            total, err = total + (weight * tr << shift), err + (weight * terr << shift)
+        else:
+            total, err = total + (weight * tr >> -shift), err + (weight * terr >> -shift) + 2
+    bits = w + top_k - top_x
+    if n < len(pf.poly_part):
+        q = pf.poly_part[n]
+        qn, qd = (q.numerator << bits, q.denominator) if bits >= 0 else (q.numerator, q.denominator << -bits)
+        value, rest = divmod(qn, qd)
+        total, err = total + value, err + (rest != 0)
+    exact = None
+    if bits >= 0:
+        low, high = -(-(total - err) >> bits), (total + err) >> bits
+        exact = low if low == high else None
+    return EvalResult(total, err, bits, exact)
 
 
 @dataclass(frozen=True)
@@ -578,17 +747,18 @@ class DominanceReport:
     classifications[i] labels poles[i] "inside" or "outside" when its
     disk lies wholly on that side of |z| = 1, and "on" when the disk
     meets the circle: either the pole lies on it, or the precision is
-    too low to tell.  growth_rate is 1/min|alpha|.  unique_dominant says
-    the modulus intervals [|z| - r, |z| + r] of the first two poles are
-    disjoint.  nearest_integer_valid is True exactly when the dominant
-    pole is unique and every other pole lies outside the unit circle,
-    which makes the non-dominant terms decay to zero so rounding the
-    dominant term eventually recovers the exact counts.
+    too low to tell.  growth_rate is 1/min|alpha|, a dyadic Fraction at
+    the poles' scale.  unique_dominant says the modulus intervals [|z| -
+    r, |z| + r] of the first two poles are disjoint.
+    nearest_integer_valid is True exactly when the dominant pole is
+    unique and every other pole lies outside the unit circle, which
+    makes the non-dominant terms decay to zero so rounding the dominant
+    term eventually recovers the exact counts.
     """
 
     poles: tuple
     classifications: tuple
-    growth_rate: object
+    growth_rate: Fraction
     unique_dominant: bool
     nearest_integer_valid: bool
 
@@ -598,7 +768,7 @@ def _modulus_interval(root):
     point (a + bi) / 2^s and the radius's exact dyadic m 2^e as integers
     at the scale 2^k, k = max(s, -e), and the modulus bracketed by isqrt."""
     a, b, s = root.point
-    m, e = root.radius.man_exp
+    m, e = root.radius.numerator, 1 - root.radius.denominator.bit_length()
     k = max(s, -e)
     square = (a * a + b * b) << (2 * (k - s))
     low = math.isqrt(square)
@@ -612,15 +782,16 @@ def dominance_report(pf):
 
     Reads pf.poles and their disk radii, so the roots found for the
     partial fraction are the ones classified, and every label and the
-    uniqueness verdict hold for the true poles.
+    uniqueness verdict hold for the true poles.  The growth rate is
+    2^s / isqrt(a^2 + b^2) of the first pole's point, floored at 2^-s.
     """
     if not pf.poles:
-        return DominanceReport((), (), mp.mpf(0), False, False)
+        return DominanceReport((), (), Fraction(0), False, False)
     poles = pf.poles
     spans = [_modulus_interval(p) for p in poles]
     labels = tuple("inside" if high < 1 else "outside" if low > 1 else "on" for low, high in spans)
     unique = len(poles) == 1 or spans[0][1] < spans[1][0] or spans[1][1] < spans[0][0]
     valid = unique and all(label == "outside" for label in labels[1:])
-    with mp.workdps(pf.precision_digits + GUARD_DIGITS):
-        growth = 1 / poles[0].modulus
+    a, b, s = poles[0].point
+    growth = Fraction((1 << 2 * s) // math.isqrt(a * a + b * b), 1 << s)
     return DominanceReport(poles, labels, growth, unique, valid)

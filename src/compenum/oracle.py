@@ -501,7 +501,8 @@ def family_reports(family, limit=25, seed=0, **given):
     1 <= a, b <= 4, oracle ten sets drawn by random_partset from
     random.Random(seed), and "all" every family in turn, all_2n1
     included.  The parameters a family takes are the keys of its grid;
-    given any of them (a value not None), it runs once, the verifier's
+    given any of them (a value not None), it runs the grid rows that
+    hold those values, or, where no row does, once with the verifier's
     defaults filling in the rest.  Any other parameter raises
     ValueError naming it.
     """
@@ -523,7 +524,7 @@ def family_reports(family, limit=25, seed=0, **given):
     if family == "oracle":
         rng = random.Random(seed)
         return [verify_triangle(random_partset(rng), limit) for _ in range(10)]
-    runs = [given] if given else grid
+    runs = [row for row in grid if given.items() <= row.items()] or [given]
     if family == "zeilberger":
         return [verify_sills_zeilberger(limit=limit, **params) for params in runs]
     return [verify_theorem(family, limit, **params) for params in runs]

@@ -122,7 +122,7 @@ class IntPolynomial:
     __rmul__ = __mul__
 
     def __call__(self, x):
-        """Evaluate by Horner's rule; works for ints, Fractions, mpmath values."""
+        """Evaluate by Horner's rule; works for any number type with + and *."""
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c

@@ -415,9 +415,9 @@ def test_closed_form_pinned_output(capsys, spec, digits, name):
 
 def test_eval_closed(capsys):
     code, out, _ = run_cli(capsys, "eval-closed", "not:mod:3:0", "20")
-    assert code == 0 and out == "101902.0\n"
+    assert code == 0 and out == "101902\n"
     code, out, _ = run_cli(capsys, "eval-closed", "not:mod:3:0", "0")
-    assert out == "1.0\n"
+    assert out == "1\n"
 
 
 def test_closed_form_report(capsys):
@@ -579,9 +579,33 @@ def test_verify_refuses_flags_the_family_does_not_take(capsys):
         assert code == 2 and out == "" and err.count("\n") == 1
         assert err.startswith(f"error: verify {family} takes no {flag} (it takes ")
     code, out, _ = run_cli(capsys, "verify", "thm3", "--k", "4", "--limit", "3")
-    assert code == 0 and out.startswith("[PASS] thm3 k=4 m=2 limit=3\n")
+    assert code == 1 and out.startswith("[FAIL] thm3 k=4 m=1 limit=3\n")
+    assert "\n[PASS] thm3 k=4 m=2 limit=3\n" in out
     code, out, _ = run_cli(capsys, "verify", "zeilberger", "--b", "3", "--limit", "3")
     assert code == 0 and out.startswith("[PASS] zeilberger a=1 b=3 limit=3\n")
+
+
+@pytest.mark.parametrize(
+    "argv,params",
+    [
+        (("thm3", "--k", "2"), [(2, 1)]),
+        (("thm3", "--m", "3"), [(4, 3), (5, 3), (6, 3)]),
+        (("thm3", "--k", "4"), [(4, 1), (4, 2), (4, 3)]),
+        (("thm3", "--k", "3", "--m", "1"), [(3, 1)]),
+        (("thm3", "--k", "8"), [(8, 2)]),  # off the grid: m takes its default
+        (("thm2", "--k", "5"), [(5,)]),
+        (("zeilberger", "--a", "2"), [(2, 1), (2, 2), (2, 3), (2, 4)]),
+        (("zeilberger", "--b", "7"), [(1, 7)]),
+    ],
+)
+def test_a_pinned_parameter_runs_the_grid_rows_that_hold_it(capsys, argv, params):
+    # thm3 --k 2 and --m 3 were refused with exit 2 ("thm3 needs 1 <= m
+    # < k"): each ran once with the other parameter at its default
+    code, out, err = run_cli(capsys, "verify", *argv, "--limit", "5", "--format", "json")
+    assert code in (0, 1) and err == ""
+    keys = ("a", "b") if argv[0] == "zeilberger" else ("k", "m")[: len(params[0])]
+    got = [tuple(r["params"][key] for key in keys) for r in json.loads(out)["reports"]]
+    assert got == params
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -1,12 +1,13 @@
 import cmath
 import math
 import random
+import time
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from mpmath.libmp import to_rational
+from mpmath.libmp import from_man_exp
 
 from compenum import closedform
 from compenum.closedform import (
@@ -35,12 +36,29 @@ def poly(cs):
     return IntPolynomial(tuple(cs))
 
 
+def _mpc(point):
+    """An exact dyadic (a, b, s) for (a + bi) / 2^s, a root's point or a
+    residue, as an exact mpc."""
+    a, b, s = point
+    return mp.mp.make_mpc((from_man_exp(a, -s), from_man_exp(b, -s)))
+
+
+def _mpf(x):
+    """A dyadic Fraction as an exact mpf."""
+    return mp.mp.make_mpf(from_man_exp(x.numerator, 1 - x.denominator.bit_length()))
+
+
+def _value(result):
+    """eval_closed's value as a Fraction."""
+    return Fraction(result.value) / Fraction(2) ** result.scale
+
+
 @pytest.mark.parametrize("cs,ref", sorted(REFERENCE_ROOTS.items()))
 def test_cubic_roots_match_reference(cs, ref):
     real, re2, im2 = ref
     roots = find_roots(poly(cs))
     assert len(roots) == 3
-    vals = [r.value for r in roots]
+    vals = [_mpc(r.point) for r in roots]
     assert abs(vals[0] - real) < 1e-8
     # conjugate pair sorted with the negative imaginary part first
     assert abs(vals[1] - complex(re2, -im2)) < 1e-8
@@ -61,7 +79,7 @@ def test_residue_coefficients_match_pole_formulas():
         assert len(pf.poles) == 3
         with mp.workdps(60):
             for pole, res in zip(pf.poles, pf.residue_coeffs):
-                assert abs(res - formula(pole.value)) < 1e-8
+                assert abs(_mpc(res) - formula(_mpc(pole.point))) < 1e-8
 
 
 def test_polynomial_parts():
@@ -74,8 +92,8 @@ def test_polynomial_parts():
 def test_constant_denominator_degenerates_gracefully():
     pf = partial_fractions(composition_gf(parse_setspec("set:")))
     assert pf.poles == () and pf.poly_part == (Fraction(1),)
-    assert eval_closed(pf, 0).value == 1
-    assert eval_closed(pf, 3).value == 0
+    assert _value(eval_closed(pf, 0)) == 1 and eval_closed(pf, 0).exact == 1
+    assert _value(eval_closed(pf, 3)) == 0 and eval_closed(pf, 3).exact == 0
     rep = dominance_report(partial_fractions(composition_gf(parse_setspec("set:"))))
     assert rep.poles == () and not rep.nearest_integer_valid
 
@@ -94,8 +112,8 @@ def test_find_roots_input_validation():
 def test_equal_modulus_roots_ordered_by_argument(digits):
     # 1 - x^2 - x^6 has the real roots +-0.826..., of equal modulus
     roots = find_roots(poly([1, 0, -1, 0, 0, 0, -1]), digits)
-    assert roots[0].value.imag == 0 and roots[0].value.real > 0
-    assert abs(roots[1].value + roots[0].value) < 1e-12
+    assert roots[0].point[1] == 0 and roots[0].point[0] > 0
+    assert abs(_mpc(roots[1].point) + _mpc(roots[0].point)) < 1e-12
 
 
 def test_root_iteration_failure_raises(monkeypatch):
@@ -187,11 +205,10 @@ def test_one_newton_refinement_and_one_residue_per_conjugate_pair(monkeypatch):
         points = [pole.point for pole in pf.poles]
         assert len(calls) == sum(b >= 0 for _, b, _ in points)
         assert sorted(points) == sorted((a, -b, s) for a, b, s in points)
-        residues = dict(zip(points, pf.residue_coeffs))
-        with mp.workdps(16 + GUARD_DIGITS):  # the residues' own precision
-            for (a, b, s), r in residues.items():
-                if b < 0:
-                    assert r == mp.conj(residues[(a, -b, s)])
+        residues = dict(zip(points, zip(pf.residue_coeffs, pf.residue_errors)))
+        for (a, b, s), ((re, im, k), err) in residues.items():
+            if b < 0:
+                assert residues[(a, -b, s)] == ((re, -im, k), err)
 
 
 def _ratio_cases(seed, near_one):
@@ -248,10 +265,11 @@ def _assert_roots_match_mpmath(p, roots, digits, dps, **polyroots_args):
         exact = mp.polyroots(p.coeffs[::-1], **polyroots_args)
         unmatched = list(exact)
         for r in roots:
-            xi = min(unmatched, key=lambda w: abs(w - r.value))
+            z = _mpc(r.point)
+            xi = min(unmatched, key=lambda w: abs(w - z))
             unmatched.remove(xi)
-            assert abs(xi - r.value) <= mp.mpf(10) ** -digits * (1 + abs(xi))
-            assert abs(xi - r.value) <= r.radius
+            assert abs(xi - z) <= mp.mpf(10) ** -digits * (1 + abs(xi))
+            assert abs(xi - z) <= _mpf(r.radius)
     return exact
 
 
@@ -280,7 +298,7 @@ def test_roots_match_polyroots_inside_their_disks(seed, digits, nudge):
     with mp.workdps(digits + GUARD_DIGITS):
         moved = []
         for r in roots:
-            gap = min((abs(r.value - o.value) for o in roots if o is not r), default=1)
+            gap = min((abs(_mpc(r.point) - _mpc(o.point)) for o in roots if o is not r), default=1)
             step = nudge * gap * mp.expjpi(2 * rng.random()) * 2**s
             a, b, _ = r.point
             moved.append((a + int(mp.nint(step.real)), b + int(mp.nint(step.imag))))
@@ -293,7 +311,7 @@ def test_roots_match_polyroots_inside_their_disks(seed, digits, nudge):
         with mp.workdps(2 * digits + 60):
             for (a, b), (radius, _) in zip(moved, disks):
                 z = mp.mpc(mp.ldexp(a, -s), mp.ldexp(b, -s))
-                assert sum(abs(xi - z) <= radius for xi in exact) == 1
+                assert sum(abs(xi - z) <= _mpf(radius) for xi in exact) == 1
 
 
 @pytest.mark.parametrize("digits", [16, 50, 80])
@@ -308,7 +326,7 @@ def test_roots_of_a_polynomial_vanishing_at_one(k, digits):
     roots = find_roots(p, digits)
     assert len(roots) == k + 1
     assert sum(r.point == (1 << r.point[2], 0, r.point[2]) for r in roots) == 1
-    init = [r.value for r in roots]
+    init = [_mpc(r.point) for r in roots]
     _assert_roots_match_mpmath(p, roots, digits, digits + 30, extraprec=60, roots_init=init)
 
 
@@ -328,15 +346,17 @@ def test_simple_root_at_zero(coeffs, digits):
 
 def _assert_residues_match_mpmath(gf, pf, digits, dps, **polyroots_args):
     """Each residue of pf within 10^-digits (1 + |r|) of -N(xi) / (xi
-    D'(xi)), the independent route: mpmath.polyroots at dps digits, then
-    mpmath Horner at the root xi nearest the pole."""
+    D'(xi)), and within its own error bound, the independent route:
+    mpmath.polyroots at dps digits, then mpmath Horner at the root xi
+    nearest the pole."""
     dprime = gf.den.derivative()
     with mp.workdps(dps):
         exact = mp.polyroots(gf.den.coeffs[::-1], **polyroots_args)
-        for pole, r in zip(pf.poles, pf.residue_coeffs):
-            xi = min(exact, key=lambda w: abs(w - pole.value))
+        for pole, r, err in zip(pf.poles, pf.residue_coeffs, pf.residue_errors):
+            xi = min(exact, key=lambda w: abs(w - _mpc(pole.point)))
             want = -gf.num(xi) / (xi * dprime(xi))
-            assert abs(r - want) <= mp.mpf(10) ** -digits * (1 + abs(want))
+            assert abs(_mpc(r) - want) <= mp.mpf(10) ** -digits * (1 + abs(want))
+            assert abs(_mpc(r) - want) <= mp.ldexp(err, -r[2])
 
 
 @given(st.integers(0, 2**32), st.sampled_from((16, 20, 32, 50, 80)))
@@ -358,7 +378,8 @@ def test_residues_of_a_numerator_the_lemma_would_step(digits):
     # poles, so neither is stepped
     gf = RationalGF(poly([2] * 9), poly([1, -2, 0, 1]))
     pf = partial_fractions(gf, digits)
-    assert len(pf.poles) == 3 and pf.poles[1].value == 1
+    s = pf.poles[1].point[2]
+    assert len(pf.poles) == 3 and pf.poles[1].point == (1 << s, 0, s)
     _assert_residues_match_mpmath(gf, pf, digits, 2 * digits + 60)
 
 
@@ -382,7 +403,8 @@ def test_zero_numerator_is_the_zero_series():
     pf = partial_fractions(RationalGF(0, poly([1, -1, -1])), 16)
     assert pf == closedform.PartialFraction((), (), (), 16)
     for n in (0, 1, 7):
-        assert eval_closed(pf, n) == (0, 0)
+        value, error, _, exact = eval_closed(pf, n)
+        assert (value, error, exact) == (0, 0, 0)
     assert dominance_report(pf).poles == ()
 
 
@@ -396,7 +418,7 @@ def test_stepped_form_residues_match_mpmath_horner(k, digits):
     gf = composition_gf(parse_setspec(f"not:mod:{k}:0"))
     assert closedform._sparse_form(gf.den.coeffs)[1] == (k >= 3)
     pf = partial_fractions(gf, digits)
-    init = [pole.value for pole in pf.poles]
+    init = [_mpc(pole.point) for pole in pf.poles]
     _assert_residues_match_mpmath(gf, pf, digits, digits + 30, extraprec=60, roots_init=init)
 
 
@@ -450,10 +472,30 @@ def test_value_bound_holds_exactly(case):
     m, w = closedform._value_bound(form, a, b, s)
     pr, pi = _exact_value(coeffs, a, b, s)
     assert pr * pr + pi * pi <= Fraction(m, 2**w) ** 2
-    qr, qi, _, _, err = closedform._sparse_eval(form, a, b, s, w)
+    qr, qi, err = closedform._sparse_eval(form, a, b, s, w)
     taps = dict(form[0])
     er, ei = _exact_value([taps.get(e, 0) for e in range(max(taps) + 1)], a, b, s)
     assert (qr - er * 2**w) ** 2 + (qi - ei * 2**w) ** 2 <= err * err
+
+
+@given(_bound_cases(), st.integers(0, 2**40), st.floats(0, 1), st.floats(0, 1))
+@settings(max_examples=200, deadline=None)
+def test_sparse_eval_bounds_hold_around_the_point(case, zerr, reach, turn):
+    # with zerr, q and z q' at z bound q and xi q' at any xi within
+    # zerr / 2^w of z, here one on a ray at `reach` of that distance
+    coeffs, form, (a, b, s) = case
+    w = closedform._scale(form, a, b, s)
+    shift = cmath.exp(2j * math.pi * turn) * reach * zerr
+    xa, xb = (a << (w - s)) + int(shift.real), (b << (w - s)) + int(shift.imag)
+    assume((xa - (a << (w - s))) ** 2 + (xb - (b << (w - s))) ** 2 <= zerr * zerr)
+    taps = dict(form[0])
+    q = [taps.get(e, 0) for e in range(max(taps) + 1)]
+    qr, qi, err, dr, di, derr = closedform._sparse_eval(form, a, b, s, w, zerr, slope=True)
+    assert closedform._sparse_eval(form, a, b, s, w, zerr) == (qr, qi, err)
+    er, ei = _exact_value(q, xa, xb, w)
+    assert (qr - er * 2**w) ** 2 + (qi - ei * 2**w) ** 2 <= err * err
+    er, ei = _exact_value([e * c for e, c in enumerate(q)], xa, xb, w)  # x q'(x)
+    assert (dr - er * 2**w) ** 2 + (di - ei * 2**w) ** 2 <= derr * derr
 
 
 def test_stepped_value_bound_refuses_z_one():
@@ -474,7 +516,7 @@ def test_pole_separation_checked_at_the_threshold(monkeypatch, digits, direction
     poles = []
 
     def fake_roots(poly, form, digits):
-        return tuple(closedform.ComplexRoot(pt, mp.mpf(0), mp.mpf(0)) for pt in poles)
+        return tuple(closedform.ComplexRoot(pt, Fraction(0), Fraction(0)) for pt in poles)
 
     monkeypatch.setattr(closedform, "_find_roots", fake_roots)
     with mp.workdps(digits + GUARD_DIGITS):
@@ -507,23 +549,20 @@ def test_residual_depends_only_on_its_own_root(digits):
     assert after[0][1] == before[0][1]
 
 
-def _fraction(x):
-    """An mpf as an exact Fraction."""
-    return Fraction(*to_rational(x._mpf_))
-
-
 @pytest.mark.parametrize("digits", [16, 50, 80])
 def test_roots_are_their_points_and_intervals_bracket_their_disks(digits):
     for k in range(1, 31):
         den = composition_gf(parse_setspec(f"not:mod:{k}:0")).den
         for root in find_roots(den, digits):
             a, b, s = root.point
-            value = (_fraction(root.value.real), _fraction(root.value.imag))
-            assert value == (Fraction(a, 2**s), Fraction(b, 2**s))
-            # lo <= |value| - r and hi >= |value| + r, compared as squares,
-            # and no wider than the disk plus one unit at scale 2^s
+            norm = Fraction(a * a + b * b, 4**s)
+            # the modulus is |z| rounded down at scale 2^s
+            modulus = root.modulus
+            assert modulus**2 <= norm < (modulus + Fraction(1, 2**s)) ** 2
+            # lo <= |z| - r and hi >= |z| + r, compared as squares, and
+            # no wider than the disk plus one unit at scale 2^s
             lo, hi = closedform._modulus_interval(root)
-            r, norm = _fraction(root.radius), Fraction(a * a + b * b, 4**s)
+            r = root.radius
             assert lo + r <= 0 or (lo + r) ** 2 <= norm
             assert hi - r >= 0 and (hi - r) ** 2 >= norm
             assert hi - lo <= 2 * r + Fraction(1, 2**s)
@@ -534,7 +573,8 @@ def test_purely_imaginary_poles_keep_an_exact_zero_real_part(digits):
     # mod:4:2 has the poles +-0.786... and +-1.272...i
     pf = partial_fractions(composition_gf(parse_setspec("mod:4:2")), digits)
     for pole in pf.poles[2:]:
-        assert pole.value.real == 0 and abs(pole.value.imag) > 1
+        a, b, s = pole.point
+        assert a == 0 and abs(b) > 1 << s
 
 
 def _fake_roots(monkeypatch, pts):
@@ -564,7 +604,10 @@ def test_find_roots_refuses_roots_closer_than_the_threshold(monkeypatch, digits)
                 find_roots(p, digits)
         else:
             roots = find_roots(p, digits)
-            assert [r.value for r in roots] == [1, mp.ldexp(big + 1, -k)]
+            assert [Fraction(a, 2**s) for a, _, s in (r.point for r in roots)] == [
+                1,
+                Fraction(big + 1, big),
+            ]
 
 
 def test_roots_only_above_the_axis_do_not_pair(monkeypatch):
@@ -583,15 +626,32 @@ def test_real_parts_below_eps_snap_to_zero(monkeypatch, digits):
     for shift, kept in ((eps / 2, 0), (eps, eps)):
         _fake_roots(monkeypatch, [(shift, 1), (shift, -1)])
         roots = find_roots(poly([1, 0, 1]), digits)
-        assert [(r.value.real, r.value.imag) for r in roots] == [(kept, -1), (kept, 1)]
+        points = [(Fraction(a, 2**s), Fraction(b, 2**s)) for a, b, s in (r.point for r in roots)]
+        assert points == [(kept, -1), (kept, 1)]
 
 
 def test_real_parts_snap_to_zero_on_a_real_input():
     # at 50 digits Newton puts the purely imaginary pair of
     # mod:4:0,1,3-1,7,8 one unit off the axis: a = 1 at scale 2^s
     den = composition_gf(parse_setspec("mod:4:0,1,3-1,7,8")).den
-    imaginary = [r for r in find_roots(den, 50) if not r.value.real]
-    assert len(imaginary) == 2 and abs(imaginary[0].value.imag) > 0.86
+    imaginary = [r.point for r in find_roots(den, 50) if not r.point[0]]
+    assert len(imaginary) == 2 and abs(Fraction(imaginary[0][1], 2 ** imaginary[0][2])) > 0.86
+
+
+def test_residual_above_the_bound_is_refused_with_five_digits(monkeypatch):
+    # the residual bound is 10^-(digits - 10) times the largest |c|; a
+    # residual past it is refused and printed as nstr(x, 5) prints it
+    disks = closedform._inclusion_disks
+    residual = Fraction(123456789, 2**40)  # about 1.1e-4
+
+    def loose(form, pts, s, digits):
+        return [(radius, residual) for radius, _ in disks(form, pts, s, digits)]
+
+    monkeypatch.setattr(closedform, "_inclusion_disks", loose)
+    shown = mp.nstr(mp.ldexp(123456789, -40), 5)
+    with pytest.raises(ConvergenceError, match=f"^residual {shown} above certification bound$"):
+        find_roots(poly([1, -1, -1]), 16)  # bound 10^-6
+    assert len(find_roots(poly([1000, -1, -1]), 16)) == 2  # bound 10^-3
 
 
 def test_duplicated_root_above_the_axis_overlaps(monkeypatch):
@@ -616,24 +676,27 @@ def test_eval_closed_reconstructs_counts():
         for n in range(0, 31):
             exact = count(A, n)
             got = eval_closed(pf, n)
-            assert abs(got.value - exact) / max(1, exact) <= 1e-6
-            assert got.imag_residual < 1e-20
+            assert abs(_value(got) - exact) / max(1, exact) <= 1e-6
+            assert got.error < 1e-20 * 2**got.scale and got.exact == exact
 
 
 @pytest.mark.parametrize("digits", [16, 20, 32, 80])
 def test_eval_closed_noise_where_the_count_is_zero(digits):
     """Where c(n) = 0 the pole sum is rounding noise: ap:2:14 has only
-    even parts, ge:15 none below 15.  It stays below 10^-(digits-10).
-    ROADMAP item 6, a certified eval-closed, will print an exact 0."""
+    even parts, ge:15 none below 15.  It stays below 10^-(digits-10),
+    and its error bound certifies an exact 0."""
     for spec, ns in (("ap:2:14", range(1, 401, 2)), ("ge:15", range(1, 15))):
         pf = partial_fractions(composition_gf(parse_setspec(spec)), digits)
         for n in ns:
-            assert abs(eval_closed(pf, n).value) <= mp.mpf(10) ** -(digits - 10)
+            got = eval_closed(pf, n)
+            assert abs(_value(got)) <= Fraction(1, 10 ** (digits - 10))
+            assert got.exact == 0
 
 
 def test_eval_closed_pinned_values():
     pf = partial_fractions(composition_gf(parse_setspec("not:mod:3:0")))
-    assert round(float(eval_closed(pf, 20).value)) == 101902
+    assert round(_value(eval_closed(pf, 20))) == 101902
+    assert eval_closed(pf, 20).exact == 101902
     with pytest.raises(ValueError):
         eval_closed(pf, -1)
 
@@ -690,7 +753,7 @@ def test_nearest_integer_rounding_holds_for_tribonacci_family():
     dom_pole, dom_res = pf.poles[0], pf.residue_coeffs[0]
     with mp.workdps(60):
         for n in range(1, 41):
-            term = (dom_res * dom_pole.value ** (-n)).real
+            term = (_mpc(dom_res) * _mpc(dom_pole.point) ** (-n)).real
             exact = count(A, n)
             assert int(mp.nint(term)) == exact
             if n >= 4:
@@ -711,7 +774,7 @@ def test_root_multiset_satisfies_vieta(cs):
     except RepeatedRootError:
         assume(False)
     d = p.degree
-    vals = [r.value for r in roots]
+    vals = [_mpc(r.point) for r in roots]
     s = sum(vals)
     prod = 1
     for v in vals:
@@ -731,7 +794,107 @@ def test_roots_closed_under_conjugation(cs):
         roots = find_roots(p, digits=30)
     except RepeatedRootError:
         assume(False)
-    vals = [r.value for r in roots]
+    vals = [_mpc(r.point) for r in roots]
     for v in vals:
         if abs(v.imag) > 1e-20:
             assert any(abs(w - v.conjugate()) < 1e-15 for w in vals)
+
+
+def test_working_precision_is_the_digits_plus_guard_in_bits():
+    # every Newton point depends on the precision: it must stay what
+    # mpmath's workdps(digits + GUARD_DIGITS) sets
+    for digits in range(16, closedform.MAX_DIGITS + 1):
+        with mp.workdps(digits + GUARD_DIGITS):
+            assert closedform._prec(digits) == mp.mp.prec
+
+
+def _nstr(man, exp, digits):
+    return mp.nstr(mp.mp.make_mpf(from_man_exp(man, exp)), digits)
+
+
+def _near(value, bits=300):
+    """Mantissa and exponent of the dyadics just around `value`: its
+    nearest at `bits` bits and one unit either side."""
+    value = Fraction(value)
+    k = bits - 1 - math.floor(math.log2(value))
+    m = round(value * 2**k)
+    return [(m + d, -k) for d in (-1, 0, 1)]
+
+
+# decimal exponents at the edges of fixed notation, -5 and -4, 4 and 5 at
+# 5 digits, 11 and 12 at 12; carries through the last digit; signs
+BOUNDARY_CASES = [
+    case
+    for value in [
+        Fraction(1, 10**5), Fraction(1, 10**4), Fraction(99999, 10**9), 10**4, 10**5, 99999.5,
+        10**11, 10**12, 999999999999.5, Fraction(9999999999995, 10**12),
+        Fraction(99999999999995, 10**13), Fraction(12345678901235, 10**13),
+        Fraction(999995, 10**5), Fraction(5, 10**6), Fraction(1, 3), 1, 2, Fraction(1, 2),
+    ]
+    for case in _near(value)
+] + [(0, 0), (0, -40), (1, 0), (-1, 0), (-3, -1), (1, 60), (-(2**300) + 1, -400), (2**300 - 1, 60)]
+
+
+@pytest.mark.parametrize("digits", [5, 12])
+@pytest.mark.parametrize("man,exp", BOUNDARY_CASES)
+def test_dyadic_str_matches_nstr_at_the_boundaries(man, exp, digits):
+    for sign in (1, -1):
+        assert closedform.dyadic_str(sign * man, exp, digits) == _nstr(sign * man, exp, digits)
+
+
+@given(st.integers(-(2**300), 2**300), st.integers(-400, 60), st.sampled_from((5, 12)))
+@settings(max_examples=500, deadline=None)
+def test_dyadic_str_matches_nstr(man, exp, digits):
+    assert closedform.dyadic_str(man, exp, digits) == _nstr(man, exp, digits)
+
+
+@pytest.mark.parametrize("man,exp", [(1, 5000), (3, -4000), (2**300 - 1, 3300), (12345, -3600)])
+def test_dyadic_str_far_from_one(man, exp):
+    # past 2^+-3500 the digits come from a decimal product; away from a
+    # rounding boundary they are nstr's
+    for digits in (5, 12):
+        assert closedform.dyadic_str(man, exp, digits) == _nstr(man, exp, digits)
+
+
+@given(st.integers(0, 2**32), st.sampled_from((16, 20, 32, 50, 80)), st.integers(0, 200))
+@settings(max_examples=60, deadline=None)
+def test_eval_closed_certifies_the_count(seed, digits, n):
+    # the bound always holds, a certified integer is the count, and the
+    # count certifies once its bits, n's and the degree's fit in the
+    # working precision: the error is about c(n) n degree 2^-(prec + 16)
+    A = random_partset(random.Random(seed), 12)
+    gf = composition_gf(A)
+    try:
+        pf = partial_fractions(gf, digits)
+    except RepeatedRootError:
+        assume(False)
+    got, want = eval_closed(pf, n), count(A, n)
+    assert abs(_value(got) - want) <= Fraction(got.error) / Fraction(2) ** got.scale
+    assert got.exact in (None, want)
+    bits = want.bit_length() + n.bit_length() + gf.den.degree.bit_length()
+    if bits <= closedform._prec(digits):
+        assert got.exact == want
+
+
+@pytest.mark.parametrize("spec", ["all", "not:mod:3:0", "set:2"])
+def test_eval_closed_at_an_astronomical_n(spec):
+    # n = 10^9 keeps about 2w bits, and the printed digits are mpmath's
+    # value of the pole sum: 2^(n-1) for all, the dominant term for
+    # not:mod:3:0 (the others decay), and 0 for set:2 at odd n, exactly
+    n = 10**9 + 1
+    gf = composition_gf(parse_setspec(spec))
+    pf = partial_fractions(gf, 16)
+    start = time.perf_counter()
+    got = eval_closed(pf, n)
+    assert time.perf_counter() - start < 2
+    if spec == "set:2":
+        assert got.exact == 0
+        return
+    assert got.exact is None and got.scale < 0 and got.value.bit_length() < 4 * 150
+    with mp.workdps(40):
+        if spec == "all":
+            want = mp.mpf(2) ** (n - 1)
+        else:
+            xi = min(mp.polyroots(gf.den.coeffs[::-1]), key=abs).real
+            want = -gf.num(xi) / (xi * gf.den.derivative()(xi)) * xi ** (-n)
+        assert closedform.dyadic_str(got.value, -got.scale, 12) == mp.nstr(want, 12)
