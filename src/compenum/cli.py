@@ -14,8 +14,9 @@ MAX_EXACT_BITS, on series, mod-3 tables, recurrence seeds and the seeds
 of `verify thm2` and `verify thm3 --k` whose terms are bounded above
 MAX_SERIES_BITS in all, on --digits outside 16..closedform.MAX_DIGITS,
 and on closed forms whose estimated cost exceeds closedform.MAX_SECONDS
-or whose poles do not certify at the requested precision (diagnostics
-on standard error).  Output is deterministic for identical inputs.
+or whose poles or residues do not certify at the requested precision
+(diagnostics on standard error).  Output is deterministic for identical
+inputs.
 Only the commands that use them import closedform and oracle.
 `closed-form` and `eval-closed` print the exact dyadic numbers that
 closedform returns through closedform.dyadic_str, to DISPLAY_DIGITS
