@@ -348,9 +348,10 @@ def cmd_table(args, parser):
 def cmd_verify(args, parser):
     from . import oracle
 
-    if args.family in ("thm2", "thm3") and args.k is not None:
-        # both seeds of order k hold c(j) <= 2^(j-1) for j = 1..k
-        _refuse(args.k * (args.k + 1) // 2, MAX_SERIES_BITS, f"the seed of order {args.k}")
+    if args.family in ("thm2", "thm3"):
+        # both seeds of the order k built hold c(j) <= 2^(j-1) for j = 1..k
+        k = oracle._theorem_k(args.k, args.m if args.family == "thm3" else None)
+        _refuse(k * (k + 1) // 2, MAX_SERIES_BITS, f"the seed of order {k}")
     params = {"k": args.k, "m": args.m, "a": args.a, "b": args.b}
     reports = oracle.family_reports(args.family, args.limit, args.seed, **params)
     lenient = args.family == "all"

@@ -13,24 +13,28 @@ or not the fraction is proper because N and the division remainder agree
 at every root of D.
 
 All numerics run at a caller-chosen precision (at most MAX_DIGITS) plus
-guard digits, and read the denominator D through its sparse form (see
-_sparse_form), built once: the step of the paper's lemma, 1 - x - ... -
-x^k becomes 1 - 2x + x^(k+1), taken where that is sparser and
-D(1) != 0.  An Aberth-Ehrlich iteration in double precision
-seeds every root, and Newton steps in fixed-point Gaussian integers
-refine each seed on or above the real axis to the working precision
-plus NEWTON_GUARD_BITS.  From then on each root is the exact dyadic
-point (a + bi) / 2^s that Newton produced, held as two integers, and
-the rest runs on integers: the snap onto the axis, the exact conjugates
-that stand in for the roots below it, the Gerschgorin-type inclusion
-disks (Carstensen 1991) with the pole separation check, the sort, the
-residues and their evaluation.  One fixed-point evaluator, _sparse_eval,
-serves Newton, the disks' value bounds and the residues: it gives q(z),
-and z q'(z) where asked, each with a rigorous running bound on its
-error, from the exact point or from any point within a given distance
-of it.  The disk radii are rigorous upper bounds, and pairwise disjoint
-disks hold one root each, so they certify the returned set however it
-was found; a set that fails any check raises ConvergenceError.  Every
+guard digits, on one polynomial q read through its nonzero taps (see
+_sparse_form), built once: q = D, or q = (1 - x) D with the numerator
+(1 - x) N where that is sparser and D(1) != 0.  That is the step of the
+paper's lemma, 1 - x - ... - x^k becomes 1 - 2x + x^(k+1): it changes
+how N / D is written, not its value, and gives q the known simple root
+1.  An Aberth-Ehrlich iteration in double precision seeds every other
+root, with 1 held fixed, and Newton steps in fixed-point Gaussian
+integers refine each seed on or above the real axis to the working
+precision plus NEWTON_GUARD_BITS.  From then on each root is the exact
+dyadic point (a + bi) / 2^s that Newton produced, held as two integers,
+the known root 1 the point (2^s, 0), and the rest runs on integers: the
+snap onto the axis, the exact conjugates that stand in for the roots
+below it, the Gerschgorin-type inclusion disks (Carstensen 1991) with
+the pole separation check, the sort, after which the known root is
+dropped, the residues and their evaluation.  One fixed-point evaluator,
+_sparse_eval, serves Newton, the disks' value bounds and the residues:
+it gives q(z), and z q'(z) where asked, each with a rigorous running
+bound on its error, from the exact point or from any point within a
+given distance of it; _ball_mul bounds every product.  The disk radii
+are rigorous upper bounds, and pairwise disjoint disks hold one root
+each, so they certify the returned set however it was found; a set that
+fails any check raises ConvergenceError.  Every
 number the module returns is exact: points, residues and evaluated
 values are integers over a power of two, and radii, residuals, moduli
 and growth rates dyadic Fractions.  dyadic_str prints them.  Every
@@ -181,9 +185,12 @@ def dyadic_str(man, exp, digits):
 class ComplexRoot:
     """One simple denominator root, held as the exact dyadic point z =
     (a + bi) / 2^s that Newton returned, point = (a, b, s).  residual >=
-    |poly(z)| and the radius of an inclusion disk |x - z| <= radius that
+    |q(z)| and the radius of an inclusion disk |x - z| <= radius that
     holds this root and no other are upper bounds, both exact dyadic
-    Fractions."""
+    Fractions.  q is the polynomial itself, or (1 - x) times it where
+    the lemma's step is taken (see _sparse_form); there |q(z)| = |1 - z|
+    |poly(z)|, and the radius, from the d + 1 roots of q, can be up to
+    (d + 1) / d times what the d roots of poly alone would give."""
 
     point: tuple
     residual: Fraction
@@ -197,21 +204,20 @@ class ComplexRoot:
         return Fraction(math.isqrt(a * a + b * b), 1 << s)
 
 
-def _sparse_form(coeffs):
-    """The nonzero taps (e, c) of a denominator D = sum(coeffs[e] x^e), or of
-    q = (1 - x) D where that has fewer taps and D(1) != 0 (else q has a
-    double root at 1), and whether that step was taken: the paper's lemma
-    steps 1 - x - ... - x^k to 1 - 2x + x^(k+1)."""
-    _, row, _, stepped = _sparser((), coeffs) if sum(coeffs) else ((), coeffs, (), False)
-    return [(e, c) for e, c in enumerate(row) if c], stepped
+def _sparse_form(num, den):
+    """The nonzero taps (e, c) of N and D, or of (1 - x) N and q = (1 -
+    x) D where q has fewer taps and D(1) != 0 (else q has a double root
+    at 1), stepped through polyring._sparser as expand steps its rows,
+    and whether that step was taken, which makes 1 a known simple root
+    of q: the paper's lemma steps 1 - x - ... - x^k to 1 - 2x + x^(k+1)."""
+    rows = _sparser(num, den) if sum(den) else (num, den, (), False)
+    ntaps, dtaps = ([(e, c) for e, c in enumerate(row) if c] for row in rows[:2])
+    return ntaps, dtaps, rows[3]
 
 
-def _float_ratio(form, z):
-    """p(z) / p'(z) in floats from the sparse form: q(z) and z q'(z)
-    summed over the taps, each power z^e from the last by z ** gap.  In
-    the stepped form q = (1 - x) p this is z q (1 - z) / ((1 - z) z q' +
-    z q), which divides by no power of 1 - z."""
-    taps, stepped = form
+def _float_ratio(taps, z):
+    """q(z) / q'(z) in floats from the taps of q: z q(z) and z q'(z)
+    summed over them, each power z^e from the last by z ** gap."""
     q = dq = 0j
     power, at = 1, 0
     for e, c in taps:
@@ -219,27 +225,28 @@ def _float_ratio(form, z):
         at = e
         q += c * power
         dq += c * e * power
-    zq = z * q
-    if not stepped:
-        return zq / dq
-    u = 1 - z
-    return zq * u / (u * dq + zq)
+    return z * q / dq
 
 
-def _aberth_seeds(coeffs, form):
-    """Double-precision approximations to all roots of sum(coeffs[k] x^k)
-    by the Aberth-Ehrlich iteration, each Newton ratio read from its
-    sparse form `form` (_float_ratio); ConvergenceError when the
-    iteration leaves the float range or two approximations collide."""
-    d = len(coeffs) - 1
+def _aberth_seeds(taps, one):
+    """Double-precision approximations to the roots of the polynomial q
+    with these taps, q(0) != 0, by the Aberth-Ehrlich iteration, each
+    Newton ratio read from the taps (_float_ratio).  Where `one`, 1 is a
+    known simple root of q: it stays fixed in every pull sum and is not
+    returned, which in exact arithmetic is the iteration on q / (1 - x).
+    ConvergenceError when the iteration leaves the float range or two
+    approximations collide."""
+    d = taps[-1][0] - one
     try:
-        radius = abs(float(coeffs[0]) / float(coeffs[-1])) ** (1 / d) or 1.0
+        radius = abs(float(taps[0][1]) / float(taps[-1][1])) ** (1 / d) or 1.0
         # the angular offset breaks the start's symmetry under conjugation
         zs = [radius * cmath.exp(1j * (2 * math.pi * k / d + 0.4)) for k in range(d)]
+        zs += [1.0] * one
         for _ in range(ABERTH_SWEEPS):
             moved = False
-            for i, z in enumerate(zs):
-                ratio = _float_ratio(form, z)
+            for i in range(d):
+                z = zs[i]
+                ratio = _float_ratio(taps, z)
                 pull = sum(1 / (z - w) for j, w in enumerate(zs) if j != i)
                 step = ratio / (1 - ratio * pull)
                 zs[i] = z - step
@@ -248,56 +255,60 @@ def _aberth_seeds(coeffs, form):
                 break
     except (OverflowError, ZeroDivisionError):
         raise ConvergenceError("Aberth seeds collided or left the float range") from None
+    zs = zs[:d]
     if not all(cmath.isfinite(z) for z in zs):
         raise ConvergenceError("Aberth seeds left the float range")
     return zs
 
 
+def _ball_mul(x, y, h=0):
+    """The product of two complex integers given with errors, x = (re,
+    im, err) for a value within err of re + im i, floored by h bits: (re,
+    im, err) with err >= |re + im i - XY / 2^h| for every X within x's
+    err of x and Y within y's of y.  That is (|x'| |dy| + (|y'| + |dy|)
+    |dx|) / 2^h rounded up, with |x'| <= |re| + |im|, plus 2 units for
+    the floors when h > 0."""
+    xr, xi, dx = x
+    yr, yi, dy = y
+    err = (abs(xr) + abs(xi)) * dy + (abs(yr) + abs(yi) + dy) * dx
+    return (xr * yr - xi * yi) >> h, (xr * yi + xi * yr) >> h, -(-err >> h) + 2 if h else err
+
+
 def _power(a, b, err, e, w, top=None):
     """(a + bi)^e, e >= 1, for a base at scale 2^w given within err of
-    some xi, by repeated squaring with both parts of every product
-    floored: integers (gr, gi, gerr, x) with |gr + gi i - 2^(w - x) xi^e|
-    <= gerr.  x = 0 unless `top` is given; then a product that would
-    pass 2^top is shifted down further and x counts the extra bits, so
-    any e costs about log2(e) products of at most 2 top bits.  A floored
-    product of x + dx and y + dy, values and errors in the same units,
-    shifted down by h bits, is off from xy / 2^h by at most (|x + dx|
-    |dy| + (|y + dy| + |dy|) |dx|) / 2^h + 2 units, with |x + dx| <= |Re|
-    + |Im|."""
-    size = abs(a) + abs(b)
-    gr, gi, gerr, x = a, b, err, 0
+    some xi, by repeated squaring with every product floored by
+    _ball_mul: integers (gr, gi, gerr, x) with |gr + gi i - 2^(w - x)
+    xi^e| <= gerr.  x = 0 unless `top` is given; then a product that
+    would pass 2^top is shifted down further and x counts the extra
+    bits, so any e costs about log2(e) products of at most 2 top bits."""
+    base = g = (a, b, err)
+    size, x = (abs(a) + abs(b)).bit_length(), 0
     for bit in bin(e)[3:]:
-        g = abs(gr) + abs(gi)
-        h = w if top is None else max(w, 2 * g.bit_length() - top)
-        gerr = -(-gerr * (2 * g + gerr) >> h) + 2
-        gr, gi, x = (gr * gr - gi * gi) >> h, (2 * gr * gi) >> h, 2 * x + h - w
+        h = w if top is None else max(w, 2 * (abs(g[0]) + abs(g[1])).bit_length() - top)
+        g, x = _ball_mul(g, g, h), 2 * x + h - w
         if bit == "1":
-            g = abs(gr) + abs(gi)
-            h = w if top is None else max(w, g.bit_length() + size.bit_length() - top)
-            gerr = -(-(g * err + (size + err) * gerr) >> h) + 2
-            gr, gi, x = (gr * a - gi * b) >> h, (gr * b + gi * a) >> h, x + h - w
-    return gr, gi, gerr, x
+            h = w if top is None else max(w, (abs(g[0]) + abs(g[1])).bit_length() + size - top)
+            g, x = _ball_mul(g, base, h), x + h - w
+    return (*g, x)
 
 
-def _sparse_eval(form, a, b, s, w, zerr=0, slope=False):
-    """q(z) for the sparse form (see _sparse_form) at the dyadic point z
-    = (a + bi) / 2^s, s <= w, as integers (qr, qi) at scale 2^w with an
-    integer err >= |qr + qi i - 2^w q(xi)| for every xi within zerr /
-    2^w of z (zerr = 0: xi = z).  With slope, z q'(z) and its bound
-    follow as (dr, di, derr); Newton and a residue's denominator read
-    them, and only they pay for the sums.  Each power z^e is the last
-    one times z^gap (_power), both parts of the product floored, and
-    carries a running bound on its error (see _power).  The tap sums are
-    exact, so err sums |c| times the bounds, and derr |c| e times them."""
+def _sparse_eval(taps, a, b, s, w, zerr=0, slope=False):
+    """q(z) for the taps (e, c) of q at the dyadic point z = (a + bi) /
+    2^s, s <= w, as integers (qr, qi) at scale 2^w with an integer err
+    >= |qr + qi i - 2^w q(xi)| for every xi within zerr / 2^w of z (zerr
+    = 0: xi = z).  With slope, z q'(z) and its bound follow as (dr, di,
+    derr); Newton and a residue's denominator read them, and only they
+    pay for the sums.  Each power z^e is the last one times z^gap
+    (_power), floored with its error bound by _ball_mul.  The tap sums
+    are exact, so err sums |c| times the bounds, and derr |c| e times
+    them."""
     a, b = a << (w - s), b << (w - s)
     qr = qi = dr = di = err = derr = 0
-    pr, pi, perr, at = 1 << w, 0, 0, 0
-    for e, c in form[0]:
+    z, p, at = (a, b, zerr), (1 << w, 0, 0), 0
+    for e, c in taps:
         if e > at:
-            gr, gi, gerr, _ = (a, b, zerr, 0) if e - at == 1 else _power(a, b, zerr, e - at, w)
-            perr = -(-((abs(pr) + abs(pi)) * gerr + (abs(gr) + abs(gi) + gerr) * perr) >> w) + 2
-            pr, pi = (pr * gr - pi * gi) >> w, (pr * gi + pi * gr) >> w
-            at = e
+            p, at = _ball_mul(p, z if e - at == 1 else _power(*z, e - at, w)[:3], w), e
+        pr, pi, perr = p
         qr, qi = qr + c * pr, qi + c * pi
         err += abs(c) * perr
         if slope:
@@ -306,25 +317,21 @@ def _sparse_eval(form, a, b, s, w, zerr=0, slope=False):
     return (qr, qi, err, dr, di, derr) if slope else (qr, qi, err)
 
 
-def _scale(form, a, b, s):
+def _scale(taps, a, b, s):
     """A scale w for _sparse_eval at z = (a + bi) / 2^s: 64 bits past s
     and the likely rounding error, about 2 e |c| |z|^e units for a tap c
     x^e.  The error bound that comes back holds at any w."""
-    top = form[0][-1][0]
+    top = taps[-1][0]
     lift = top * max(0.0, math.log2(a * a + b * b + 1) / 2 - s)
-    return s + 64 + (2 * top * sum(abs(c) for _, c in form[0])).bit_length() + math.ceil(lift)
+    return s + 64 + (2 * top * sum(abs(c) for _, c in taps)).bit_length() + math.ceil(lift)
 
 
-def _newton_step(form, a, b, w):
-    """The Newton step p(z) / p'(z) at z = (a + bi) / 2^w as integers at
+def _newton_step(taps, a, b, w):
+    """The Newton step q(z) / q'(z) at z = (a + bi) / 2^w as integers at
     scale 2^w, from q(z) and z q'(z) (_sparse_eval) as in _float_ratio.
     ConvergenceError where the step's denominator vanishes."""
-    qr, qi, _, dr, di, _ = _sparse_eval(form, a, b, w, w, slope=True)
+    qr, qi, _, dr, di, _ = _sparse_eval(taps, a, b, w, w, slope=True)
     nr, ni = (qr * a - qi * b) >> w, (qr * b + qi * a) >> w  # z q(z)
-    if form[1]:
-        ur, ui = (1 << w) - a, -b  # 1 - z
-        dr, di = ((dr * ur - di * ui) >> w) + nr, ((dr * ui + di * ur) >> w) + ni
-        nr, ni = (nr * ur - ni * ui) >> w, (nr * ui + ni * ur) >> w
     norm = dr * dr + di * di
     if not norm:
         raise ConvergenceError("Newton step met a vanishing derivative")
@@ -336,22 +343,17 @@ def _fixed(z, w):
     return round(math.ldexp(z.real, 50)) << (w - 50), round(math.ldexp(z.imag, 50)) << (w - 50)
 
 
-def _newton(form, z, bits):
-    """Refine the float root approximation z of the polynomial with the
-    sparse form `form` (see _sparse_form) by Newton steps in fixed point,
-    z = (a + bi) / 2^w, doubling w up to `bits`.  Returns (a, b) at w =
-    bits; ConvergenceError where the step's denominator vanishes.
-
-    The stepped form loses about 2 log2(1 / |1 - z|) bits to the factor
-    1 - z, so near z = 1 the steps run that many bits past `bits`, and
-    the result is floored back to 2^bits."""
-    extra = 2 * max(0, -math.frexp(abs(1 - z))[1]) if form[1] else 0
+def _newton(taps, z, bits, extra):
+    """Refine the float root approximation z of the polynomial with
+    these taps by Newton steps in fixed point, z = (a + bi) / 2^w,
+    doubling w up to bits + extra.  Returns (a, b) floored back to w =
+    bits; ConvergenceError where the step's denominator vanishes."""
     top, w = bits + extra, 50
     a, b = _fixed(z, w)
     for _ in range(NEWTON_STEPS):
         grow = min(w, top - w)
         a, b, w = a << grow, b << grow, w + grow
-        step_re, step_im = _newton_step(form, a, b, w)
+        step_re, step_im = _newton_step(taps, a, b, w)
         a, b = a - step_re, b - step_im
         # a step below 2^(-w/2) leaves an error near 2^-w: converged
         if w == top and max(abs(step_re), abs(step_im)) >> (w // 2) == 0:
@@ -359,71 +361,60 @@ def _newton(form, z, bits):
     return a >> extra, b >> extra
 
 
-def _float_seeded_roots(poly, form, prec):
-    """Aberth seeds of poly, whose sparse form is `form`, refined by
+def _float_seeded_roots(taps, one, prec):
+    """Aberth seeds of the polynomial q with these taps, refined by
     Newton to prec plus guard bits: the exact points (a, b) that Newton
     returns at its scale 2^s, s = prec + NEWTON_GUARD_BITS, unrounded
     and unsnapped (see _pair).  Only the seeds on or near the real axis
     and above it are refined; a seed with Im z < -1e-7 (1 + |z|) comes
     back unrefined at scale 2^s, for _pair to count and replace by the
-    exact conjugate of its partner.  A simple root at 0, where
-    _float_ratio would divide 0 by 0, is the exact point (0, 0), and
-    the seeds are those of poly / x (x^2 | poly is refused before)."""
+    exact conjugate of its partner.  Where `one`, q's known root 1 is the
+    exact point (2^s, 0), with no Newton run; near it q' = (1 - z) D' is
+    small, so Newton runs 2 log2(1 / |1 - z|) bits past s there.  A
+    simple root at 0, where _float_ratio would divide 0 by 0, is the
+    exact point (0, 0), and the seeds are those of q / x (x^2 | q is
+    refused before)."""
     s = prec + NEWTON_GUARD_BITS
-    coeffs, seed_form, zero = poly.coeffs, form, []
-    if not coeffs[0]:
-        coeffs, zero = coeffs[1:], [(0, 0)]
-        seed_form = _sparse_form(coeffs)
-    seeds = _aberth_seeds(coeffs, seed_form) if len(coeffs) > 1 else []
-    return [
-        _fixed(z, s) if z.imag < -1e-7 * (1 + abs(z)) else _newton(form, z, s)
+    v = taps[0][0]  # 1 for a root at 0
+    seed_taps = [(e - v, c) for e, c in taps]
+    seeds = _aberth_seeds(seed_taps, one) if seed_taps[-1][0] > one else []
+    pts = [
+        _fixed(z, s) if z.imag < -1e-7 * (1 + abs(z))
+        else _newton(taps, z, s, 2 * max(0, -math.frexp(abs(1 - z))[1]) if one else 0)
         for z in seeds
-    ] + zero, s
+    ]
+    return pts + [(1 << s, 0)] * one + [(0, 0)] * v, s
 
 
-def _value_bound(form, a, b, s):
-    """An integer m and a scale w with |p(z)| <= m / 2^w at the dyadic
-    point z = (a + bi) / 2^s: |q(z)| from _sparse_eval plus its error
-    bound, in the stepped form divided by an integer lower bound on
-    |1 - z|, since there |p| = |q| / |1 - z|.  ConvergenceError at z = 1
-    in the stepped form, where that division cannot bound p."""
-    w = _scale(form, a, b, s)
-    qr, qi, err = _sparse_eval(form, a, b, s, w)
-    m = math.isqrt(qr * qr + qi * qi) + 1 + err
-    if form[1]:
-        low = math.isqrt(((1 << s) - a) ** 2 + b * b)  # <= 2^s |1 - z|
-        if not low:
-            raise ConvergenceError("the stepped form cannot bound p at z = 1")
-        m = -(-(m << s) // low)
-    return m, w
-
-
-def _inclusion_disks(form, pts, s, digits):
-    """Pairs (r_i, e_i) with radius r_i >= d |p(z_i)| / (|lc| prod_{j != i}
-    |z_i - z_j|) and residual e_i >= |p(z_i)|, dyadic Fractions, at the
-    d points z_i = (a_i + b_i i) / 2^s, one per root of the polynomial p
-    of sparse form `form`.  ConvergenceError unless the disks |z - z_i| <= r_i are
+def _inclusion_disks(taps, pts, s, digits):
+    """Pairs (r_i, e_i) with radius r_i >= d |q(z_i)| / (|lc| prod_{j != i}
+    |z_i - z_j|) and residual e_i >= |q(z_i)|, dyadic Fractions, at the
+    d points z_i = (a_i + b_i i) / 2^s, one per root of the polynomial q
+    with these taps.  ConvergenceError unless the disks |z - z_i| <= r_i are
     pairwise disjoint and every two points are more than 10^-(digits-10)
     apart: gap^2 * 10^(2(digits-10)) > 4^s.
 
-    The union of these disks holds every root of p, and a connected
+    The union of these disks holds every root of q, and a connected
     component of m of them holds exactly m roots (Braess and Hadeler
     1973; Carstensen, Numer. Math. 1991), so pairwise disjoint disks
     hold one root each.  Each residual depends only on its own point and
     s: the exact conjugate of the point before it, as _pair emits them,
-    takes that point's bound, since |p(conj z)| = |p(z)| for real p.  The
+    takes that point's bound, since |q(conj z)| = |q(z)| for real q.  The
     gaps |z_i - z_j|^2 are exact integers at scale 4^s, and each point's
-    product of them is formed on its own.  |p(z_i)| is bounded above by
-    _value_bound, the product of gaps is rounded down and each radius is
-    rounded up to a 41-bit dyadic, so every r_i is a rigorous upper bound.
+    product of them is formed on its own.  |q(z_i)| is bounded above by
+    _sparse_eval's value plus its error bound, the product of gaps is
+    rounded down and each radius is rounded up to a 41-bit dyadic, so
+    every r_i is a rigorous upper bound.
     """
-    d, lc = len(pts), form[0][-1][1]  # |lc| is the same in both forms
+    d, lc = len(pts), taps[-1][1]
     gaps = [[(a - c) ** 2 + (b - e) ** 2 for c, e in pts] for a, b in pts]
     mantissas, exponents, residuals = [], [], []  # r_i <= mantissas[i] * 2^-exponents[i]
     for i, (a, b) in enumerate(pts):
-        # |p(conj z)| = |p(z)| for real p: an exact conjugate reuses the bound
+        # |q(conj z)| = |q(z)| for real q: an exact conjugate reuses the bound
         if not (i and pts[i - 1] == (a, -b)):
-            value, w = _value_bound(form, a, b, s)
+            w = _scale(taps, a, b, s)
+            qr, qi, err = _sparse_eval(taps, a, b, s, w)
+            value = math.isqrt(qr * qr + qi * qi) + 1 + err  # >= 2^w |q(z_i)|
             residual = _dyadic(value, w)
         residuals.append(residual)
         low, shift = 1, 0  # low * 2^shift <= prod_{j != i} gaps[i][j]
@@ -509,36 +500,39 @@ def _order(pts, s, digits):
 def find_roots(poly, digits=50):
     """All complex roots of an integer polynomial, certified to `digits`.
 
-    Builds the sparse form of p once (see _sparse_form) and runs
-    _find_roots on it: one pipeline, each failure a ClosedFormError.
-    Refuse an input whose estimated cost is above MAX_SECONDS, and a
-    repeated factor (gcd(p, p') nonconstant); seed every root by an
-    Aberth-Ehrlich iteration in double precision; refine each seed on or
-    above the axis by fixed-point Newton steps up to the working
-    precision (digits plus GUARD_DIGITS) plus NEWTON_GUARD_BITS.  Each
-    returned ComplexRoot is built from the exact dyadic point (a, b, s)
-    Newton returned.  Tiny real parts become 0, near-real roots are
-    snapped onto the axis, and each root above it is emitted with its
-    exact conjugate in place of the roots below it (see _pair); inclusion
-    disks (see _inclusion_disks), pairwise disjoint with every two roots
-    more than 10^-(digits-10) apart, and a residual bound, both from
-    _value_bound, certify the set.  Each root carries its disk radius.
-    Output is sorted by (modulus, |arg|, arg), which puts the
-    growth-dominant root first; moduli within the certification
-    tolerance count as equal, so rounding noise never decides the order
-    of equal-modulus roots.  The keys are exact integers of the dyadic
-    points (see _order).
+    Steps p once (see _sparse_form) and runs _find_roots on the taps of
+    q, which is p or (1 - x) p: one pipeline, each failure a
+    ClosedFormError.  Refuse an input whose estimated cost is above
+    MAX_SECONDS, and a repeated factor (gcd(p, p') nonconstant); seed
+    every root of q but the known root 1 by an Aberth-Ehrlich iteration
+    in double precision; refine each seed on or above the axis by
+    fixed-point Newton steps up to the working precision (digits plus
+    GUARD_DIGITS) plus NEWTON_GUARD_BITS.  Each returned ComplexRoot is
+    built from the exact dyadic point (a, b, s) Newton returned.  Tiny
+    real parts become 0, near-real roots are snapped onto the axis, and
+    each root above it is emitted with its exact conjugate in place of
+    the roots below it (see _pair); inclusion disks around the roots of
+    q (see _inclusion_disks), pairwise disjoint with every two roots
+    more than 10^-(digits-10) apart, and a bound on each residual |q(z)|
+    certify the set.  Each root carries its disk radius.  Output is
+    sorted by (modulus, |arg|, arg), which puts the growth-dominant root
+    first; moduli within the certification tolerance count as equal, so
+    rounding noise never decides the order of equal-modulus roots.  The
+    keys are exact integers of the dyadic points (see _order).  The
+    known root 1 of q is dropped last.
     """
     _check_digits(digits)
     if not poly:
         raise ValueError("zero polynomial has no root set")
     if poly.degree < 1:
         return ()
-    return _find_roots(poly, _sparse_form(poly.coeffs), digits)
+    _, taps, one = _sparse_form((), poly.coeffs)
+    return _find_roots(poly, taps, one, digits)
 
 
-def _find_roots(poly, form, digits):
-    """find_roots' pipeline on poly, of degree >= 1, and its sparse form."""
+def _find_roots(poly, taps, one, digits):
+    """find_roots' pipeline on poly, of degree >= 1, through the taps of
+    q and whether 1 is its known root (see _sparse_form)."""
     seconds = 1e-5 * poly.degree**2 * (1 + (digits / 92) ** 1.6)
     if seconds > MAX_SECONDS:
         raise ClosedFormError(
@@ -548,16 +542,19 @@ def _find_roots(poly, form, digits):
     common = poly_gcd(poly, poly.derivative())
     if common.degree >= 1:
         raise RepeatedRootError(f"repeated factor (gcd with derivative is {common})")
-    pts, s = _float_seeded_roots(poly, form, _prec(digits))
+    pts, s = _float_seeded_roots(taps, one, _prec(digits))
     pts = _pair(pts, s, digits)
-    disks = _inclusion_disks(form, pts, s, digits)
+    disks = _inclusion_disks(taps, pts, s, digits)
     bound = max(1, max(abs(c) for c in poly.coeffs))  # times 10^-(digits - 10)
     for _, resid in disks:
         if resid.numerator * 10 ** (digits - 10) > bound * resid.denominator:
             shown = dyadic_str(resid.numerator, 1 - resid.denominator.bit_length(), 5)
             raise ConvergenceError(f"residual {shown} above certification bound")
+    known = pts.index((1 << s, 0)) if one else None
     return tuple(
-        ComplexRoot((*pts[i], s), disks[i][1], disks[i][0]) for i in _order(pts, s, digits)
+        ComplexRoot((*pts[i], s), disks[i][1], disks[i][0])
+        for i in _order(pts, s, digits)
+        if i != known
     )
 
 
@@ -578,56 +575,33 @@ class PartialFraction:
     residue_errors: tuple = ()
 
 
-def _ball_mul(x, y):
-    """The exact product of two complex integers (re, im) given with
-    errors, x = (re, im, err), at the sum of their scales, and its error
-    |x'| |dy| + |y'| |dx| + |dx| |dy|, with |x'| <= |re| + |im|."""
-    xr, xi, xe = x
-    yr, yi, ye = y
-    return (
-        xr * yr - xi * yi,
-        xr * yi + xi * yr,
-        (abs(xr) + abs(xi)) * ye + (abs(yr) + abs(yi)) * xe + xe * ye,
-    )
-
-
-def _residue(nform, dform, a, b, s, prec, radius):
+def _residue(ntaps, dtaps, a, b, s, prec, radius):
     """r = -N(z) / (z D'(z)) at z = (a + bi) / 2^s as integers (re, im,
     k, err): r = (re + im i) / 2^k, found to about prec + 32 bits and
     each part rounded to prec bits, and err / 2^k >= |r - r(xi)| for the
-    root xi within `radius` of z.  N comes from its plain taps `nform`
-    and z D' from D's sparse form `dform`, both read by _sparse_eval with
-    the radius as the error of z, then one exact complex division,
-    floored.  In the stepped form (only where sparser and D(1) != 0) q =
-    (1 - x) D, and z q' = (1 - z) z D' - z D gives z D' = (z q' (1 - z) +
-    z q) / (1 - z)^2, so N is multiplied by (1 - z)^2; 1 - z carries the
-    radius too.  Of a quotient A' / B' of values within eA and eB of A
-    and B, |A / B - A' / B'| <= (eA |B'| + |A'| eB) / (|B'| (|B'| - eB)).
-    ConvergenceError where eB reaches |B'|."""
-    w = max(_scale(nform, a, b, s), _scale(dform, a, b, s))
+    root xi within `radius` of z.  N and z D' come from the taps of N and
+    D, read by _sparse_eval with the radius as the error of z, then one
+    exact complex division, floored.  Where the lemma's step is taken
+    they are the taps of (1 - x) N and (1 - x) D, whose quotient is the
+    same at every root of D.  Of a quotient A' / B' of values within eA
+    and eB of A and B, |A / B - A' / B'| <= (eA |B'| + |A'| eB) / (|B'|
+    (|B'| - eB)).  ConvergenceError where eB reaches |B'|."""
+    w = max(_scale(ntaps, a, b, s), _scale(dtaps, a, b, s))
     zerr = -(-(radius.numerator << w) // radius.denominator)  # radius, up, at 2^w
-    num = _sparse_eval(nform, a, b, s, w, zerr)
-    qr, qi, qerr, dr, di, derr = _sparse_eval(dform, a, b, s, w, zerr, slope=True)
-    den, e = (dr, di, derr), 0  # N / (z D') = num / den / 2^e
-    if dform[1]:
-        uerr = -(-(radius.numerator << s) // radius.denominator)
-        u = ((1 << s) - a, -b, uerr)  # 1 - z at scale 2^s
-        du, qz = _ball_mul(den, u), _ball_mul((qr, qi, qerr), (a, b, uerr))
-        den = (du[0] + qz[0], du[1] + qz[1], du[2] + qz[2])
-        num, e = _ball_mul(num, _ball_mul(u, u)), s
-    (nr, ni, nerr), (dr, di, derr) = num, den
+    nr, ni, nerr = _sparse_eval(ntaps, a, b, s, w, zerr)
+    _, _, _, dr, di, derr = _sparse_eval(dtaps, a, b, s, w, zerr, slope=True)
     norm = dr * dr + di * di
-    # r = -(nr + ni i)(dr - di i) / |d|^2 / 2^e; keep prec + 32 bits of it
+    # r = -(nr + ni i)(dr - di i) / |d|^2; keep prec + 32 bits of it
     t = max(0, prec + 32 + max(abs(dr), abs(di)).bit_length() - max(abs(nr), abs(ni)).bit_length())
     re = -((nr * dr + ni * di) << t) // norm
     im = -((ni * dr - nr * di) << t) // norm
-    low = math.isqrt(norm)  # <= |den|
+    low = math.isqrt(norm)  # <= |z D'|
     if low <= derr:
         raise ConvergenceError("residues not certified at this precision")
-    size = math.isqrt(nr * nr + ni * ni) + 1  # >= |num|
+    size = math.isqrt(nr * nr + ni * ni) + 1  # >= |N|
     err = -(-((nerr * low + size * derr) << t) // (low * (low - derr))) + 2
     rr, ri = _round_bits(re, prec), _round_bits(im, prec)
-    return rr, ri, t + e, err + abs(re - rr) + abs(im - ri)
+    return rr, ri, t, err + abs(re - rr) + abs(im - ri)
 
 
 def partial_fractions(gf, digits=50):
@@ -637,12 +611,12 @@ def partial_fractions(gf, digits=50):
     the certified, separated poles from find_roots, then checks that the
     residues reproduce the n = 0 coefficient.  Everything runs on each
     pole's exact point (a, b, s), read from ComplexRoot.point: each
-    residue comes from N's plain nonzero taps and D's sparse form, built
-    once for roots and residues (stepped only where sparser and D(1) !=
-    0), read by _sparse_eval at 64 bits past the working precision, and
-    one exact division (see _residue), with an error bound from the
-    pole's disk.  The exact conjugate of the pole before it, as
-    find_roots sorts each pair, takes the conjugate of that residue.
+    residue comes from the taps of N and D, stepped once together for
+    roots and residues (see _sparse_form), read by _sparse_eval at 64
+    bits past the working precision, and one exact division (see
+    _residue), with an error bound from the pole's disk.  The exact
+    conjugate of the pole before it, as find_roots sorts each pair,
+    takes the conjugate of that residue.
     """
     _check_digits(digits)
     num, den = gf.num, gf.den
@@ -650,9 +624,8 @@ def partial_fractions(gf, digits=50):
         # the zero series, or den is the constant 1: the series is num itself
         return PartialFraction(tuple(map(Fraction, num.coeffs)), (), (), digits)
     quot, _ = divmod_fractions(num, den)
-    dform = _sparse_form(den.coeffs)
-    poles = _find_roots(den, dform, digits)
-    nform = ([(e, c) for e, c in enumerate(num.coeffs) if c], False)
+    ntaps, dtaps, one = _sparse_form(num.coeffs, den.coeffs)
+    poles = _find_roots(den, dtaps, one, digits)
     prec = _prec(digits)
     parts = []
     for i, pole in enumerate(poles):
@@ -662,7 +635,7 @@ def partial_fractions(gf, digits=50):
             re, im, k, err = parts[-1]
             parts.append((re, -im, k, err))
         else:
-            parts.append(_residue(nform, dform, a, b, s, prec, pole.radius))
+            parts.append(_residue(ntaps, dtaps, a, b, s, prec, pole.radius))
     top = max(k for _, _, k, _ in parts)
     real = sum(re << (top - k) for re, _, k, _ in parts)
     imag = sum(im << (top - k) for _, im, k, _ in parts)

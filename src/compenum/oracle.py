@@ -388,6 +388,13 @@ def _route_checks(A, dp, limit):
     )
 
 
+def _theorem_k(k, m):
+    """The order k of the recurrences that verify_theorem builds for thm2
+    and thm3: k as given, else 3, or m + 1 for a larger m given alone,
+    the least k that admits it."""
+    return k if k is not None else max(3, 3 if m is None else m + 1)
+
+
 def verify_theorem(family, limit=25, k=None, m=None):
     """Multi-way check of one stated counting result.
 
@@ -400,7 +407,8 @@ def verify_theorem(family, limit=25, k=None, m=None):
     oracle; for thm3 that check fails wherever the closed form is wrong
     (everywhere past n = 1 when m = 1, and from n = m + 2 on otherwise,
     the coincidence at m = 2, n = 4 excepted), and the mismatches are
-    spelled out in a finding rather than corrected.
+    spelled out in a finding rather than corrected.  m defaults to 2 and
+    k to 3, or to m + 1 where m alone is given and that is larger.
     """
     if limit < 1:
         raise ValueError("limit must be positive")
@@ -410,7 +418,7 @@ def verify_theorem(family, limit=25, k=None, m=None):
         seq = no_multiples_recurrence(2).to_gf().series(limit)
         params = {"limit": limit}
     elif family == "thm2":
-        k = 3 if k is None else k
+        k = _theorem_k(k, None)
         if k < 2:
             raise ValueError("thm2 needs k >= 2")
         A = parse_setspec(f"not:mod:{k}:0")
@@ -419,8 +427,7 @@ def verify_theorem(family, limit=25, k=None, m=None):
         stated_initials = rec.initial_terms
         params = {"k": k, "limit": limit}
     elif family == "thm3":
-        k = 3 if k is None else k
-        m = 2 if m is None else m
+        k, m = _theorem_k(k, m), 2 if m is None else m
         if not (1 <= m < k):
             raise ValueError("thm3 needs 1 <= m < k")
         A = parse_setspec(f"not:ap:{m}:{k}")

@@ -341,6 +341,33 @@ def test_verify_seed_refused_before_any_recurrence(capsys, monkeypatch):
         run_cli(capsys, "verify", "thm2", "--k", "31622", "--limit", "1")
 
 
+@pytest.mark.parametrize("m", [6, 7])
+def test_verify_thm3_off_the_grid_m_takes_the_least_k(capsys, m):
+    # --m 6 and --m 7 ran with k = 3 and exited 2 ("thm3 needs 1 <= m < k")
+    code, out, err = run_cli(capsys, "verify", "thm3", "--m", str(m), "--limit", "5", "--format", "json")
+    assert code == 0 and err == ""
+    reports = json.loads(out)["reports"]
+    assert [(r["params"]["k"], r["params"]["m"]) for r in reports] == [(m + 1, m)]
+
+
+def test_verify_seed_of_the_order_m_implies_refused(capsys, monkeypatch):
+    # --m alone builds order m + 1, so the seed bound applies to it as to --k
+    from compenum import oracle
+
+    def refuse(*args):
+        raise AssertionError("a recurrence was built")
+
+    monkeypatch.setattr(oracle, "no_multiples_recurrence", refuse)
+    monkeypatch.setattr(oracle, "avoid_residue_recurrence", refuse)
+    for m in (40000, 10**6):
+        k = m + 1
+        code, out, err = run_cli(capsys, "verify", "thm3", "--m", str(m), "--limit", "1")
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: the seed of order {k} may hold up to {k * (k + 1) // 2} bits (")
+    code, out, err = run_cli(capsys, "verify", "thm2", "--m", "1000000", "--limit", "1")
+    assert code == 2 and err.startswith("error: verify thm2 takes no --m")
+
+
 def test_sparse_part_sets_bounded_by_smallest_part(capsys):
     # c(n) <= (a + 1)^ceil((n - 1) / a) for smallest part a admits these
     code, out, _ = run_cli(capsys, "count", "set:7", "3000000")
@@ -452,7 +479,7 @@ def test_closed_form_root_iteration_failure_exits_two(capsys, monkeypatch):
     from compenum import closedform
 
     # equal seeds refine to one root, so the root set does not certify
-    monkeypatch.setattr(closedform, "_aberth_seeds", lambda cs, form: [0.5] * (len(cs) - 1))
+    monkeypatch.setattr(closedform, "_aberth_seeds", lambda taps, one: [0.5] * (taps[-1][0] - one))
     code, out, err = run_cli(capsys, "closed-form", "not:mod:3:0")
     assert code == 2 and out == ""
     assert err == "error: root inclusion disks overlap\n"

@@ -118,7 +118,7 @@ def test_equal_modulus_roots_ordered_by_argument(digits):
 
 def test_root_iteration_failure_raises(monkeypatch):
     # equal seeds refine to one root, so the root set does not certify
-    monkeypatch.setattr(closedform, "_aberth_seeds", lambda cs, form: [0.5] * (len(cs) - 1))
+    monkeypatch.setattr(closedform, "_aberth_seeds", lambda taps, one: [0.5] * (taps[-1][0] - one))
     with pytest.raises(ConvergenceError, match="^root inclusion disks overlap$"):
         find_roots(poly([1, -1, -1]))
 
@@ -140,10 +140,10 @@ def test_uncertified_seed_raises_without_a_second_root_finder(monkeypatch, polyr
     p = poly([1, 0, -1, 0, 0, 0, -1])  # real roots +-0.826...
     seeded = closedform._float_seeded_roots
 
-    def near_duplicate(q, form, prec):
+    def near_duplicate(taps, one, prec):
         # move the seed of -0.826 to 1e-60 from +0.826: both residuals
         # pass, but the two disks overlap
-        pts, s = seeded(q, form, prec)
+        pts, s = seeded(taps, one, prec)
         lo = min(range(len(pts)), key=lambda i: pts[i][0])
         a, b = max(pts)
         pts[lo] = (a + (1 << s) // 10**60, b)
@@ -212,49 +212,47 @@ def test_one_newton_refinement_and_one_residue_per_conjugate_pair(monkeypatch):
 
 
 def _ratio_cases(seed, near_one):
-    """A random_partset denominator p, both of its forms as tap lists,
-    and a random point for each: within 2^-10 of 1 for the stepped form
-    when near_one, else of modulus 0.3 to 1.5."""
+    """A random_partset denominator D, then D and q = (1 - x) D, each with
+    its taps and a random point: within 2^-10 of 1, the known root of q,
+    for q when near_one, else of modulus 0.3 to 1.5."""
     rng = random.Random(seed)
     den = composition_gf(random_partset(rng)).den
     for stepped in (False, True):
-        cs = _step([*den.coeffs, 0], 1) if stepped else den.coeffs
-        form = ([(e, c) for e, c in enumerate(cs) if c], stepped)
+        p = poly(_step([*den.coeffs, 0], 1)) if stepped else den
+        taps = [(e, c) for e, c in enumerate(p.coeffs) if c]
         if stepped and near_one:
             z = 1 + math.ldexp(rng.random(), -10) * cmath.exp(2j * math.pi * rng.random())
         else:
             z = rng.uniform(0.3, 1.5) * cmath.exp(2j * math.pi * rng.random())
-        yield den, form, z
+        yield p, taps, z
 
 
-def _dense_ratio(den, z):
+def _dense_ratio(p, z):
     """p(z) / p'(z) by dense Horner in mpmath, and the relative error a
-    sum over p's coefficients can make: its condition number, times
-    |1 - z|^-2 in the stepped form near z = 1."""
-    p = mp.polyval(den.coeffs[::-1], z)
-    dp = mp.polyval(den.derivative().coeffs[::-1], z)
-    size = sum(abs(c) * abs(z) ** k for k, c in enumerate(den.coeffs))
-    return p / dp, size / abs(p) + size * den.degree / abs(z * dp)
+    sum over p's coefficients can make: its condition number."""
+    v = mp.polyval(p.coeffs[::-1], z)
+    dv = mp.polyval(p.derivative().coeffs[::-1], z)
+    size = sum(abs(c) * abs(z) ** k for k, c in enumerate(p.coeffs))
+    return v / dv, size / abs(v) + size * p.degree / abs(z * dv)
 
 
 @given(st.integers(0, 2**32), st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_sparse_newton_ratio_matches_dense_horner(seed, near_one):
     # the float ratio of the Aberth sweeps and the fixed-point Newton step
-    # read the sparse form of p or of (1 - x) p; both must give p / p'
+    # read the taps of p, which is D or (1 - x) D; both must give p / p'
     w = 200
-    for den, form, z in _ratio_cases(seed, near_one):
-        assume(den.degree >= 1)
-        lost = max(1, abs(1 - z) ** -2) if form[1] else 1
+    for p, taps, z in _ratio_cases(seed, near_one):
+        assume(p.degree >= 1)
         with mp.workdps(120):
-            want, kappa = _dense_ratio(den, mp.mpc(z))
-            got = closedform._float_ratio(form, z)
-            assert abs(got - want) <= 2**-40 * kappa * lost * abs(want)
+            want, kappa = _dense_ratio(p, mp.mpc(z))
+            got = closedform._float_ratio(taps, z)
+            assert abs(got - want) <= 2**-40 * kappa * abs(want)
             a, b = closedform._fixed(z, w)
-            want, kappa = _dense_ratio(den, mp.mpc(mp.ldexp(a, -w), mp.ldexp(b, -w)))
-            step = closedform._newton_step(form, a, b, w)
+            want, kappa = _dense_ratio(p, mp.mpc(mp.ldexp(a, -w), mp.ldexp(b, -w)))
+            step = closedform._newton_step(taps, a, b, w)
             got = mp.mpc(mp.ldexp(step[0], -w), mp.ldexp(step[1], -w))
-            assert abs(got - want) <= 2 ** (16 - w) * kappa * lost * abs(want)
+            assert abs(got - want) <= 2 ** (16 - w) * kappa * abs(want)
 
 
 def _assert_roots_match_mpmath(p, roots, digits, dps, **polyroots_args):
@@ -293,18 +291,22 @@ def test_roots_match_polyroots_inside_their_disks(seed, digits, nudge):
     # the certificate holds for any centres: move each by `nudge` times
     # the gap to its nearest neighbour, and whenever the disks come out
     # disjoint each must hold exactly one root; the moved centres are
-    # integer points at the roots' scale 2^s
+    # integer points at the roots' scale 2^s.  Where the lemma's step is
+    # taken the disks are those of q = (1 - x) D, whose roots are D's and
+    # the known root 1
     s = roots[0].point[2]
+    _, taps, one = closedform._sparse_form((), den.coeffs)
+    points = [r.point[:2] for r in roots] + [(1 << s, 0)] * one
+    exact = list(exact) + [mp.mpf(1)] * one
     with mp.workdps(digits + GUARD_DIGITS):
+        centres = [_mpc((a, b, s)) for a, b in points]
         moved = []
-        for r in roots:
-            gap = min((abs(_mpc(r.point) - _mpc(o.point)) for o in roots if o is not r), default=1)
+        for i, (a, b) in enumerate(points):
+            gap = min((abs(centres[i] - c) for j, c in enumerate(centres) if j != i), default=1)
             step = nudge * gap * mp.expjpi(2 * rng.random()) * 2**s
-            a, b, _ = r.point
             moved.append((a + int(mp.nint(step.real)), b + int(mp.nint(step.imag))))
-        form = closedform._sparse_form(den.coeffs)
         try:
-            disks = closedform._inclusion_disks(form, moved, s, digits)
+            disks = closedform._inclusion_disks(taps, moved, s, digits)
         except ConvergenceError:
             disks = None
     if disks is not None:
@@ -322,12 +324,24 @@ def test_roots_of_a_polynomial_vanishing_at_one(k, digits):
     # unstepped, and Newton lands on 1 exactly.  polyroots starts from
     # the roots, which only saves it sweeps
     p = poly([1] * (k + 1) + [-(k + 1)])
-    assert closedform._sparse_form(p.coeffs)[1] is False
+    assert closedform._sparse_form((), p.coeffs)[2] is False
     roots = find_roots(p, digits)
     assert len(roots) == k + 1
     assert sum(r.point == (1 << r.point[2], 0, r.point[2]) for r in roots) == 1
     init = [_mpc(r.point) for r in roots]
     _assert_roots_match_mpmath(p, roots, digits, digits + 30, extraprec=60, roots_init=init)
+
+
+@pytest.mark.parametrize("digits", [16, 50])
+@pytest.mark.parametrize("k", range(3, 41))
+def test_the_known_root_one_is_not_returned(k, digits):
+    # from k = 3 on, D of not:mod:k:0 is read as q = (1 - x) D, whose
+    # known root 1 is not a root of D: find_roots(D) returns D's roots
+    den = composition_gf(parse_setspec(f"not:mod:{k}:0")).den
+    assert closedform._sparse_form((), den.coeffs)[2]
+    roots = find_roots(den, digits)
+    assert len(roots) == den.degree
+    assert not any(r.point == (1 << r.point[2], 0, r.point[2]) for r in roots)
 
 
 @pytest.mark.parametrize("digits", [16, 50])
@@ -387,9 +401,9 @@ def test_partial_fractions_builds_the_denominators_sparse_form_once(monkeypatch)
     built = []
     sparse_form = closedform._sparse_form
 
-    def counted(coeffs):
-        built.append(tuple(coeffs))
-        return sparse_form(coeffs)
+    def counted(num, den):
+        built.append(tuple(den))
+        return sparse_form(num, den)
 
     monkeypatch.setattr(closedform, "_sparse_form", counted)
     for spec in ("not:mod:3:0", "not:mod:30:0", "mod:4:2", "not:ap:2:3", "set:1,30"):
@@ -412,11 +426,11 @@ def test_zero_numerator_is_the_zero_series():
 @pytest.mark.parametrize("k", range(2, 61))
 def test_stepped_form_residues_match_mpmath_horner(k, digits):
     # from k = 3 on the denominator of not:mod:k:0 is read in the stepped
-    # form 1 - 2x + x^(k+1), which divides by 1 - z; its poles reach to
-    # about 2 pi / k from z = 1.  polyroots starts from the poles, which
-    # only saves it sweeps at degree 60
+    # form 1 - 2x + x^(k+1), with the numerator times 1 - x; its poles
+    # reach to about 2 pi / k from the known root z = 1.  polyroots
+    # starts from the poles, which only saves it sweeps at degree 60
     gf = composition_gf(parse_setspec(f"not:mod:{k}:0"))
-    assert closedform._sparse_form(gf.den.coeffs)[1] == (k >= 3)
+    assert closedform._sparse_form(gf.num.coeffs, gf.den.coeffs)[2] == (k >= 3)
     pf = partial_fractions(gf, digits)
     init = [_mpc(pole.point) for pole in pf.poles]
     _assert_residues_match_mpmath(gf, pf, digits, digits + 30, extraprec=60, roots_init=init)
@@ -425,9 +439,9 @@ def test_stepped_form_residues_match_mpmath_horner(k, digits):
 @st.composite
 def _bound_cases(draw):
     """Integer coefficients (dense or sparse random ones, or a
-    random_partset denominator), one of their two sparse forms and a
-    dyadic point (a, b, s): of modulus 0.3 to 2, or for the stepped form
-    2^-10 to 2^-40 from 1."""
+    random_partset denominator), as they are or times 1 - x, with their
+    taps, and a dyadic point (a, b, s): of modulus 0.3 to 2, or for the
+    stepped coefficients 2^-10 to 2^-40 from 1, their known root."""
     source = draw(st.sampled_from(("dense", "sparse", "partset")))
     if source == "dense":
         coeffs = draw(st.lists(st.integers(-9, 9), min_size=2, max_size=41))
@@ -441,16 +455,16 @@ def _bound_cases(draw):
         coeffs = composition_gf(random_partset(rng, draw(st.sampled_from((6, 12, 24))))).den.coeffs
     stepped = draw(st.booleans())
     cs = _step([*coeffs, 0], 1) if stepped else coeffs
-    form = ([(e, c) for e, c in enumerate(cs) if c], stepped)
+    taps = [(e, c) for e, c in enumerate(cs) if c]
     s = draw(st.integers(20, 200))
     turn = cmath.exp(2j * math.pi * draw(st.floats(0, 1)))
     if stepped and draw(st.booleans()):
         near = draw(st.integers(10, 40))
         s = max(s, near + 20)
         a, b = round(math.ldexp(turn.real, s - near)), round(math.ldexp(turn.imag, s - near))
-        return coeffs, form, ((1 << s) + a, b, s)
+        return cs, taps, ((1 << s) + a, b, s)
     z = draw(st.floats(0.3, 2)) * turn
-    return coeffs, form, (round(math.ldexp(z.real, s)), round(math.ldexp(z.imag, s)), s)
+    return cs, taps, (round(math.ldexp(z.real, s)), round(math.ldexp(z.imag, s)), s)
 
 
 def _exact_value(coeffs, a, b, s):
@@ -465,16 +479,15 @@ def _exact_value(coeffs, a, b, s):
 @given(_bound_cases())
 @settings(max_examples=200, deadline=None)
 def test_value_bound_holds_exactly(case):
-    # |p(z)| <= m / 2^w, and the evaluator's q(z) within its own error
-    # bound, against p and q summed in Fractions
-    coeffs, form, (a, b, s) = case
-    assume(not form[1] or (a, b) != (1 << s, 0))  # z = 1 is refused
-    m, w = closedform._value_bound(form, a, b, s)
-    pr, pi = _exact_value(coeffs, a, b, s)
-    assert pr * pr + pi * pi <= Fraction(m, 2**w) ** 2
-    qr, qi, err = closedform._sparse_eval(form, a, b, s, w)
-    taps = dict(form[0])
-    er, ei = _exact_value([taps.get(e, 0) for e in range(max(taps) + 1)], a, b, s)
+    # the residual _inclusion_disks gives a point is at least |q(z)|, and
+    # the evaluator's q(z) lies within its own error bound, against q
+    # summed in Fractions
+    cs, taps, (a, b, s) = case
+    [(_, residual)] = closedform._inclusion_disks(taps, [(a, b)], s, 16)
+    er, ei = _exact_value(cs, a, b, s)
+    assert er * er + ei * ei <= residual**2
+    w = closedform._scale(taps, a, b, s)
+    qr, qi, err = closedform._sparse_eval(taps, a, b, s, w)
     assert (qr - er * 2**w) ** 2 + (qi - ei * 2**w) ** 2 <= err * err
 
 
@@ -483,28 +496,45 @@ def test_value_bound_holds_exactly(case):
 def test_sparse_eval_bounds_hold_around_the_point(case, zerr, reach, turn):
     # with zerr, q and z q' at z bound q and xi q' at any xi within
     # zerr / 2^w of z, here one on a ray at `reach` of that distance
-    coeffs, form, (a, b, s) = case
-    w = closedform._scale(form, a, b, s)
+    q, taps, (a, b, s) = case
+    w = closedform._scale(taps, a, b, s)
     shift = cmath.exp(2j * math.pi * turn) * reach * zerr
     xa, xb = (a << (w - s)) + int(shift.real), (b << (w - s)) + int(shift.imag)
     assume((xa - (a << (w - s))) ** 2 + (xb - (b << (w - s))) ** 2 <= zerr * zerr)
-    taps = dict(form[0])
-    q = [taps.get(e, 0) for e in range(max(taps) + 1)]
-    qr, qi, err, dr, di, derr = closedform._sparse_eval(form, a, b, s, w, zerr, slope=True)
-    assert closedform._sparse_eval(form, a, b, s, w, zerr) == (qr, qi, err)
+    qr, qi, err, dr, di, derr = closedform._sparse_eval(taps, a, b, s, w, zerr, slope=True)
+    assert closedform._sparse_eval(taps, a, b, s, w, zerr) == (qr, qi, err)
     er, ei = _exact_value(q, xa, xb, w)
     assert (qr - er * 2**w) ** 2 + (qi - ei * 2**w) ** 2 <= err * err
     er, ei = _exact_value([e * c for e, c in enumerate(q)], xa, xb, w)  # x q'(x)
     assert (dr - er * 2**w) ** 2 + (di - ei * 2**w) ** 2 <= derr * derr
 
 
-def test_stepped_value_bound_refuses_z_one():
-    # 1 - x - x^2 - x^3 in the stepped form 1 - 2x + x^4: p = q / (1 - z)
-    # cannot be bounded at z = 1, the stepped form's own root
-    form = ([(0, 1), (1, -2), (4, 1)], True)
-    for s in (1, 20, 100):
-        with pytest.raises(ConvergenceError, match="z = 1"):
-            closedform._value_bound(form, 1 << s, 0, s)
+def _in_ball(ball, reach, t):
+    """An exact Gaussian rational (re, im) within the error of the ball
+    (re, im, err): at `reach` times err from the centre, on the ray
+    through the rational point ((1 - t^2), 2t) / (1 + t^2) of the unit
+    circle."""
+    re, im, err = ball
+    scale = reach * err / (1 + t * t)
+    return re + (1 - t * t) * scale, im + 2 * t * scale
+
+
+_balls = st.tuples(
+    st.integers(-(2**90), 2**90), st.integers(-(2**90), 2**90), st.integers(0, 2**60)
+)
+_reaches = st.one_of(st.just(Fraction(1)), st.fractions(0, 1))
+_turns = st.fractions(-(10**6), 10**6, max_denominator=10**6)
+
+
+@given(_balls, _balls, st.integers(0, 120), _reaches, _turns, _reaches, _turns)
+@settings(max_examples=300, deadline=None)
+def test_ball_mul_bounds_every_product_of_the_balls(x, y, h, rx, tx, ry, ty):
+    # every exact product X Y / 2^h of X in x's ball and Y in y's lies
+    # within the returned error of the floored result
+    pr, pi, err = closedform._ball_mul(x, y, h)
+    (xr, xi), (yr, yi) = _in_ball(x, rx, tx), _in_ball(y, ry, ty)
+    er, ei = (xr * yr - xi * yi) / 2**h, (xr * yi + xi * yr) / 2**h
+    assert (er - pr) ** 2 + (ei - pi) ** 2 <= err * err
 
 
 @pytest.mark.parametrize("digits", [16, 50, 80])
@@ -515,7 +545,7 @@ def test_pole_separation_checked_at_the_threshold(monkeypatch, digits, direction
     gf = composition_gf(parse_setspec("not:mod:3:0"))
     poles = []
 
-    def fake_roots(poly, form, digits):
+    def fake_roots(poly, taps, one, digits):
         return tuple(closedform.ComplexRoot(pt, Fraction(0), Fraction(0)) for pt in poles)
 
     monkeypatch.setattr(closedform, "_find_roots", fake_roots)
@@ -535,17 +565,20 @@ def test_pole_separation_checked_at_the_threshold(monkeypatch, digits, direction
 
 @pytest.mark.parametrize("digits", [16, 50])
 def test_residual_depends_only_on_its_own_root(digits):
-    # 1 - x - x^2 - x^3; moving another point by one unit at scale 2^s
-    # leaves the first point's residual bit-identical
+    # 1 - x - x^2 - x^3, read as q = 1 - 2x + x^4; moving another point,
+    # here the known root 1 of q, by one unit at scale 2^s leaves the
+    # first point's residual bit-identical
     p = poly([1, -1, -1, -1])
-    form = closedform._sparse_form(p.coeffs)
+    _, taps, one = closedform._sparse_form((), p.coeffs)
+    assert one
     with mp.workdps(digits + GUARD_DIGITS):
-        pts, s = closedform._float_seeded_roots(p, form, mp.mp.prec)
+        pts, s = closedform._float_seeded_roots(taps, one, mp.mp.prec)
         pts = closedform._pair(pts, s, digits)
-        before = closedform._inclusion_disks(form, pts, s, digits)
+        assert pts[1] == (1 << s, 0)
+        before = closedform._inclusion_disks(taps, pts, s, digits)
         a, b = pts[1]
         pts[1] = (a + 1, b)
-        after = closedform._inclusion_disks(form, pts, s, digits)
+        after = closedform._inclusion_disks(taps, pts, s, digits)
     assert after[0][1] == before[0][1]
 
 
@@ -581,7 +614,7 @@ def _fake_roots(monkeypatch, pts):
     """Make find_roots start from the exact dyadic points x + yi, given
     as pairs (x, y) of Fractions, in place of the refined seeds."""
 
-    def seeded(poly, form, prec):
+    def seeded(taps, one, prec):
         s = prec + closedform.NEWTON_GUARD_BITS
         return [(int(x * 2**s), int(y * 2**s)) for x, y in pts], s
 
@@ -644,8 +677,8 @@ def test_residual_above_the_bound_is_refused_with_five_digits(monkeypatch):
     disks = closedform._inclusion_disks
     residual = Fraction(123456789, 2**40)  # about 1.1e-4
 
-    def loose(form, pts, s, digits):
-        return [(radius, residual) for radius, _ in disks(form, pts, s, digits)]
+    def loose(taps, pts, s, digits):
+        return [(radius, residual) for radius, _ in disks(taps, pts, s, digits)]
 
     monkeypatch.setattr(closedform, "_inclusion_disks", loose)
     shown = mp.nstr(mp.ldexp(123456789, -40), 5)
