@@ -292,9 +292,10 @@ def cmd_eval_closed(args, parser):
 
 
 def cmd_nth(args, parser):
+    n = args.n
+    if (args.setspec is None) == (args.recurrence_file is None):
+        raise ValueError("nth takes a setspec or --recurrence-file, exactly one of them")
     if args.recurrence_file:
-        if len(args.operands) != 1:
-            parser.error("with --recurrence-file, give just n")
         with open(args.recurrence_file, encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
@@ -302,14 +303,10 @@ def cmd_nth(args, parser):
                 raise ValueError(f"malformed recurrence file {args.recurrence_file}: {exc}") from None
         loaded = LinearRecurrence.from_dict(data).to_gf()
         gf = lambda: loaded
-        n = _parse_operand_n(args.operands[0], parser)
         bits = _recurrence_bits(loaded, n)
     else:
-        if len(args.operands) != 2:
-            parser.error("expected: nth <setspec> <n> (or nth <n> --recurrence-file F)")
-        A = parse_setspec(args.operands[0])
+        A = parse_setspec(args.setspec)
         gf = lambda: genfun.composition_gf(A)
-        n = _parse_operand_n(args.operands[1], parser)
         bits = genfun.composition_bits(A, n)
     if args.mod is None:
         return _print_exact(n, bits, gf)
@@ -317,13 +314,6 @@ def cmd_nth(args, parser):
         parser.error("--mod must be >= 2")
     print(coefficient_mod(gf(), n, args.mod))
     return 0
-
-
-def _parse_operand_n(text, parser):
-    try:
-        return _nonneg(text)
-    except argparse.ArgumentTypeError as exc:
-        parser.error(f"argument n: {exc}")
 
 
 def cmd_bylength(args, parser):
@@ -429,7 +419,8 @@ def _build_parser():
     p.set_defaults(handler=cmd_eval_closed)
 
     p = sub.add_parser("nth", help="single term, exact or modular")
-    p.add_argument("operands", nargs="+", metavar="setspec/n")
+    p.add_argument("setspec", nargs="?")
+    p.add_argument("n", type=_nonneg)
     p.add_argument("--mod", type=int)
     p.add_argument("--recurrence-file", help="JSON recurrence instead of a setspec")
     p.set_defaults(handler=cmd_nth)

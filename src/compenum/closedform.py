@@ -116,18 +116,6 @@ def _dyadic(m, t):
     return Fraction(m, 1 << t) if t >= 0 else Fraction(m << -t)
 
 
-def _round_bits(m, bits):
-    """The integer m rounded to `bits` significant bits, ties to even,
-    with the bits below them zero."""
-    n = abs(m).bit_length() - bits
-    if n <= 0:
-        return m
-    t = abs(m) >> (n - 1)
-    up = t & 1 and (t & 2 or abs(m) & ((1 << (n - 1)) - 1))
-    r = ((t >> 1) + bool(up)) << n
-    return r if m > 0 else -r
-
-
 def dyadic_str(man, exp, digits):
     """man * 2^exp in decimal to `digits` significant digits.  The
     magnitude is truncated to fixed point in binary and then in decimal,
@@ -563,10 +551,10 @@ class PartialFraction:
     """poly_part: exact Fraction coefficients of the division quotient,
     indexed by n (empty for proper fractions).  poles, residue_coeffs
     and residue_errors are aligned and sorted with the smallest-modulus
-    pole first.  Each residue is (re, im, k) for (re + im i) / 2^k, both
-    parts rounded to the working precision, and its error e, at the same
-    scale 2^k, bounds its distance e / 2^k from the true residue at the
-    root in the pole's disk."""
+    pole first.  Each residue is (re, im, k) for (re + im i) / 2^k, found
+    to about 32 bits past the working precision, and its error e, at the
+    same scale 2^k, bounds its distance e / 2^k from the true residue at
+    the root in the pole's disk."""
 
     poly_part: tuple
     poles: tuple
@@ -578,14 +566,14 @@ class PartialFraction:
 def _residue(ntaps, dtaps, a, b, s, prec, radius):
     """r = -N(z) / (z D'(z)) at z = (a + bi) / 2^s as integers (re, im,
     k, err): r = (re + im i) / 2^k, found to about prec + 32 bits and
-    each part rounded to prec bits, and err / 2^k >= |r - r(xi)| for the
-    root xi within `radius` of z.  N and z D' come from the taps of N and
-    D, read by _sparse_eval with the radius as the error of z, then one
-    exact complex division, floored.  Where the lemma's step is taken
-    they are the taps of (1 - x) N and (1 - x) D, whose quotient is the
-    same at every root of D.  Of a quotient A' / B' of values within eA
-    and eB of A and B, |A / B - A' / B'| <= (eA |B'| + |A'| eB) / (|B'|
-    (|B'| - eB)).  ConvergenceError where eB reaches |B'|."""
+    kept so, and err / 2^k >= |r - r(xi)| for the root xi within `radius`
+    of z.  N and z D' come from the taps of N and D, read by _sparse_eval
+    with the radius as the error of z, then one exact complex division,
+    floored.  Where the lemma's step is taken they are the taps of
+    (1 - x) N and (1 - x) D, whose quotient is the same at every root of
+    D.  Of a quotient A' / B' of values within eA and eB of A and B,
+    |A / B - A' / B'| <= (eA |B'| + |A'| eB) / (|B'| (|B'| - eB)).
+    ConvergenceError where eB reaches |B'|."""
     w = max(_scale(ntaps, a, b, s), _scale(dtaps, a, b, s))
     zerr = -(-(radius.numerator << w) // radius.denominator)  # radius, up, at 2^w
     nr, ni, nerr = _sparse_eval(ntaps, a, b, s, w, zerr)
@@ -600,8 +588,7 @@ def _residue(ntaps, dtaps, a, b, s, prec, radius):
         raise ConvergenceError("residues not certified at this precision")
     size = math.isqrt(nr * nr + ni * ni) + 1  # >= |N|
     err = -(-((nerr * low + size * derr) << t) // (low * (low - derr))) + 2
-    rr, ri = _round_bits(re, prec), _round_bits(im, prec)
-    return rr, ri, t, err + abs(re - rr) + abs(im - ri)
+    return re, im, t, err
 
 
 def partial_fractions(gf, digits=50):

@@ -24,7 +24,8 @@ for the packed length rows, whose denominator it keeps split as
 low - 2^shift * high so that multiplying by 2^shift is a shift.  It
 reads only the nonzero taps, +1 and -1 ones as plain additions, of the
 sparser of its rows and (1 - x) times them, the step of the paper's
-lemma, and it holds a window of at most 2 * size terms, size the
+lemma (_sparser, which LinearRecurrence.to_gf and the closed forms
+also take), and it holds a window of at most 2 * size terms, size the
 degree of the denominator.
 """
 
@@ -295,12 +296,10 @@ def expand(num, low, high=(), shift=0):
     the nonzero taps are read, so such a row costs a few big-integer
     additions per term, not a dot product over the whole window.  Taps of
     +1 and -1 are plain additions and subtractions, and the others one
-    dot product over their terms; when those fill most of the window,
-    every tap goes into one dot product over the whole window.  The high
-    taps cost one shift per term.  The history is a list with hist[-i] =
-    c_(n-i), trimmed back to the last size = max(deg low, deg high)
-    terms once it holds 2 * size, so it never holds more than 2 * size
-    terms, and none at size 0.
+    dot product over their terms.  The high taps cost one shift per
+    term.  The history is a list with hist[-i] = c_(n-i), trimmed back
+    to the last size = max(deg low, deg high) terms once it holds 2 *
+    size, so it never holds more than 2 * size terms, and none at size 0.
 
     With high = () it needs only + - * of its values, so the CLI streams
     exact decimal.Decimal values through it for printing, since
@@ -312,8 +311,8 @@ def expand(num, low, high=(), shift=0):
     size = max(len(low), len(high)) - 1
     hist = [0] * size  # the terms before c_0
     get, push = hist.__getitem__, hist.append
-    low_add, low_sub, low_rest, low_at = _taps([-c for c in low], size)
-    high_add, high_sub, high_rest, high_at = _taps(high, size)
+    low_add, low_sub, low_rest, low_at = _taps([-c for c in low])
+    high_add, high_sub, high_rest, high_at = _taps(high)
     split = any(high)
     cap = 2 * size
     for c in chain(num, repeat(0)):
@@ -325,13 +324,13 @@ def expand(num, low, high=(), shift=0):
         if low_sub:
             c -= sum(map(get, low_sub[1]), get(low_sub[0]))
         if low_rest:
-            c = sum(map(mul, low_rest, map(get, low_at) if low_at else reversed(hist)), c)
+            c = sum(map(mul, low_rest, map(get, low_at)), c)
         if split:
             h = sum(map(get, high_add[1]), get(high_add[0])) if high_add else 0
             if high_sub:
                 h -= sum(map(get, high_sub[1]), get(high_sub[0]))
             if high_rest:
-                h = sum(map(mul, high_rest, map(get, high_at) if high_at else reversed(hist)), h)
+                h = sum(map(mul, high_rest, map(get, high_at)), h)
             c += h << shift
         push(c)
         if len(hist) >= cap:
@@ -354,18 +353,13 @@ def _sparser(num, low, high=()):
     return (*stepped, True) if fewer else (num, low, high, False)
 
 
-def _taps(taps, size):
+def _taps(taps):
     # The taps t_i of c_n += sum_{i>=1} t_i c_(n-i), split for expand.
     # The +1 taps and the -1 taps come as history offsets -i, each set as
     # (first, others) or None when empty; the other taps as coefficients
-    # and their offsets.  When those fill most of the window, all the taps
-    # t_1, t_2, ... come back as one row to read against the history
-    # newest first, and the offsets as None: one dot product over the
-    # whole window.
+    # and their offsets.
     nonzero = [(-i, t) for i, t in enumerate(taps) if i and t]
     rest = [(at, t) for at, t in nonzero if t * t != 1]
-    if 2 * len(rest) > size:
-        return None, None, list(taps[1:]), None
     add = [at for at, t in nonzero if t == 1]
     sub = [at for at, t in nonzero if t == -1]
     return (

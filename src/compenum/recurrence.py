@@ -17,9 +17,10 @@ for residues at huge n).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import accumulate, islice, repeat
+from operator import add, mul
 
-from .polyring import IntPolynomial, RationalGF
+from .polyring import IntPolynomial, RationalGF, _sparser
 
 
 @dataclass(frozen=True)
@@ -71,14 +72,20 @@ class LinearRecurrence:
         N comes from the seed, not the corrections, because the family
         constructors fold their boundary terms into their seeds.  The
         seed covers the order, so the series repeats the seed and then
-        follows the homogeneous recurrence.  N is the running sum of
-        ((1 - x) D) * seed, the product skipping the zero taps on its
-        left: at most twice D's, and 2 for a run of equal ones.
+        follows the homogeneous recurrence.  Only the len(seed) kept
+        coefficients of the product are formed, one pass over the seed
+        per nonzero tap of D, or of (1 - x) D where polyring._sparser
+        finds that sparser, as expand and the closed forms step; then
+        the running sum takes the stepped product back to D * seed.
         """
-        den = IntPolynomial((1,) + tuple(-d for d in self.coeffs))
+        den = (1,) + tuple(-d for d in self.coeffs)
         seed = self.initial_terms
-        stepped = IntPolynomial((1, -1)) * den * IntPolynomial(seed)
-        return RationalGF(IntPolynomial(accumulate(stepped.coeffs[: len(seed)])), den)
+        _, row, _, stepped = _sparser((), den)
+        num = [0] * len(seed)
+        for e, c in enumerate(row[: len(seed)]):
+            if c:
+                num[e:] = map(add, num[e:], map(mul, repeat(c), seed))
+        return RationalGF(IntPolynomial(accumulate(num) if stepped else num), IntPolynomial(den))
 
     def replay_consistent(self):
         """True when every seed term past f(0) is reproduced by the

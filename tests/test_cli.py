@@ -15,7 +15,7 @@ from compenum import cli, genfun
 from compenum.bivariate import length_row, odd_parts_by_length
 from compenum.cli import main
 from compenum.genfun import composition_gf, composition_series, count
-from compenum.oracle import random_partset
+from compenum.oracle import dp_count_series, random_partset
 from compenum.partset import parse_setspec
 from compenum.polyring import IntPolynomial, RationalGF
 from compenum.recurrence import no_multiples_recurrence, recurrence_from_gf
@@ -258,6 +258,9 @@ def test_nth_mod_from_recurrence_file_uses_its_seed(tmp_path, capsys):
             assert code == 0 and out == f"{count(A, n) % p}\n"
     code, out, _ = run_cli(capsys, "nth", str(10**15 + 7), "--mod", str(10**12), *file_args)
     assert code == 0 and out == "629620523060\n"
+    # nth <n> --mod p --recurrence-file F is nth <setspec> <n> --mod p
+    code, out, _ = run_cli(capsys, "nth", "not:mod:4:0", str(10**15 + 7), "--mod", str(10**12))
+    assert code == 0 and out == "629620523060\n"
 
 
 @given(st.integers(0, 10_000), st.integers(0, 400))
@@ -273,6 +276,35 @@ def test_merged_routes_print_alike(capsys, seed, n):
     with cli._exact():
         decimals = list(islice(genfun.composition_terms(A, decimal.Decimal), n + 1))
     assert composition_series(A, n) == tuple(map(int, decimals))
+
+
+@given(st.integers(0, 10_000), st.integers(0, 60), st.integers(2, 10**12))
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_every_route_gives_the_dp_count(tmp_path, capsys, seed, n, p):
+    # count, exact and modular nth, from the setspec and from the file
+    # `recurrence` writes, the series, the sum of the bylength row and
+    # eval-closed wherever it certifies an integer
+    A = random_partset(random.Random(seed), 6)
+    spec, terms = str(A), dp_count_series(A, n)
+    want = terms[n]
+    code, text, _ = run_cli(capsys, "recurrence", spec)
+    assert code == 0
+    path = tmp_path / "rec.json"
+    path.write_text(text)
+    for argv, expected in (
+        (("count", spec, str(n)), f"{want}\n"),
+        (("nth", spec, str(n)), f"{want}\n"),
+        (("nth", spec, str(n), "--mod", str(p)), f"{want % p}\n"),
+        (("nth", str(n), "--mod", str(p), "--recurrence-file", str(path)), f"{want % p}\n"),
+        (("series", spec, "--limit", str(n)), "".join(f"{i} {v}\n" for i, v in enumerate(terms))),
+    ):
+        assert run_cli(capsys, *argv) == (0, expected, ""), argv
+    code, out, _ = run_cli(capsys, "bylength", spec, str(n))
+    assert code == 0 and sum(int(line.split()[1]) for line in out.splitlines()) == want
+    code, out, _ = run_cli(capsys, "eval-closed", spec, str(n))
+    assert code in (0, 2)
+    if code == 0 and out.strip().lstrip("-").isdigit():
+        assert int(out) == want
 
 
 def test_results_past_4300_digits(capsys):
@@ -650,13 +682,24 @@ def test_verify_families_run_the_suite_grid(capsys, limit, seed):
         assert reports(family) == [r for r in suite if r[0] == family], family
 
 
-def test_usage_errors_exit_two(capsys):
+def test_usage_errors_exit_two(tmp_path, capsys):
     code, _, err = run_cli(capsys, "count", "not:ap:0:4", "3")
     assert code == 2 and err.startswith("error:")
     code, _, err = run_cli(capsys, "count", "mod:3:1")  # missing n
     assert code == 2
     code, _, err = run_cli(capsys, "frobnicate")
     assert code == 2
+    # nth takes a setspec or a recurrence file, exactly one, and then n
+    path = tmp_path / "rec.json"
+    path.write_text(json.dumps(no_multiples_recurrence(4).to_dict()))
+    for argv in (("not:mod:4:0", "5", "--recurrence-file", str(path)), ("5",)):
+        code, out, err = run_cli(capsys, "nth", *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: nth takes a setspec or --recurrence-file, exactly one of them\n"
+    code, out, err = run_cli(capsys, "nth", "not:mod:4:0")  # missing n
+    assert (code, out) == (2, "") and [line for line in err.splitlines() if "error:" in line] == [
+        "compenum nth: error: argument n: 'not:mod:4:0' is not an integer"
+    ]
 
 
 def test_deterministic_output(capsys):

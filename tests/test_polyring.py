@@ -282,8 +282,7 @@ def naive_expand(num, low, high, shift, count):
     return c
 
 
-# sparse rows of +1/-1 taps, mixed rows, and rows of mostly non-unit taps,
-# which the expander reads as one dot product over the whole window
+# sparse rows of +1/-1 taps, mixed rows, and rows of mostly non-unit taps
 tap_rows = st.one_of(
     st.lists(st.sampled_from((0, 0, 0, 1, -1)), max_size=12),
     st.lists(st.sampled_from((0, 0, 1, -1, 2, -3)), max_size=12),
@@ -295,6 +294,10 @@ tap_rows = st.one_of(
 @example([1, 2], [], [], 0)  # size 0: the terms are num's
 @example([1], [-2, 0, 0, 0, 1], [], 0)  # 1 - 2x + x^5
 @example([1], [], [0, 0, 1], 7)  # high longer than low
+@example([1], [-2], [], 0)  # the size-1 row 1 - 2x, one non-unit tap
+# rows whose non-unit taps fill the window, low alone and split
+@example([1, 2], [2, -3, 5, 0, -7], [], 0)
+@example([4, -1], [-2, 3, 5, -1, 7], [2, -3, 0, 5], 3)
 # streamed times 1 - x: 1 - x - x^2 - x^3 - x^4 as 1 - 2x + x^5, and the
 # split rows 1 - x^6 and x + ... + x^5 of no part divisible by 6
 @example([1, 0, 0, 0, -1], [-1, -1, -1, -1], [], 0)

@@ -177,6 +177,8 @@ def coeffs_and_seeds(draw):
 
 @given(coeffs_and_seeds())
 @example(((1,) * 6, no_multiples_recurrence(6).initial_terms))  # (1 - x) D = 1 - 2x + x^7
+# a dense D whose (1 - x) D has more taps, so it is read unstepped
+@example(((2, -3, 5, 1, -4), (7, -1, 3, 0, 2, 10**30, -5)))
 @settings(max_examples=200, deadline=None)
 def test_to_gf_numerator_is_the_truncated_product(case):
     coeffs, seed = case
