@@ -35,7 +35,7 @@ _LAZY_MODULES = {
         "partial_fractions"
     ),
     "oracle": (
-        "DEFAULT_ENUM_LIMIT Check CheckRow Composition VerificationReport compositions "
+        "DEFAULT_ENUM_LIMIT Check CheckRow VerificationReport compositions "
         "dp_count dp_count_series dp_length_table expected_discrepancy family_reports "
         "length_slice_series random_partset row_check_against_slices run_verification_suite "
         "suite_passed verify_cayley_shift verify_sills_zeilberger verify_theorem verify_triangle"

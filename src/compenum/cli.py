@@ -6,9 +6,11 @@ closed forms, the three-column mod-3 table, joint length counts, and
 the verification suites.
 
 Exit status: 0 on success, 1 when a verification report fails, 2 on
-usage or parse errors, on setspec integers and verify's --k, --m, --a
-and --b above partset.MAX_VALUE, on a verify flag that the family does
-not take (oracle.family_reports lists each family's), on exact results
+usage or parse errors (argparse's under the subcommand's usage line,
+as `table` without --mod3; a handler's on one `error:` line, as `nth
+--mod` below 2), on setspec integers and verify's --k, --m, --a and
+--b above partset.MAX_VALUE, on a verify flag that the family does not
+take (oracle.family_reports lists each family's), on exact results
 and packed bylength rows (slots sized by genfun.composition_bits) over
 MAX_EXACT_BITS, on series, mod-3 tables, recurrence seeds and the seeds
 of `verify thm2` and `verify thm3 --k` whose terms are bounded above
@@ -27,9 +29,9 @@ error bound certifies one integer.
 stream, genfun.composition_terms, of exact decimal.Decimal values in a
 local context that traps any rounding, and write the terms in chunks of
 joined strings: str(Decimal) is linear in the digits, where str(int) is
-quadratic before CPython 3.12.  `count` and exact `nth` print results
-above STR_BITS bits by the same divide and conquer through Decimal as
-CPython 3.12's _pylong.
+quadratic before CPython 3.12.  `count`, which is `nth` without
+--mod, and exact `nth` print results above STR_BITS bits by the same
+divide and conquer through Decimal as CPython 3.12's _pylong.
 """
 
 from __future__ import annotations
@@ -179,15 +181,6 @@ def _series(A, limit, what=None):
     return islice(genfun.composition_terms(A, Decimal), limit + 1)
 
 
-def _print_exact(n, bits, gf):
-    """Print c_n of the generating function gf() exactly, refused (exit 2)
-    by MAX_EXACT_BITS on its bound `bits` before gf is called."""
-    hint = "; use `nth <setspec> <n> --mod M` for a residue"
-    _refuse(bits, MAX_EXACT_BITS, f"the exact term at n = {n}", hint)
-    print(_int_str(gf().coefficient(n)))
-    return 0
-
-
 def _recurrence_bits(gf, n):
     # with D = 1 - sum d_i x^i, |c_n| <= sum|N_i| * (1 + sum|d_i|)^n by
     # induction on c_n = N_n + sum d_i c_{n-i}
@@ -198,12 +191,7 @@ def _recurrence_bits(gf, n):
 # -- subcommand handlers ----------------------------------------------------
 
 
-def cmd_count(args, parser):
-    A = parse_setspec(args.setspec)
-    return _print_exact(args.n, genfun.composition_bits(A, args.n), lambda: genfun.composition_gf(A))
-
-
-def cmd_series(args, parser):
+def cmd_series(args):
     A = parse_setspec(args.setspec)
     with _exact():
         terms = map(str, _series(A, args.limit))
@@ -216,7 +204,7 @@ def cmd_series(args, parser):
     return 0
 
 
-def cmd_recurrence(args, parser):
+def cmd_recurrence(args):
     A = parse_setspec(args.setspec)
     gf = genfun.composition_gf(A)
     order = max(gf.den.degree, gf.num.degree)
@@ -259,7 +247,7 @@ def _closed_form(args):
     return gf, closedform.partial_fractions(gf, args.digits)
 
 
-def cmd_closed_form(args, parser):
+def cmd_closed_form(args):
     from . import closedform
 
     gf, pf = _closed_form(args)
@@ -283,7 +271,7 @@ def cmd_closed_form(args, parser):
     return 0
 
 
-def cmd_eval_closed(args, parser):
+def cmd_eval_closed(args):
     from . import closedform
 
     value, _, scale, exact = closedform.eval_closed(_closed_form(args)[1], args.n)
@@ -291,8 +279,13 @@ def cmd_eval_closed(args, parser):
     return 0
 
 
-def cmd_nth(args, parser):
+def cmd_nth(args):
+    """`nth`, and `count` as nth without --mod: c_n exactly, refused (exit
+    2) by MAX_EXACT_BITS on its bound before any generating function is
+    built, or c_n mod m."""
     n = args.n
+    if args.mod is not None and args.mod < 2:
+        raise ValueError("--mod must be >= 2")
     if (args.setspec is None) == (args.recurrence_file is None):
         raise ValueError("nth takes a setspec or --recurrence-file, exactly one of them")
     if args.recurrence_file:
@@ -301,22 +294,22 @@ def cmd_nth(args, parser):
                 data = json.load(fh)
             except ValueError as exc:  # not JSON, or not UTF-8
                 raise ValueError(f"malformed recurrence file {args.recurrence_file}: {exc}") from None
-        loaded = LinearRecurrence.from_dict(data).to_gf()
-        gf = lambda: loaded
-        bits = _recurrence_bits(loaded, n)
+        gf = LinearRecurrence.from_dict(data).to_gf()
+        bits = _recurrence_bits(gf, n)
     else:
         A = parse_setspec(args.setspec)
-        gf = lambda: genfun.composition_gf(A)
+        gf = None  # built after the refusal
         bits = genfun.composition_bits(A, n)
     if args.mod is None:
-        return _print_exact(n, bits, gf)
-    if args.mod < 2:
-        parser.error("--mod must be >= 2")
-    print(coefficient_mod(gf(), n, args.mod))
+        hint = "; use `nth <setspec> <n> --mod M` for a residue"
+        _refuse(bits, MAX_EXACT_BITS, f"the exact term at n = {n}", hint)
+    if gf is None:
+        gf = genfun.composition_gf(A)
+    print(_int_str(gf.coefficient(n)) if args.mod is None else coefficient_mod(gf, n, args.mod))
     return 0
 
 
-def cmd_bylength(args, parser):
+def cmd_bylength(args):
     A = parse_setspec(args.setspec)
     # row n arrives packed in one coefficient of n + 1 slots
     bits = (args.n + 1) * 8 * packed_width(A, args.n)
@@ -325,9 +318,7 @@ def cmd_bylength(args, parser):
     return 0
 
 
-def cmd_table(args, parser):
-    if not args.mod3:
-        parser.error("pass --mod3 (the only table currently available)")
+def cmd_table(args):
     specs = ("not:ap:1:3", "not:ap:2:3", "not:mod:3:0")
     with _exact():
         columns = [islice(_series(parse_setspec(spec), args.limit), 1, None) for spec in specs]
@@ -335,7 +326,7 @@ def cmd_table(args, parser):
     return 0
 
 
-def cmd_verify(args, parser):
+def cmd_verify(args):
     from . import oracle
 
     if args.family in ("thm2", "thm3"):
@@ -392,7 +383,7 @@ def _build_parser():
     p = sub.add_parser("count", help="number of compositions of n")
     p.add_argument("setspec")
     p.add_argument("n", type=_nonneg)
-    p.set_defaults(handler=cmd_count)
+    p.set_defaults(handler=cmd_nth, mod=None, recurrence_file=None)
 
     p = sub.add_parser("series", help="count series c(0)..c(limit)")
     p.add_argument("setspec")
@@ -431,7 +422,7 @@ def _build_parser():
     p.set_defaults(handler=cmd_bylength)
 
     p = sub.add_parser("table", help="three-column table of mod-3 count families")
-    p.add_argument("--mod3", action="store_true")
+    p.add_argument("--mod3", action="store_true", required=True)
     p.add_argument("--limit", type=_positive, default=20)
     p.set_defaults(handler=cmd_table)
 
@@ -460,9 +451,7 @@ def main(argv=None):
         # argparse already printed its diagnostic (exit 2) or help (exit 0)
         return exc.code if exc.code is not None else 0
     try:
-        return args.handler(args, parser)
-    except SystemExit as exc:  # parser.error inside a handler
-        return exc.code if exc.code is not None else 0
+        return args.handler(args)
     except (ValueError, OSError) as exc:  # SetSpecError and ClosedFormError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -552,14 +552,14 @@ class PartialFraction:
     indexed by n (empty for proper fractions).  poles, residue_coeffs
     and residue_errors are aligned and sorted with the smallest-modulus
     pole first.  Each residue is (re, im, k) for (re + im i) / 2^k, found
-    to about 32 bits past the working precision, and its error e, at the
+    to about 32 bits past the working precision (the digits passed to
+    partial_fractions, which are not kept), and its error e, at the
     same scale 2^k, bounds its distance e / 2^k from the true residue at
     the root in the pole's disk."""
 
     poly_part: tuple
     poles: tuple
     residue_coeffs: tuple
-    precision_digits: int = 50
     residue_errors: tuple = ()
 
 
@@ -609,7 +609,7 @@ def partial_fractions(gf, digits=50):
     num, den = gf.num, gf.den
     if not num or den.degree < 1:
         # the zero series, or den is the constant 1: the series is num itself
-        return PartialFraction(tuple(map(Fraction, num.coeffs)), (), (), digits)
+        return PartialFraction(tuple(map(Fraction, num.coeffs)), (), ())
     quot, _ = divmod_fractions(num, den)
     ntaps, dtaps, one = _sparse_form(num.coeffs, den.coeffs)
     poles = _find_roots(den, dtaps, one, digits)
@@ -632,7 +632,7 @@ def partial_fractions(gf, digits=50):
     if abs(Fraction(real, 1 << top) + head - num[0]) * tol > 1 or abs(imag) * tol > 1 << top:
         raise ConvergenceError("residues fail the n = 0 normalization check")
     residues = tuple(part[:3] for part in parts)
-    return PartialFraction(tuple(quot), poles, residues, digits, tuple(p[3] for p in parts))
+    return PartialFraction(tuple(quot), poles, residues, tuple(p[3] for p in parts))
 
 
 EvalResult = namedtuple("EvalResult", ["value", "error", "scale", "exact"])
@@ -702,9 +702,9 @@ def eval_closed(pf, n):
 @dataclass(frozen=True)
 class DominanceReport:
     """Pole layout relative to the unit circle, read off the inclusion
-    disks.
+    disks of the PartialFraction's poles, which it does not copy.
 
-    classifications[i] labels poles[i] "inside" or "outside" when its
+    classifications[i] labels pf.poles[i] "inside" or "outside" when its
     disk lies wholly on that side of |z| = 1, and "on" when the disk
     meets the circle: either the pole lies on it, or the precision is
     too low to tell.  growth_rate is 1/min|alpha|, a dyadic Fraction at
@@ -716,7 +716,6 @@ class DominanceReport:
     term eventually recovers the exact counts.
     """
 
-    poles: tuple
     classifications: tuple
     growth_rate: Fraction
     unique_dominant: bool
@@ -741,12 +740,13 @@ def dominance_report(pf):
     """Classify the poles of a PartialFraction against the unit circle.
 
     Reads pf.poles and their disk radii, so the roots found for the
-    partial fraction are the ones classified, and every label and the
-    uniqueness verdict hold for the true poles.  The growth rate is
-    2^s / isqrt(a^2 + b^2) of the first pole's point, floored at 2^-s.
+    partial fraction are the ones classified, labelled in pf.poles'
+    order, and every label and the uniqueness verdict hold for the true
+    poles.  The growth rate is 2^s / isqrt(a^2 + b^2) of the first
+    pole's point, floored at 2^-s.
     """
     if not pf.poles:
-        return DominanceReport((), (), Fraction(0), False, False)
+        return DominanceReport((), Fraction(0), False, False)
     poles = pf.poles
     spans = [_modulus_interval(p) for p in poles]
     labels = tuple("inside" if high < 1 else "outside" if low > 1 else "on" for low, high in spans)
@@ -754,4 +754,4 @@ def dominance_report(pf):
     valid = unique and all(label == "outside" for label in labels[1:])
     a, b, s = poles[0].point
     growth = Fraction((1 << 2 * s) // math.isqrt(a * a + b * b), 1 << s)
-    return DominanceReport(poles, labels, growth, unique, valid)
+    return DominanceReport(labels, growth, unique, valid)

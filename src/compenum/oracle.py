@@ -45,29 +45,9 @@ DEFAULT_ENUM_LIMIT = 25
 ENUM_LIMIT = 14
 
 
-@dataclass(frozen=True)
-class Composition:
-    """An ordered tuple of positive parts."""
-
-    parts: tuple
-
-    def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
-        if any(p < 1 for p in parts):
-            raise ValueError("parts must be positive integers")
-        object.__setattr__(self, "parts", parts)
-
-    @property
-    def length(self):
-        return len(self.parts)
-
-    @property
-    def total(self):
-        return sum(self.parts)
-
-
 def compositions(A, n, limit=DEFAULT_ENUM_LIMIT):
-    """Every composition of n with all parts in A, lexicographic order.
+    """Every composition of n with all parts in A, as a tuple of part
+    tuples in lexicographic order.
 
     The count grows like 2^(n-1) for dense sets, so n is capped; raise
     the cap explicitly if you really want the blowup.
@@ -84,7 +64,7 @@ def compositions(A, n, limit=DEFAULT_ENUM_LIMIT):
 
     def extend(remaining):
         if remaining == 0:
-            out.append(Composition(tuple(prefix)))
+            out.append(tuple(prefix))
             return
         for p in members:
             if p > remaining:

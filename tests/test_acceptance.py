@@ -189,7 +189,7 @@ def test_criterion_10_bivariate_marginals_and_odd_binomials():
     for n in range(15):
         by_len = {}
         for c in compositions(odd, n, limit=14):
-            by_len[c.length] = by_len.get(c.length, 0) + 1
+            by_len[len(c)] = by_len.get(len(c), 0) + 1
         for m in range(n + 1):
             expect = by_len.get(m, 1 if (n, m) == (0, 0) else 0)
             assert odd_parts_by_length(n, m) == expect

@@ -63,7 +63,7 @@ def test_marginals_match_counts_on_random_sets():
 
 
 def length_histogram(A, n):
-    return Counter(c.length for c in compositions(A, n, limit=14))
+    return Counter(len(c) for c in compositions(A, n, limit=14))
 
 
 def test_rows_match_enumeration_by_length():

@@ -51,7 +51,7 @@ parse_setspec recurrence_from_gf
 ClosedFormError ComplexRoot ConvergenceError DominanceReport EvalResult
 PartialFraction RepeatedRootError dominance_report eval_closed find_roots
 partial_fractions
-DEFAULT_ENUM_LIMIT Check CheckRow Composition VerificationReport compositions
+DEFAULT_ENUM_LIMIT Check CheckRow VerificationReport compositions
 dp_count dp_count_series dp_length_table expected_discrepancy family_reports length_slice_series
 random_partset row_check_against_slices run_verification_suite suite_passed
 verify_cayley_shift verify_sills_zeilberger verify_theorem verify_triangle
@@ -317,11 +317,18 @@ def test_results_past_4300_digits(capsys):
     assert code == 0 and out == f"{a}\n"
 
 
-def test_oversized_exact_results_refused_up_front(tmp_path, capsys):
-    for argv in (("count", "all", "100000000"), ("nth", "not:mod:3:0", "2000001")):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 2 and out == ""
-        assert "decimal digits" in err and "--mod" in err
+def test_oversized_exact_results_refused_up_front(tmp_path, capsys, monkeypatch):
+    from compenum import genfun
+
+    def no_work(*args):
+        raise AssertionError("the generating function was built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(genfun, "composition_gf", no_work)
+        for argv in (("count", "all", "100000000"), ("nth", "not:mod:3:0", "2000001")):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out == ""
+            assert "decimal digits" in err and "--mod" in err
     code, out, _ = run_cli(capsys, "nth", "not:mod:3:0", "100000000", "--mod", "97")
     assert code == 0 and 0 <= int(out) < 97  # a residue is never refused
     # a recurrence file is bounded by its own coefficients, not by 2^(n-1)
@@ -699,6 +706,13 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     code, out, err = run_cli(capsys, "nth", "not:mod:4:0")  # missing n
     assert (code, out) == (2, "") and [line for line in err.splitlines() if "error:" in line] == [
         "compenum nth: error: argument n: 'not:mod:4:0' is not an integer"
+    ]
+    # a handler's own refusals print no usage line at all
+    code, out, err = run_cli(capsys, "nth", "not:mod:3:0", "5", "--mod", "1")
+    assert (code, out, err) == (2, "", "error: --mod must be >= 2\n")
+    code, out, err = run_cli(capsys, "table", "--limit", "3")
+    assert (code, out) == (2, "") and [line for line in err.splitlines() if "error:" in line] == [
+        "compenum table: error: the following arguments are required: --mod3"
     ]
 
 

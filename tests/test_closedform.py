@@ -95,7 +95,7 @@ def test_constant_denominator_degenerates_gracefully():
     assert _value(eval_closed(pf, 0)) == 1 and eval_closed(pf, 0).exact == 1
     assert _value(eval_closed(pf, 3)) == 0 and eval_closed(pf, 3).exact == 0
     rep = dominance_report(partial_fractions(composition_gf(parse_setspec("set:"))))
-    assert rep.poles == () and not rep.nearest_integer_valid
+    assert rep.classifications == () and not rep.nearest_integer_valid
 
 
 def test_find_roots_input_validation():
@@ -415,11 +415,11 @@ def test_partial_fractions_builds_the_denominators_sparse_form_once(monkeypatch)
 
 def test_zero_numerator_is_the_zero_series():
     pf = partial_fractions(RationalGF(0, poly([1, -1, -1])), 16)
-    assert pf == closedform.PartialFraction((), (), (), 16)
+    assert pf == closedform.PartialFraction((), (), ())
     for n in (0, 1, 7):
         value, error, _, exact = eval_closed(pf, n)
         assert (value, error, exact) == (0, 0, 0)
-    assert dominance_report(pf).poles == ()
+    assert dominance_report(pf).classifications == ()
 
 
 @pytest.mark.parametrize("digits", [16, 50])

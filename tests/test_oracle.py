@@ -3,7 +3,6 @@ import random
 import pytest
 
 from compenum.oracle import (
-    Composition,
     compositions,
     dp_count,
     dp_count_series,
@@ -19,31 +18,26 @@ from compenum.oracle import (
 from compenum.partset import PartSet, parse_setspec
 
 
-def parts(comps):
-    return [c.parts for c in comps]
+def test_compositions_are_part_tuples():
+    got = compositions(parse_setspec("set:1,2"), 3)
+    assert got == ((1, 1, 1), (1, 2), (2, 1))
+    assert type(got) is tuple and all(type(c) is tuple for c in got)
 
 
 def test_enumeration_lexicographic():
-    got = parts(compositions(parse_setspec("set:1,2"), 4))
-    assert got == [(1, 1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1), (2, 2)]
-    assert parts(compositions(parse_setspec("mod:2:1"), 3)) == [(1, 1, 1), (3,)]
-    assert parts(compositions(PartSet.from_threshold(2), 3)) == [(3,)]
-    assert parts(compositions(parse_setspec("all"), 0)) == [()]
+    got = compositions(parse_setspec("set:1,2"), 4)
+    assert got == ((1, 1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1), (2, 2))
+    assert compositions(parse_setspec("mod:2:1"), 3) == ((1, 1, 1), (3,))
+    assert compositions(PartSet.from_threshold(2), 3) == ((3,),)
+    assert compositions(parse_setspec("all"), 0) == ((),)
 
 
 def test_enumeration_limit_guard():
     with pytest.raises(ValueError):
         compositions(parse_setspec("all"), 26)
     # override is allowed; keep the set sparse so the blowup stays tame
-    got = parts(compositions(PartSet.from_threshold(13), 26, limit=26))
-    assert got == [(13, 13), (26,)]
-
-
-def test_composition_type():
-    c = Composition((2, 1, 4))
-    assert c.length == 3 and c.total == 7
-    with pytest.raises(ValueError):
-        Composition((1, 0))
+    got = compositions(PartSet.from_threshold(13), 26, limit=26)
+    assert got == ((13, 13), (26,))
 
 
 def test_dp_counts_pinned():
