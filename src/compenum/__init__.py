@@ -11,24 +11,22 @@ against brute-force enumeration and direct dynamic programming.
 
 from importlib import import_module
 
-from .bivariate import BivariateTable, bivariate_table, length_row, odd_parts_by_length
 from .genfun import composition_gf, composition_series, count
 from .partset import PartSet, SetSpecError, parse_setspec
 from .polyring import IntPolynomial, RationalGF
-from .recurrence import (
-    LinearRecurrence,
-    avoid_residue_recurrence,
-    avoid_residue_seed_formula,
-    no_multiples_recurrence,
-    recurrence_from_gf,
-)
 
 __version__ = "0.1.0"
 
-# closedform and oracle are imported on first use (PEP 562), so that
-# `import compenum.cli` stays cheap for the commands that need neither;
-# the package itself needs nothing outside the standard library
+# bivariate, recurrence, closedform and oracle are imported on first use
+# (PEP 562), so that `import compenum.cli` loads only the parser, genfun,
+# partset and polyring, and each command imports the rest it runs; the
+# package itself needs nothing outside the standard library
 _LAZY_MODULES = {
+    "bivariate": "BivariateTable bivariate_table length_row odd_parts_by_length",
+    "recurrence": (
+        "LinearRecurrence avoid_residue_recurrence avoid_residue_seed_formula "
+        "no_multiples_recurrence recurrence_from_gf"
+    ),
     "closedform": (
         "ClosedFormError ComplexRoot ConvergenceError DominanceReport EvalResult "
         "PartialFraction RepeatedRootError dominance_report eval_closed find_roots "
@@ -53,22 +51,13 @@ def __getattr__(name):
 
 
 __all__ = [
-    "BivariateTable",
     "IntPolynomial",
-    "LinearRecurrence",
     "PartSet",
     "RationalGF",
     "SetSpecError",
-    "avoid_residue_recurrence",
-    "avoid_residue_seed_formula",
-    "bivariate_table",
     "composition_gf",
     "composition_series",
     "count",
-    "length_row",
-    "no_multiples_recurrence",
-    "odd_parts_by_length",
     "parse_setspec",
-    "recurrence_from_gf",
     *_LAZY,
 ]

@@ -14,7 +14,7 @@ live in the oracle module, as independent cross-checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import islice
 from math import comb
 
@@ -22,16 +22,15 @@ from .genfun import composition_bits, length_parts
 from .polyring import expand
 
 
-@dataclass(frozen=True)
-class BivariateTable:
+class BivariateTable(namedtuple("BivariateTable", "limit entries")):
     """(limit+1) x (limit+1) triangle of exact counts.
 
     entries[n][m] = compositions of n with exactly m parts.  Entries
     with m > n are stored but always zero (each part is at least 1).
+    count(n, m) replaces the tuple's count(value).
     """
 
-    limit: int
-    entries: tuple
+    __slots__ = ()
 
     def count(self, n, m):
         """c(n, m); zero outside the tabulated range is an error for n

@@ -19,7 +19,10 @@ and on closed forms whose estimated cost exceeds closedform.MAX_SECONDS
 or whose poles or residues do not certify at the requested precision
 (diagnostics on standard error).  Output is deterministic for identical
 inputs.
-Only the commands that use them import closedform and oracle.
+Each command imports only the modules it runs: `import compenum.cli`
+loads the parser, genfun, partset and polyring, `bylength` adds
+bivariate, `recurrence` and `nth --recurrence-file` recurrence and json,
+`closed-form` and `eval-closed` closedform, and `verify` oracle and json.
 `closed-form` and `eval-closed` print the exact dyadic numbers that
 closedform returns through closedform.dyadic_str, to DISPLAY_DIGITS
 significant digits; `eval-closed` prints the count itself where its
@@ -39,17 +42,14 @@ from __future__ import annotations
 import argparse
 import decimal
 import functools
-import json
 import math
 import sys
 from decimal import Decimal
 from itertools import islice
 
 from . import genfun
-from .bivariate import length_row, packed_width
 from .partset import MAX_VALUE, parse_setspec
 from .polyring import coefficient_mod
-from .recurrence import LinearRecurrence, recurrence_from_gf
 
 DISPLAY_DIGITS = 12
 # Exact results, and the packed coefficient a bylength row is read from,
@@ -205,6 +205,10 @@ def cmd_series(args):
 
 
 def cmd_recurrence(args):
+    import json
+
+    from .recurrence import recurrence_from_gf
+
     A = parse_setspec(args.setspec)
     gf = genfun.composition_gf(A)
     order = max(gf.den.degree, gf.num.degree)
@@ -289,6 +293,10 @@ def cmd_nth(args):
     if (args.setspec is None) == (args.recurrence_file is None):
         raise ValueError("nth takes a setspec or --recurrence-file, exactly one of them")
     if args.recurrence_file:
+        import json
+
+        from .recurrence import LinearRecurrence
+
         with open(args.recurrence_file, encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
@@ -310,6 +318,8 @@ def cmd_nth(args):
 
 
 def cmd_bylength(args):
+    from .bivariate import length_row, packed_width
+
     A = parse_setspec(args.setspec)
     # row n arrives packed in one coefficient of n + 1 slots
     bits = (args.n + 1) * 8 * packed_width(A, args.n)
@@ -327,6 +337,8 @@ def cmd_table(args):
 
 
 def cmd_verify(args):
+    import json
+
     from . import oracle
 
     if args.family in ("thm2", "thm3"):

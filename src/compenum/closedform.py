@@ -62,7 +62,6 @@ import cmath
 import decimal
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .polyring import _sparser, divmod_fractions, poly_gcd
@@ -169,8 +168,7 @@ def dyadic_str(man, exp, digits):
     return f"{sign}{text}e{point:+d}"
 
 
-@dataclass(frozen=True)
-class ComplexRoot:
+class ComplexRoot(namedtuple("ComplexRoot", "point residual radius")):
     """One simple denominator root, held as the exact dyadic point z =
     (a + bi) / 2^s that Newton returned, point = (a, b, s).  residual >=
     |q(z)| and the radius of an inclusion disk |x - z| <= radius that
@@ -180,9 +178,7 @@ class ComplexRoot:
     |poly(z)|, and the radius, from the d + 1 roots of q, can be up to
     (d + 1) / d times what the d roots of poly alone would give."""
 
-    point: tuple
-    residual: Fraction
-    radius: Fraction
+    __slots__ = ()
 
     @property
     def modulus(self):
@@ -546,8 +542,9 @@ def _find_roots(poly, taps, one, digits):
     )
 
 
-@dataclass(frozen=True)
-class PartialFraction:
+class PartialFraction(
+    namedtuple("PartialFraction", "poly_part poles residue_coeffs residue_errors", defaults=((),))
+):
     """poly_part: exact Fraction coefficients of the division quotient,
     indexed by n (empty for proper fractions).  poles, residue_coeffs
     and residue_errors are aligned and sorted with the smallest-modulus
@@ -555,12 +552,9 @@ class PartialFraction:
     to about 32 bits past the working precision (the digits passed to
     partial_fractions, which are not kept), and its error e, at the
     same scale 2^k, bounds its distance e / 2^k from the true residue at
-    the root in the pole's disk."""
+    the root in the pole's disk; residue_errors defaults to ()."""
 
-    poly_part: tuple
-    poles: tuple
-    residue_coeffs: tuple
-    residue_errors: tuple = ()
+    __slots__ = ()
 
 
 def _residue(ntaps, dtaps, a, b, s, prec, radius):
@@ -699,8 +693,9 @@ def eval_closed(pf, n):
     return EvalResult(total, err, bits, exact)
 
 
-@dataclass(frozen=True)
-class DominanceReport:
+class DominanceReport(
+    namedtuple("DominanceReport", "classifications growth_rate unique_dominant nearest_integer_valid")
+):
     """Pole layout relative to the unit circle, read off the inclusion
     disks of the PartialFraction's poles, which it does not copy.
 
@@ -716,10 +711,7 @@ class DominanceReport:
     term eventually recovers the exact counts.
     """
 
-    classifications: tuple
-    growth_rate: Fraction
-    unique_dominant: bool
-    nearest_integer_valid: bool
+    __slots__ = ()
 
 
 def _modulus_interval(root):

@@ -9,13 +9,13 @@ integer polynomials with a finite recurrence.
 
 Construction canonicalizes: exceptions that merely restate the periodic
 pattern are dropped, so two PartSets with identical membership compare
-equal field by field.  Values are immutable and hashable.
+equal field by field.  Values are immutable, hashable named tuples.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .polyring import IntPolynomial
 
@@ -35,20 +35,19 @@ class SetSpecError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class PartSet:
-    modulus: int
-    residues: frozenset = frozenset()
-    added: frozenset = frozenset()
-    removed: frozenset = frozenset()
+class PartSet(namedtuple("PartSet", "modulus residues added removed")):
+    """modulus k, the residues in 0..k-1 of the periodic pattern, and
+    the added and removed exception values, all frozensets."""
 
-    def __post_init__(self):
-        k = self.modulus
+    __slots__ = ()
+
+    def __new__(cls, modulus, residues=frozenset(), added=frozenset(), removed=frozenset()):
+        k = modulus
         if not isinstance(k, int) or isinstance(k, bool) or k < 1:
             raise ValueError("modulus must be a positive integer")
-        residues = frozenset(self.residues)
-        added = frozenset(self.added)
-        removed = frozenset(self.removed)
+        residues = frozenset(residues)
+        added = frozenset(added)
+        removed = frozenset(removed)
         if not all(isinstance(r, int) and 0 <= r < k for r in residues):
             raise ValueError("residues must lie in 0..modulus-1")
         for exc in (added, removed):
@@ -59,9 +58,7 @@ class PartSet:
         # canonical form: keep only exceptions that contradict the pattern
         added = frozenset(v for v in added if v % k not in residues)
         removed = frozenset(v for v in removed if v % k in residues)
-        object.__setattr__(self, "residues", residues)
-        object.__setattr__(self, "added", added)
-        object.__setattr__(self, "removed", removed)
+        return super().__new__(cls, k, residues, added, removed)
 
     def __str__(self):
         """The set expression that parses back to this PartSet."""

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 import struct
-from fractions import Fraction
 from itertools import chain, islice, repeat
 from operator import mul, sub
 
@@ -216,6 +215,8 @@ def divmod_fractions(p, d):
     Used for the polynomial part of partial fractions, where the
     quotient is typically the constant 1/2 and not an integer.
     """
+    from fractions import Fraction  # only closed forms need it
+
     q, r, k = _pseudo_divmod(p, d)
     scale = d.coeffs[-1] ** k
     quot = tuple(Fraction(c, scale) for c in q.coeffs)

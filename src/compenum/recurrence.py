@@ -16,40 +16,36 @@ for residues at huge n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate, islice, repeat
 from operator import add, mul
 
 from .polyring import IntPolynomial, RationalGF, _sparser
 
 
-@dataclass(frozen=True)
-class LinearRecurrence:
+class LinearRecurrence(namedtuple("LinearRecurrence", "order coeffs corrections initial_terms")):
     """order: recurrence depth k, coeffs: (d_1, .., d_k) with d_k != 0.
 
-    corrections: sparse ((index, value), ...) pairs from the numerator;
-    index 0 is allowed on directly built instances, recurrence_from_gf
-    carries f(0) in the seed instead.  initial_terms: f(0)..f(k') with
-    k' >= max(order, highest correction index); these seeds are
-    authoritative, the recurrence only takes over beyond them.  The
-    family constructors below bake their seed values in with no
-    corrections, so replay_consistent is False for them whenever a
-    boundary adjustment got folded into the seed.
+    corrections: sparse ((index, value), ...) pairs from the numerator,
+    () by default; index 0 is allowed on directly built instances,
+    recurrence_from_gf carries f(0) in the seed instead.  initial_terms:
+    f(0)..f(k') with k' >= max(order, highest correction index), (1,) by
+    default; these seeds are authoritative, the recurrence only takes
+    over beyond them.  The family constructors below bake their seed
+    values in with no corrections, so replay_consistent is False for
+    them whenever a boundary adjustment got folded into the seed.
 
     This is the exchange format (to_dict / from_dict); its terms are
     read off the generating function to_gf().
     """
 
-    order: int
-    coeffs: tuple
-    corrections: tuple = ()
-    initial_terms: tuple = (1,)
+    __slots__ = ()
 
-    def __post_init__(self):
-        k = self.order
-        coeffs = tuple(self.coeffs)
-        corrections = tuple((int(i), int(v)) for i, v in self.corrections)
-        initial = tuple(self.initial_terms)
+    def __new__(cls, order, coeffs, corrections=(), initial_terms=(1,)):
+        k = order
+        coeffs = tuple(coeffs)
+        corrections = tuple((int(i), int(v)) for i, v in corrections)
+        initial = tuple(initial_terms)
         if k < 0 or len(coeffs) != k:
             raise ValueError("coeffs must list exactly `order` values")
         if k >= 1 and coeffs[-1] == 0:
@@ -60,9 +56,7 @@ class LinearRecurrence:
         top = max([k] + [i for i in indices])
         if len(initial) < top + 1:
             raise ValueError("initial_terms must cover max(order, corrections)")
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "corrections", corrections)
-        object.__setattr__(self, "initial_terms", initial)
+        return super().__new__(cls, k, coeffs, corrections, initial)
 
     # -- generating function -----------------------------------------------
 
@@ -115,15 +109,24 @@ class LinearRecurrence:
 
     @classmethod
     def from_dict(cls, data):
-        """The inverse of to_dict.  Every value must be a JSON integer:
-        a float, even an integral one (a count above 2^53 is already
-        rounded in a float), a bool or a string raises ValueError, as
-        does anything but an object or an object missing a key, naming
-        what is wrong."""
+        """The inverse of to_dict.  "coeffs" and "initial" must be JSON
+        arrays of integers, "corrections" an array of [index, value]
+        pairs of integers, and "order" an integer.  A float, even an
+        integral one (a count above 2^53 is already rounded in a float),
+        a bool or a string where an integer or an array belongs raises
+        ValueError, as does anything but an object or an object missing
+        a key, naming the key that is wrong."""
 
-        def integer(value):
+        def integer(key, value):
             if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{value!r} is not an integer")
+                raise ValueError(f"malformed recurrence dict: {value!r} in {key!r} is not an integer")
+            return value
+
+        def array(key):
+            value = data[key]
+            if not isinstance(value, list):
+                kind = type(value).__name__
+                raise ValueError(f"malformed recurrence dict: {key!r} must be an array, not {kind}")
             return value
 
         if not isinstance(data, dict):
@@ -132,13 +135,13 @@ class LinearRecurrence:
         if missing:
             keys = "keys" if len(missing) > 1 else "key"
             raise ValueError(f"malformed recurrence dict: missing {keys} {', '.join(missing)}")
-        try:
-            order = integer(data["order"])
-            coeffs = tuple(integer(c) for c in data["coeffs"])
-            corrections = tuple((integer(i), integer(v)) for i, v in data["corrections"])
-            initial = tuple(integer(t) for t in data["initial"])
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"malformed recurrence dict: {exc}") from exc
+        order = integer("order", data["order"])
+        coeffs = tuple(integer("coeffs", c) for c in array("coeffs"))
+        pairs = array("corrections")
+        if not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
+            raise ValueError("malformed recurrence dict: 'corrections' must hold [index, value] pairs")
+        corrections = tuple((integer("corrections", i), integer("corrections", v)) for i, v in pairs)
+        initial = tuple(integer("initial", t) for t in array("initial"))
         return cls(order, coeffs, corrections, initial)
 
 

@@ -1,3 +1,4 @@
+import pickle
 import random
 from collections import Counter
 from math import comb
@@ -35,6 +36,15 @@ def test_row_zero_is_empty_composition():
     t = bivariate_table(ODD, 3)
     assert t.row(0) == (1,) + (0,) * 3
     assert t.count(0, 0) == 1
+
+
+def test_table_is_a_frozen_record():
+    t = bivariate_table(ODD, 4)
+    with pytest.raises(AttributeError):
+        t.limit = 5
+    u = pickle.loads(pickle.dumps(t))
+    assert type(u) is type(t) and u == t and hash(u) == hash(t)
+    assert u.count(3, 1) == 1  # the table's count(n, m), not the tuple's
 
 
 def test_count_bounds():

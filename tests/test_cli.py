@@ -1,3 +1,4 @@
+import ast
 import decimal
 import json
 import random
@@ -177,6 +178,7 @@ def test_recurrence_file_that_is_not_a_full_object_names_what_is_wrong(tmp_path,
         ('{"order": 1, "coeffs": [1], "initial": [1, 2]}', "missing key 'corrections'"),
         ('{"order": 1}', "missing keys 'coeffs', 'corrections', 'initial'"),
         ("[1, 2]", "expected a JSON object, not list"),
+        ('{"order": 0, "coeffs": "", "corrections": {}, "initial": [1]}', "'coeffs' must be an array, not str"),
     ):
         path.write_text(text)
         code, out, err = run_cli(capsys, "nth", "5", "--recurrence-file", str(path))
@@ -591,8 +593,48 @@ def test_cli_import_leaves_mpmath_unloaded():
     assert proc.returncode == 0 and proc.stdout == "[]\n"
 
 
+def test_each_command_loads_only_what_it_runs():
+    # a fresh interpreter prints the modules `import compenum.cli` adds,
+    # then those each command adds after the ones before it; no json
+    # before the first snapshot, as literals go in and out by repr
+    argvs = [
+        ["nth", "not:mod:3:0", "1000", "--mod", "7"],
+        ["count", "not:mod:3:0", "20"],
+        ["series", "not:mod:3:0", "--format", "json"],
+        ["bylength", "not:mod:3:0", "20"],
+        ["closed-form", "not:mod:3:0", "--digits", "16"],
+    ]
+    code = (
+        "import contextlib, io, sys\n"
+        "seen = set(sys.modules)\n"
+        "def added():\n"
+        "    new = sorted(set(sys.modules) - seen)\n"
+        "    seen.update(new)\n"
+        "    return new\n"
+        "from compenum import cli\n"
+        "steps = {'import': added()}\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "    steps[argv[0]] = added()\n"
+        "print(repr(steps))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    steps = {name: set(mods) for name, mods in ast.literal_eval(proc.stdout).items()}
+    unused = {"dataclasses", "json", "fractions", "compenum.bivariate", "compenum.recurrence",
+              "compenum.closedform", "compenum.oracle"}
+    assert "compenum.cli" in steps["import"] and not steps["import"] & unused
+    for name in ("nth", "count", "series"):
+        assert not steps[name] & unused, name
+    assert "compenum.bivariate" in steps["bylength"] and "dataclasses" not in steps["bylength"]
+    assert "compenum.closedform" in steps["closed-form"]
+    assert not steps["closed-form"] & {"dataclasses", "compenum.oracle"}
+
+
 def test_star_import_binds_every_export():
-    # the eager names plus every lazy closedform and oracle name
+    # the eager names plus every lazy bivariate, recurrence, closedform
+    # and oracle name
     code = "from compenum import *; print(' '.join(sorted(n for n in dir() if n[0] != '_')))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0 and proc.stdout.split() == sorted(STAR_NAMES.split())

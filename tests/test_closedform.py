@@ -1,5 +1,6 @@
 import cmath
 import math
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -165,6 +166,18 @@ def _census_sets():
     rng = random.Random(12)
     sets = [parse_setspec(f"not:mod:{k}:0") for k in range(2, 61)]
     return sets + [random_partset(rng) for _ in range(200)]
+
+
+def test_closed_form_records_are_frozen_tuples():
+    empty = closedform.PartialFraction((), (), ())
+    assert empty == closedform.PartialFraction((), (), (), residue_errors=())
+    pf = partial_fractions(composition_gf(parse_setspec("not:mod:3:0")), 16)
+    for record in (pf, pf.poles[0], dominance_report(pf)):
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], ())
+        copy = pickle.loads(pickle.dumps(record))
+        assert type(copy) is type(record) and copy == record and hash(copy) == hash(record)
+    assert pickle.loads(pickle.dumps(pf.poles[0])).modulus == pf.poles[0].modulus
 
 
 @pytest.mark.parametrize("digits", [16, 50])

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -120,6 +121,19 @@ def test_exceptions_canonicalized():
     assert A.removed == frozenset()
     B = PartSet(2, frozenset({1}), added=frozenset({4}), removed=frozenset({3}))
     assert 4 in B and 3 not in B
+
+
+def test_partset_is_a_frozen_checked_record():
+    A = parse_setspec("mod:3:1,2+3-4")
+    with pytest.raises(AttributeError):
+        A.modulus = 4
+    B = PartSet(3, {2, 1}, added=[3], removed=(4,))
+    assert A == B and hash(A) == hash(B)
+    C = pickle.loads(pickle.dumps(A))
+    assert type(C) is PartSet and C == A and str(C) == str(A)
+    for args in ((0,), (True,), (3, {3}), (3, {1}, {0}), (3, {1}, {2}, {2})):
+        with pytest.raises(ValueError):
+            PartSet(*args)
 
 
 def test_membership_rejects_nonpositive():

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -25,6 +26,17 @@ def test_from_gf_fields_frozen():
     assert rec.coeffs == (1, 1, 1)
     assert rec.corrections == ((3, -1),)
     assert rec.initial_terms == (1, 1, 2, 3)
+
+
+def test_recurrence_is_a_frozen_record():
+    rec = recurrence_from_gf(composition_gf(parse_setspec("not:mod:3:0")))
+    with pytest.raises(AttributeError):
+        rec.order = 4
+    same = LinearRecurrence(3, [1, 1, 1], [[3, -1]], [1, 1, 2, 3])
+    assert rec == same and hash(rec) == hash(same)
+    copy = pickle.loads(pickle.dumps(rec))
+    assert type(copy) is LinearRecurrence and copy == rec
+    assert LinearRecurrence(0, ()) == LinearRecurrence(0, (), (), (1,))
 
 
 def test_validation_rejects_bad_shapes():
@@ -219,3 +231,25 @@ def test_from_dict_rejects_malformed():
     ):
         with pytest.raises(ValueError, match="^malformed recurrence dict"):
             LinearRecurrence.from_dict({**good, key: value})
+    # arrays must be JSON arrays and corrections [index, value] pairs; the
+    # message names the key
+    with pytest.raises(ValueError, match="'coeffs' must be an array, not str$"):
+        LinearRecurrence.from_dict({"order": 0, "coeffs": "", "corrections": {}, "initial": [1]})
+    for key, value, message in (
+        ("coeffs", "1", "'coeffs' must be an array, not str"),
+        ("coeffs", {"0": 1}, "'coeffs' must be an array, not dict"),
+        ("coeffs", (1,), "'coeffs' must be an array, not tuple"),
+        ("initial", "ab", "'initial' must be an array, not str"),
+        ("initial", 12, "'initial' must be an array, not int"),
+        ("corrections", {}, "'corrections' must be an array, not dict"),
+        ("corrections", [[1, 2, 3]], "'corrections' must hold [index, value] pairs"),
+        ("corrections", [[1]], "'corrections' must hold [index, value] pairs"),
+        ("corrections", [1, 1], "'corrections' must hold [index, value] pairs"),
+        ("corrections", ["ab"], "'corrections' must hold [index, value] pairs"),
+        ("coeffs", [1.7], "1.7 in 'coeffs' is not an integer"),
+        ("corrections", [[1, "2"]], "'2' in 'corrections' is not an integer"),
+        ("order", None, "None in 'order' is not an integer"),
+    ):
+        with pytest.raises(ValueError) as info:
+            LinearRecurrence.from_dict({**good, key: value})
+        assert str(info.value) == f"malformed recurrence dict: {message}"
