@@ -7,9 +7,10 @@ entry of rows 0..n is below 2^b, b = genfun.composition_bits(A, n), so
 at y = 2^(8w) with w = ceil(b / 8) bytes the x^n coefficient holds row n
 packed in w-byte slots, with no carries between them.  One exact series
 expansion (polyring.expand on genfun.length_parts, where every multiply
-by y is a shift) does all the work; the row is decoded by slicing the
-bytes of c_n.  The O(n^2 * |A|) dynamic program and the S(x)^m slices
-live in the oracle module, as independent cross-checks.
+by y is a shift and every +-1 tap one addition) does all the work; the
+row is decoded by slicing the bytes of c_n.  The O(n^2 * |A|) dynamic
+program and the S(x)^m slices live in the oracle module, as
+independent cross-checks.
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ def _unpack_row(value, slots, width):
 
 def length_row(A, n):
     """Row n, c(n, 0..n), off one coefficient of C(x, 2^(8w)); the
-    expander holds only a window of at most 2 * den.degree packed rows.
+    expander holds only its last den.degree packed rows, in blocks of 57
+    (polyring.expand), not the whole history.
 
     The row streams through polyring.expand, not the halving kernel of
     RationalGF.coefficient: at y = 2^(8w) the denominator coefficients

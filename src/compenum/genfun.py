@@ -117,9 +117,10 @@ def composition_gf(A):
 def composition_terms(A, number=int):
     """count(A, 0), count(A, 1), ... without end, streamed by
     polyring.expand from length_parts at y = 1, or from (1 - x) times
-    it where that is sparser.  No gcd is taken: a common factor changes
-    no term.  The terms are of the type `number`, which needs only + -
-    and *: the CLI prints exact decimal.Decimal terms."""
+    it where that is sparser: a few additions of earlier terms each, in
+    C iterators.  No gcd is taken: a common factor changes no term.  The
+    terms are of the type `number`, which needs only + - and *: the CLI
+    prints exact decimal.Decimal terms."""
     num, low, high = length_parts(A)
     return expand(*([number(c) for c in p.coeffs] for p in (num, low - high)))
 

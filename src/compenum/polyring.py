@@ -22,19 +22,19 @@ reduced at once by whole-integer operations.  The one series expander,
 expand, streams c_0, c_1, ... by the linear recurrence, for series and
 for the packed length rows, whose denominator it keeps split as
 low - 2^shift * high so that multiplying by 2^shift is a shift.  It
-reads only the nonzero taps, +1 and -1 ones as plain additions, of the
-sparser of its rows and (1 - x) times them, the step of the paper's
-lemma (_sparser, which LinearRecurrence.to_gf and the closed forms
-also take), and it holds a window of at most 2 * size terms, size the
-degree of the denominator.
+reads only the nonzero taps of the sparser of its rows and (1 - x)
+times them, the step of the paper's lemma (_sparser, which
+LinearRecurrence.to_gf and the closed forms also take), and sums each
+term in C iterators from lagged tee copies of its own output, a +-1 or
++-2 tap as one or two plain additions, so no Python code runs per tap.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from itertools import chain, islice, repeat
-from operator import mul, sub
+from itertools import chain, islice, repeat, tee
+from operator import add, lshift, mul, sub
 
 
 class IntPolynomial:
@@ -295,12 +295,15 @@ def expand(num, low, high=(), shift=0):
     (1 - x)(1 - x^b) / ((1 - 2x)(1 - x^b) + x^a - x^(a+1)) for parts
     avoiding a + bN: 1 - x - ... - x^k becomes 1 - 2x + x^(k+1).  Only
     the nonzero taps are read, so such a row costs a few big-integer
-    additions per term, not a dot product over the whole window.  Taps of
-    +1 and -1 are plain additions and subtractions, and the others one
-    dot product over their terms.  The high taps cost one shift per
-    term.  The history is a list with hist[-i] = c_(n-i), trimmed back
-    to the last size = max(deg low, deg high) terms once it holds 2 *
-    size, so it never holds more than 2 * size terms, and none at size 0.
+    additions per term, not a dot product over the whole window.
+
+    The terms are built from lagged copies of the output itself, all in
+    C iterators: the output is tee'd into one copy per unit of tap, and
+    c_(n-i) is the copy that starts with i zeros (_lagged_sum).  A tap of
+    +-1 or +-2 is one or two lags, any other one lag times |t|, and the
+    high row is summed alike and shifted.  The tee holds the terms from
+    its slowest copy to its fastest, size = max(deg low, deg high) of
+    them, in CPython's blocks of 57: at most about size + 114 terms.
 
     With high = () it needs only + - * of its values, so the CLI streams
     exact decimal.Decimal values through it for printing, since
@@ -309,34 +312,53 @@ def expand(num, low, high=(), shift=0):
     if not low or low[0] != 1 or (high and high[0]):
         raise ValueError("need low[0] = 1 and high[0] = 0")
     num, low, high, _ = _sparser(num, low, high)
-    size = max(len(low), len(high)) - 1
-    hist = [0] * size  # the terms before c_0
-    get, push = hist.__getitem__, hist.append
-    low_add, low_sub, low_rest, low_at = _taps([-c for c in low])
-    high_add, high_sub, high_rest, high_at = _taps(high)
-    split = any(high)
-    cap = 2 * size
-    for c in chain(num, repeat(0)):
-        # a run of +1 or -1 taps sums onto its first term, not onto a copy;
-        # past the numerator c is 0, and 0 + total would copy total too
-        if low_add:
-            total = sum(map(get, low_add[1]), get(low_add[0]))
-            c = c + total if c else total
-        if low_sub:
-            c -= sum(map(get, low_sub[1]), get(low_sub[0]))
-        if low_rest:
-            c = sum(map(mul, low_rest, map(get, low_at)), c)
-        if split:
-            h = sum(map(get, high_add[1]), get(high_add[0])) if high_add else 0
-            if high_sub:
-                h -= sum(map(get, high_sub[1]), get(high_sub[0]))
-            if high_rest:
-                h = sum(map(mul, high_rest, map(get, high_at)), h)
-            c += h << shift
-        push(c)
-        if len(hist) >= cap:
-            del hist[: len(hist) - size]  # not hist[:-size], a no-op at size 0
-        yield c
+    # c_n += sum_i t_i c_(n-i) over the taps t_i = -low_i, and 2^shift * high_i
+    rows = [(i, -t) for i, t in enumerate(low) if i and t], [(i, t) for i, t in enumerate(high) if t]
+    box = []
+    fed = _fed(box)
+    units = sum(1 if abs(t) > 2 else int(abs(t)) for row in rows for _, t in row)
+    terms, *copies = tee(fed, units + 1)
+    lags = iter(copies)
+    lag = lambda i: chain(repeat(0, i), next(lags))
+    step, split = (_lagged_sum(row, lag) for row in rows)
+    if split:
+        split = map(lshift, split, repeat(shift))
+        step = map(add, step, split) if step else split
+    step = step or repeat(0)
+    # num first, so that map stops at its end without taking a term of step
+    box.append(chain(map(add, num, step), step))
+    try:
+        yield from terms
+    finally:
+        fed.close()  # breaks the copies' cycle through fed, so refcounting frees them
+
+
+def _fed(box):
+    # the output of expand, box[0] once it is built, read by its own lags
+    yield from box[0]
+
+
+def _lagged_sum(taps, lag):
+    # sum_i t_i c_(n-i) as an iterator over n, or None without taps, for the
+    # (i, t_i) of taps and lag(i) a new copy of the output i terms late.  A
+    # tap of +-1 or +-2 adds one or two lags and any other the lag times
+    # |t_i|; the lags of each sign are summed flat, by one zip, so the
+    # nesting does not grow with the taps.  Factors are positive and
+    # differences taken once, so a Decimal zero never turns into -0.
+    sides = [], []
+    for i, t in taps:
+        side = sides[t < 0]
+        if abs(t) > 2:
+            side.append(map(mul, repeat(abs(t)), lag(i)))
+        else:
+            side += [lag(i) for _ in range(int(abs(t)))]
+    plus, minus = [
+        None if not side else side[0] if len(side) == 1 else map(sum, zip(*side[1:]), side[0])
+        for side in sides
+    ]
+    if minus is None:
+        return plus
+    return map(sub, plus or repeat(0), minus)
 
 
 def _step(p, e):
@@ -352,23 +374,6 @@ def _sparser(num, low, high=()):
     taps = lambda low, high: sum(map(bool, low[1:])) + sum(map(bool, high))
     fewer = taps(*stepped[1:]) < taps(low, high)
     return (*stepped, True) if fewer else (num, low, high, False)
-
-
-def _taps(taps):
-    # The taps t_i of c_n += sum_{i>=1} t_i c_(n-i), split for expand.
-    # The +1 taps and the -1 taps come as history offsets -i, each set as
-    # (first, others) or None when empty; the other taps as coefficients
-    # and their offsets.
-    nonzero = [(-i, t) for i, t in enumerate(taps) if i and t]
-    rest = [(at, t) for at, t in nonzero if t * t != 1]
-    add = [at for at, t in nonzero if t == 1]
-    sub = [at for at, t in nonzero if t == -1]
-    return (
-        (add[0], add[1:]) if add else None,
-        (sub[0], sub[1:]) if sub else None,
-        [t for _, t in rest],
-        [at for at, _ in rest],
-    )
 
 
 def coefficient_mod(gf, n, m):

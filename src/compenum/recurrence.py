@@ -34,6 +34,9 @@ class LinearRecurrence(namedtuple("LinearRecurrence", "order coeffs corrections 
     over beyond them.  The family constructors below bake their seed
     values in with no corrections, so replay_consistent is False for
     them whenever a boundary adjustment got folded into the seed.
+    The order, the coeffs and the corrections must be ints, not bools: a
+    float or a Decimal, even an integral one, raises ValueError.  The seed
+    is taken as given, so it may hold exact integral Decimals.
 
     This is the exchange format (to_dict / from_dict); its terms are
     read off the generating function to_gf().
@@ -42,9 +45,9 @@ class LinearRecurrence(namedtuple("LinearRecurrence", "order coeffs corrections 
     __slots__ = ()
 
     def __new__(cls, order, coeffs, corrections=(), initial_terms=(1,)):
-        k = order
-        coeffs = tuple(coeffs)
-        corrections = tuple((int(i), int(v)) for i, v in corrections)
+        k = _integer("order", order)
+        coeffs = tuple(_integer("coeffs", c) for c in coeffs)
+        corrections = tuple((_integer("corrections", i), _integer("corrections", v)) for i, v in corrections)
         initial = tuple(initial_terms)
         if k < 0 or len(coeffs) != k:
             raise ValueError("coeffs must list exactly `order` values")
@@ -117,10 +120,7 @@ class LinearRecurrence(namedtuple("LinearRecurrence", "order coeffs corrections 
         ValueError, as does anything but an object or an object missing
         a key, naming the key that is wrong."""
 
-        def integer(key, value):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"malformed recurrence dict: {value!r} in {key!r} is not an integer")
-            return value
+        integer = lambda key, value: _integer(key, value, "malformed recurrence dict: ")
 
         def array(key):
             value = data[key]
@@ -143,6 +143,14 @@ class LinearRecurrence(namedtuple("LinearRecurrence", "order coeffs corrections 
         corrections = tuple((integer("corrections", i), integer("corrections", v)) for i, v in pairs)
         initial = tuple(integer("initial", t) for t in array("initial"))
         return cls(order, coeffs, corrections, initial)
+
+
+def _integer(key, value, context=""):
+    # value when it is an int and not a bool: a float or a Decimal, even an
+    # integral one, is refused rather than truncated
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{context}{value!r} in {key!r} is not an integer")
+    return value
 
 
 def recurrence_from_gf(gf, terms=None):

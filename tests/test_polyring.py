@@ -1,6 +1,8 @@
+import gc
 import math
 import random
 import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import islice
 
@@ -8,8 +10,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from compenum import polyring
+from compenum.bivariate import length_row
 from compenum.genfun import composition_gf, count, length_parts
-from compenum.oracle import random_partset
+from compenum.oracle import dp_count_series, random_partset
 from compenum.partset import parse_setspec
 from compenum.polyring import (
     ONE,
@@ -303,11 +306,64 @@ tap_rows = st.one_of(
 @example([1, 0, 0, 0, -1], [-1, -1, -1, -1], [], 0)
 @example([1, 0, 0, 0, 0, 0, -1], [0, 0, 0, 0, 0, -1], [1, 1, 1, 1, 1], 8)
 @example([3, -1, 2], [0, 0, 0, 0, 0, -1], [1, 1, 1, 1, 1], 1)
+@example([], [-1, -1], [], 0)  # no numerator: every term is 0
+@example([1, 2, 3, 4, 5, 6, 7, 8, 9], [-1], [2], 5)  # numerator longer than the rows
+@example([1, -1], [-2, 0, 2], [2, -2], 3)  # +-2 taps in the low and the high row
+@example([1], [0, 0, 0, -1], [], 0)  # the first tap lags past the numerator
 @settings(max_examples=300, deadline=None)
 def test_expander_matches_a_dense_convolution(num, low, high, shift):
     low, high = (1, *low), ((0, *high) if high else ())
     want = naive_expand(num, low, high, shift, 50)
     assert list(islice(expand(num, low, high, shift), 50)) == want
+
+
+def test_ten_thousand_taps_stay_flat():
+    # one lag per tap, all summed by one zip, so the nesting does not grow
+    # with the taps (one map per tap, nested, crashes CPython 3.11 at 10^5)
+    r = random.Random(7)
+    low = [1] + [0] * 20_000
+    for i in r.sample(range(1, 20_001), 10_000):
+        low[i] = r.choice((1, -1))
+    assert _sparser((1,), low)[-1] is False
+    assert list(islice(expand((1, 2), low), 300)) == naive_expand((1, 2), low, (), 0, 300)
+
+
+def test_decimal_zeros_keep_their_sign():
+    # -3 * Decimal(0) is Decimal("-0"), which prints as -0: the expander
+    # multiplies by |t| and subtracts, so a zero term stays 0
+    one, zero, three = Decimal(1), Decimal(0), Decimal(3)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        terms = islice(expand([one], [one, zero, three]), 6)
+        assert list(map(str, terms)) == ["1", "0", "-3", "0", "9", "0"]
+
+
+def test_1357_taps_of_a_reduced_denominator():
+    # the dense reduced denominator that recurrence_from_gf names
+    A = parse_setspec("mod:840:588,718,809+157,698,877")
+    gf = composition_gf(A)
+    assert sum(map(bool, gf.den.coeffs[1:])) == 1357
+    assert list(islice(gf.terms(), 2001)) == list(dp_count_series(A, 2000))
+
+
+def test_an_abandoned_expansion_is_freed_without_the_cyclic_gc():
+    # the lags and the output hold each other; expand breaks that cycle
+    # when it is closed, so its packed rows go with the last reference
+    A = parse_setspec("not:ap:3:6")
+    length_row(A, 100)
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in range(200):
+            length_row(A, 100)
+        grown = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    # about 50 kB of rows per expansion would stay without the close
+    assert grown < 200_000
 
 
 def taps(rows):

@@ -1,5 +1,6 @@
 import pickle
 import random
+from decimal import Decimal
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -50,6 +51,27 @@ def test_validation_rejects_bad_shapes():
         LinearRecurrence(3, (1, 1, 1), (), (1, 1))  # seed shorter than order
     with pytest.raises(ValueError):
         LinearRecurrence(1, (1,), ((-1, 2),))
+
+
+def test_direct_construction_refuses_non_integers():
+    # refused, not truncated: int() made ((1, 1.5),) into ((1, 1),)
+    with pytest.raises(ValueError, match=r"^1\.5 in 'corrections' is not an integer$"):
+        LinearRecurrence(1, (1,), ((1, 1.5),), (1, 1))
+    with pytest.raises(ValueError, match=r"^1\.5 in 'coeffs' is not an integer$"):
+        LinearRecurrence(1, (1.5,), (), (1, 1))
+    for order, coeffs, corrections in (
+        (1, (Decimal(2),), ()),
+        (1, (True,), ()),
+        (1, (1,), ((1.0, 1),)),
+        (1, (1,), ((1, Decimal(1)),)),
+        (1, (1,), ((False, 1),)),
+        (1.0, (1,), ()),
+    ):
+        with pytest.raises(ValueError, match="is not an integer$"):
+            LinearRecurrence(order, coeffs, corrections, (1, 1))
+    # the seed may hold the exact Decimals the CLI streams
+    rec = LinearRecurrence(2, (1, 1), ((1, -1),), (Decimal(1), Decimal(0), Decimal(1)))
+    assert rec.corrections == ((1, -1),) and rec.initial_terms[2] == 1
 
 
 def test_order_zero_with_corrections():
