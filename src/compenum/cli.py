@@ -22,7 +22,9 @@ inputs.
 Each command imports only the modules it runs: `import compenum.cli`
 loads the parser, genfun, partset and polyring, `bylength` adds
 bivariate, `recurrence` and `nth --recurrence-file` recurrence and json,
-`closed-form` and `eval-closed` closedform, and `verify` oracle and json.
+`closed-form` and `eval-closed` closedform, and `verify` oracle and json;
+decimal loads lazily, imported where `series`, `table`, `recurrence` or
+an exact term above STR_BITS prints through it.
 `closed-form` and `eval-closed` print the exact dyadic numbers that
 closedform returns through closedform.dyadic_str, to DISPLAY_DIGITS
 significant digits; `eval-closed` prints the count itself where its
@@ -40,11 +42,9 @@ divide and conquer through Decimal as CPython 3.12's _pylong.
 from __future__ import annotations
 
 import argparse
-import decimal
 import functools
 import math
 import sys
-from decimal import Decimal
 from itertools import islice
 
 from . import genfun
@@ -120,6 +120,8 @@ def _complex_str(re, im, exp):
 
 def _exact():
     """A local decimal context in which every operation is exact or raises."""
+    import decimal
+
     traps = [decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.Overflow]
     ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=traps)
     return decimal.localcontext(ctx)
@@ -132,6 +134,8 @@ def _int_str(n):
     2^w, which libmpdec multiplies subquadratically."""
     if n.bit_length() <= STR_BITS:
         return str(n)
+    from decimal import Decimal
+
     m = abs(n)
     with _exact():
         powers = [Decimal(1 << 1024)]  # powers[j] = 2^(1024 * 2^j)
@@ -176,6 +180,8 @@ def _series(A, limit, what=None):
     """c(0)..c(limit) as exact Decimals, to read in _exact(); ValueError
     (exit 2) before any expansion when (limit + 1) * composition_bits,
     a bound on the bits of all of them, is over MAX_SERIES_BITS."""
+    from decimal import Decimal
+
     bits = (limit + 1) * genfun.composition_bits(A, limit)
     _refuse(bits, MAX_SERIES_BITS, what or f"the series to --limit {limit}")
     return islice(genfun.composition_terms(A, Decimal), limit + 1)

@@ -30,7 +30,7 @@ finding.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .genfun import composition_gf, composition_series
 from .partset import PartSet, parse_setspec
@@ -152,11 +152,8 @@ def row_check_against_slices(A, n):
 # -- report plumbing -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckRow:
-    n: int
-    lhs: int
-    rhs: int
+class CheckRow(namedtuple("CheckRow", "n lhs rhs")):
+    __slots__ = ()
 
     @property
     def ok(self):
@@ -166,10 +163,8 @@ class CheckRow:
         return {"n": self.n, "lhs": self.lhs, "rhs": self.rhs, "pass": self.ok}
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    rows: tuple
+class Check(namedtuple("Check", "name rows")):
+    __slots__ = ()
 
     @property
     def passed(self):
@@ -190,12 +185,8 @@ class Check:
         }
 
 
-@dataclass(frozen=True, eq=False)
-class VerificationReport:
-    name: str
-    params: dict
-    checks: tuple
-    findings: tuple = ()
+class VerificationReport(namedtuple("VerificationReport", "name params checks findings", defaults=((),))):
+    __slots__ = ()
 
     @property
     def passed(self):

@@ -87,10 +87,16 @@ class PartSet(namedtuple("PartSet", "modulus residues added removed")):
         return v % self.modulus in self.residues
 
     def least(self):
-        """The smallest member, or None for the empty set."""
-        if not self.residues:
-            return min(self.added, default=None)
-        return next(v for v in itertools.count(1) if v in self)
+        """The smallest member, or None for the empty set.  A member below
+        the modulus k is its own residue, found by a scan in C; where none
+        is, each class starts at a removed value or at k (so there are at
+        most len(removed) + 1), and is stepped by k past removed."""
+        k, removed = self.modulus, self.removed.__contains__
+        low = itertools.filterfalse(removed, filter(self.residues.__contains__, range(1, k)))
+        firsts = list(itertools.islice(low, 1)) or [
+            next(itertools.filterfalse(removed, itertools.count(r or k, k))) for r in self.residues
+        ]
+        return min(itertools.chain(self.added, firsts), default=None)
 
     def members_upto(self, n):
         """Sorted members <= n, walking residue classes rather than scanning."""

@@ -17,6 +17,7 @@ for residues at huge n).
 from __future__ import annotations
 
 from collections import namedtuple
+from decimal import Decimal
 from itertools import accumulate, islice, repeat
 from operator import add, mul
 
@@ -35,8 +36,9 @@ class LinearRecurrence(namedtuple("LinearRecurrence", "order coeffs corrections 
     values in with no corrections, so replay_consistent is False for
     them whenever a boundary adjustment got folded into the seed.
     The order, the coeffs and the corrections must be ints, not bools: a
-    float or a Decimal, even an integral one, raises ValueError.  The seed
-    is taken as given, so it may hold exact integral Decimals.
+    float or a Decimal, even an integral one, raises ValueError.  A seed
+    term must be an int, not a bool, or a Decimal, the exact terms the CLI
+    streams; its digits are taken as given.
 
     This is the exchange format (to_dict / from_dict); its terms are
     read off the generating function to_gf().
@@ -48,7 +50,7 @@ class LinearRecurrence(namedtuple("LinearRecurrence", "order coeffs corrections 
         k = _integer("order", order)
         coeffs = tuple(_integer("coeffs", c) for c in coeffs)
         corrections = tuple((_integer("corrections", i), _integer("corrections", v)) for i, v in corrections)
-        initial = tuple(initial_terms)
+        initial = tuple(t if isinstance(t, Decimal) else _integer("initial", t) for t in initial_terms)
         if k < 0 or len(coeffs) != k:
             raise ValueError("coeffs must list exactly `order` values")
         if k >= 1 and coeffs[-1] == 0:
@@ -113,43 +115,35 @@ class LinearRecurrence(namedtuple("LinearRecurrence", "order coeffs corrections 
     @classmethod
     def from_dict(cls, data):
         """The inverse of to_dict.  "coeffs" and "initial" must be JSON
-        arrays of integers, "corrections" an array of [index, value]
-        pairs of integers, and "order" an integer.  A float, even an
+        arrays, "corrections" an array of [index, value] pairs, and the
+        values integers, which the constructor checks.  A float, even an
         integral one (a count above 2^53 is already rounded in a float),
         a bool or a string where an integer or an array belongs raises
         ValueError, as does anything but an object or an object missing
         a key, naming the key that is wrong."""
-
-        integer = lambda key, value: _integer(key, value, "malformed recurrence dict: ")
-
-        def array(key):
-            value = data[key]
-            if not isinstance(value, list):
-                kind = type(value).__name__
-                raise ValueError(f"malformed recurrence dict: {key!r} must be an array, not {kind}")
-            return value
-
         if not isinstance(data, dict):
             raise ValueError(f"malformed recurrence dict: expected a JSON object, not {type(data).__name__}")
         missing = [repr(key) for key in ("order", "coeffs", "corrections", "initial") if key not in data]
         if missing:
             keys = "keys" if len(missing) > 1 else "key"
             raise ValueError(f"malformed recurrence dict: missing {keys} {', '.join(missing)}")
-        order = integer("order", data["order"])
-        coeffs = tuple(integer("coeffs", c) for c in array("coeffs"))
-        pairs = array("corrections")
-        if not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
+        for key in ("coeffs", "corrections", "initial"):
+            if not isinstance(data[key], list):
+                kind = type(data[key]).__name__
+                raise ValueError(f"malformed recurrence dict: {key!r} must be an array, not {kind}")
+        if not all(isinstance(pair, list) and len(pair) == 2 for pair in data["corrections"]):
             raise ValueError("malformed recurrence dict: 'corrections' must hold [index, value] pairs")
-        corrections = tuple((integer("corrections", i), integer("corrections", v)) for i, v in pairs)
-        initial = tuple(integer("initial", t) for t in array("initial"))
-        return cls(order, coeffs, corrections, initial)
+        try:
+            return cls(data["order"], data["coeffs"], data["corrections"], data["initial"])
+        except ValueError as exc:
+            raise ValueError(f"malformed recurrence dict: {exc}") from None
 
 
-def _integer(key, value, context=""):
+def _integer(key, value):
     # value when it is an int and not a bool: a float or a Decimal, even an
     # integral one, is refused rather than truncated
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{context}{value!r} in {key!r} is not an integer")
+        raise ValueError(f"{value!r} in {key!r} is not an integer")
     return value
 
 

@@ -596,13 +596,15 @@ def test_cli_import_leaves_mpmath_unloaded():
 def test_each_command_loads_only_what_it_runs():
     # a fresh interpreter prints the modules `import compenum.cli` adds,
     # then those each command adds after the ones before it; no json
-    # before the first snapshot, as literals go in and out by repr
+    # before the first snapshot, as literals go in and out by repr, and
+    # series after the commands that must not load decimal
     argvs = [
         ["nth", "not:mod:3:0", "1000", "--mod", "7"],
         ["count", "not:mod:3:0", "20"],
-        ["series", "not:mod:3:0", "--format", "json"],
         ["bylength", "not:mod:3:0", "20"],
+        ["series", "not:mod:3:0", "--format", "json"],
         ["closed-form", "not:mod:3:0", "--digits", "16"],
+        ["verify", "thm1", "--limit", "3"],
     ]
     code = (
         "import contextlib, io, sys\n"
@@ -622,14 +624,16 @@ def test_each_command_loads_only_what_it_runs():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     steps = {name: set(mods) for name, mods in ast.literal_eval(proc.stdout).items()}
-    unused = {"dataclasses", "json", "fractions", "compenum.bivariate", "compenum.recurrence",
+    unused = {"dataclasses", "decimal", "json", "fractions", "compenum.bivariate", "compenum.recurrence",
               "compenum.closedform", "compenum.oracle"}
     assert "compenum.cli" in steps["import"] and not steps["import"] & unused
-    for name in ("nth", "count", "series"):
+    for name in ("nth", "count"):
         assert not steps[name] & unused, name
-    assert "compenum.bivariate" in steps["bylength"] and "dataclasses" not in steps["bylength"]
+    assert steps["bylength"] & unused == {"compenum.bivariate"}
+    assert "decimal" in steps["series"] and not steps["series"] & (unused - {"decimal"})
     assert "compenum.closedform" in steps["closed-form"]
     assert not steps["closed-form"] & {"dataclasses", "compenum.oracle"}
+    assert "compenum.oracle" in steps["verify"] and "dataclasses" not in steps["verify"]
 
 
 def test_star_import_binds_every_export():

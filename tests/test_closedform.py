@@ -13,6 +13,7 @@ from mpmath.libmp import from_man_exp
 from compenum import closedform
 from compenum.closedform import (
     GUARD_DIGITS,
+    ClosedFormError,
     ConvergenceError,
     RepeatedRootError,
     dominance_report,
@@ -784,6 +785,34 @@ def test_dominance_labels_from_disks_at_every_precision(spec, digits):
     labels = rep.classifications
     counts = tuple(labels.count(k) for k in ("inside", "outside", "on"))
     assert counts + (rep.unique_dominant, rep.nearest_integer_valid) == DISK_LABELS[spec]
+
+
+def test_census_unique_dominant_pole_exactly_when_the_parts_have_gcd_one():
+    # a census: among 100 random_partsets at each of three moduli, every
+    # distinct reduced generating function with a pole has a unique
+    # dominant one exactly when the gcd of its parts is 1 (a gcd g puts g
+    # poles on the dominant circle); a repeated root is the one refusal
+    # allowed
+    census = {}
+    for m in (6, 12, 24):
+        rng = random.Random(f"census:{m}")
+        for _ in range(100):
+            A = random_partset(rng, m)
+            gf = composition_gf(A)
+            if gf.den.degree >= 1:
+                census.setdefault((gf.num, gf.den), (gf, A))
+    decided = 0
+    for gf, A in census.values():
+        # two periods past the last exception hold two members of each class
+        g = math.gcd(*A.members_upto(max(A.added | A.removed, default=0) + 2 * A.modulus))
+        try:
+            report = dominance_report(partial_fractions(gf, 16))
+        except ClosedFormError as exc:
+            assert type(exc) is RepeatedRootError, (str(A), exc)
+            continue
+        assert report.unique_dominant == (g == 1), str(A)
+        decided += 1
+    assert len(census) == 276 and decided >= 250
 
 
 def test_dominance_single_pole():

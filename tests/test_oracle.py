@@ -3,6 +3,9 @@ import random
 import pytest
 
 from compenum.oracle import (
+    Check,
+    CheckRow,
+    VerificationReport,
     compositions,
     dp_count,
     dp_count_series,
@@ -169,6 +172,23 @@ def test_report_serialization_shape():
     assert d["name"] == "thm1" and d["passed"] is True
     row = d["checks"][0]["rows"][0]
     assert set(row) == {"n", "lhs", "rhs", "pass"}
+
+
+def test_reports_are_frozen_tuples_compared_by_value():
+    report = verify_theorem("thm1", 6)
+    assert isinstance(report, tuple) and type(report.checks[0].rows[0]) is CheckRow
+    assert report == verify_theorem("thm1", 6) and report != verify_theorem("thm1", 7)
+    for record in (report, report.checks[0], report.checks[0].rows[0]):
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+    with pytest.raises(TypeError):
+        hash(report)  # params is a dict
+    rows = (CheckRow(1, 2, 2), CheckRow(2, 3, 4))
+    check = Check("c", rows)
+    assert not check.passed and check.first_failure == (2, 3, 4) and Check("c", ()).passed
+    bare = VerificationReport("r", {"limit": 2}, (check,))
+    assert bare.findings == () and not bare.passed
+    assert bare.to_dict()["checks"][0]["rows"][1] == {"n": 2, "lhs": 3, "rhs": 4, "pass": False}
 
 
 def test_full_suite_judged_clean_with_documented_flags():

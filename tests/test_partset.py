@@ -220,3 +220,23 @@ def test_members_walk_matches_brute_force(seed):
     rng = random.Random(seed)
     A = random_partset(rng)
     assert A.members_upto(200) == members_brute(A, 200)
+
+
+def test_least_is_the_first_member():
+    # the class walk against the sorted members, on random sets and their
+    # complements; members_upto past every exception and two periods holds
+    # the least member of any nonempty set
+    for m in (1, 3, 6, 12, 24):
+        rng = random.Random(f"least:{m}")
+        for _ in range(200):
+            B = random_partset(rng, m)
+            for A in (B, B.complement()):
+                members = A.members_upto(max(A.added | A.removed, default=0) + 2 * A.modulus)
+                assert A.least() == (members[0] if members else None), A
+    # a class that starts past a long run of removed values, and a sparse class
+    assert parse_setspec(f"ge:{MAX_VALUE}").least() == MAX_VALUE
+    assert parse_setspec(f"mod:{MAX_VALUE}:{MAX_VALUE - 1}").least() == MAX_VALUE - 1
+    assert parse_setspec(f"mod:{MAX_VALUE}:0").least() == MAX_VALUE
+    assert parse_setspec("mod:3:0,2-2,3,5").least() == 6
+    assert parse_setspec("mod:3:0,2+4-2,3,5").least() == 4
+    assert parse_setspec("set:").least() is None and parse_setspec("set:9,4").least() == 4

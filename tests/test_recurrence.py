@@ -69,7 +69,11 @@ def test_direct_construction_refuses_non_integers():
     ):
         with pytest.raises(ValueError, match="is not an integer$"):
             LinearRecurrence(order, coeffs, corrections, (1, 1))
-    # the seed may hold the exact Decimals the CLI streams
+    # the seed is checked too, and may hold the exact Decimals the CLI streams
+    for term, shown in ((2.5, "2.5"), (2.0, "2.0"), (True, "True"), ("1", "'1'"), (None, "None")):
+        with pytest.raises(ValueError) as info:
+            LinearRecurrence(1, (1,), (), (1, term))
+        assert str(info.value) == f"{shown} in 'initial' is not an integer"
     rec = LinearRecurrence(2, (1, 1), ((1, -1),), (Decimal(1), Decimal(0), Decimal(1)))
     assert rec.corrections == ((1, -1),) and rec.initial_terms[2] == 1
 
@@ -271,6 +275,11 @@ def test_from_dict_rejects_malformed():
         ("coeffs", [1.7], "1.7 in 'coeffs' is not an integer"),
         ("corrections", [[1, "2"]], "'2' in 'corrections' is not an integer"),
         ("order", None, "None in 'order' is not an integer"),
+        ("initial", [1, True], "True in 'initial' is not an integer"),
+        ("coeffs", [1, 1], "coeffs must list exactly `order` values"),
+        ("coeffs", [0], "d_k must be nonzero (true order)"),
+        ("corrections", [[-1, 1]], "correction indices must be distinct and nonnegative"),
+        ("initial", [1], "initial_terms must cover max(order, corrections)"),
     ):
         with pytest.raises(ValueError) as info:
             LinearRecurrence.from_dict({**good, key: value})
