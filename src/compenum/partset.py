@@ -211,6 +211,8 @@ def _parse_spec(text, pos):
         inner, end = _parse_spec(text, pos + 4)
         return inner.complement(), end
     base, end = _parse_base(text, pos)
+    if not text.startswith(("+", "-"), end):
+        return base, end  # no exceptions to merge: the base is already checked and canonical
     plus = minus = {}
     if text.startswith("+", end):
         plus, end = _parse_parts(text, end + 1, allow_empty=False)

@@ -15,13 +15,13 @@ A single coefficient c_n, exact (RationalGF.coefficient) or mod m
 (coefficient_mod), comes from one Bostan-Mori halving kernel that
 multiplies the even and odd halves of N and D, each packed into one big
 integer (Kronecker substitution), so int multiplication does the
-convolution.  Over Z the slots widen every step, and the halves are
-packed from and the results unpacked to signed lists; mod m the residues
-are packed once, as one integer [N | D], and stay packed, every slot
-reduced at once by whole-integer operations.  The one series expander,
-expand, streams c_0, c_1, ... by the linear recurrence, for series and
-for the packed length rows, whose denominator it keeps split as
-low - 2^shift * high so that multiplying by 2^shift is a shift.  It
+convolution.  Either way N and D are packed once, as one integer
+[N | D], and stay packed: over Z each slot holds value + half and is
+padded in front to the products' width every step, and mod m the
+residues keep one width, every slot reduced at once.  The one series
+expander, expand, streams c_0, c_1, ... by the linear recurrence, for
+series and for the packed length rows, whose denominator it keeps split
+as low - 2^shift * high so that multiplying by 2^shift is a shift.  It
 reads only the nonzero taps of the sparser of its rows and (1 - x)
 times them, the step of the paper's lemma (_sparser, which
 LinearRecurrence.to_gf and the closed forms also take), and sums each
@@ -262,11 +262,11 @@ class RationalGF:
     def coefficient(self, n):
         """c_n exactly, by Bostan-Mori halving over Z.
 
-        About log2(n) steps of four packed products of halves of N and D
-        each, two of them squarings; coefficient_mod runs the same kernel
-        mod m.  The last steps multiply a few slots about the size of c_n,
-        so the cost follows bits(c_n) and den.degree, not n * den.degree
-        as streaming terms() does.
+        About log2(n) steps of four products of halves of N and D, two of
+        them squarings, on [N | D] packed once; coefficient_mod runs the
+        same kernel mod m.  The last steps multiply a few slots about the
+        size of c_n, so the cost follows bits(c_n) and den.degree, not
+        n * den.degree as streaming terms() does.
         """
         if n < 0:
             raise ValueError("n must be nonnegative")
@@ -397,22 +397,44 @@ def _halve(num, den, n):
     # in y = x^2, the term of Ne De - y No Do (n even) or No De - Ne Do (n
     # odd) over De^2 - y Do^2: four products of halves, two of them
     # squarings, and nothing computed only to be dropped; halve n and
-    # repeat.  [x^n] N/D depends only on N and D mod x^(n+1), so no list
-    # keeps more than n + 1 terms.  Over Z the slots widen every step, so
-    # the halves are packed and the results unpacked (_pack, _unpack); mod
-    # m they do not (_halve_mod).
-    while n and num:
-        num, den = num[: n + 1], den[: n + 1]
-        # a slot holds len(den) products below 2^(2 * bits), plus the sign
-        bits = max(map(abs, chain(num, den))).bit_length()
-        width = (2 * bits + len(den).bit_length() + 8) // 8
-        ne, no, de, do = (_pack(p, width) for p in (num[0::2], num[1::2], den[0::2], den[1::2]))
-        count = (len(num) + len(den) - (n & 1)) // 2
-        num = _unpack(no * de - ne * do if n & 1 else ne * de - (no * do << 8 * width), count, width)
-        if n > 1:  # once n halves to 0, the denominator is not read again
-            den = _unpack(de * de - (do * do << 8 * width), len(den), width)
+    # repeat, keeping N and D mod x^(n+1).  [N | D] is packed once and
+    # stays packed: slots of value + half, big-endian, from D's top term
+    # down to N's constant, so max and min compare them as bytes.  Each
+    # step pads the slots in front to the products' width, subtracts half
+    # from every slot of the halves, and splits the results back.
+    num, den = num[: n + 1], den[: n + 1]
+    count, size = len(num), len(den)
+    width = max(map(abs, chain(num, den))).bit_length() // 8 + 1
+    half = 1 << 8 * width - 1
+    slots = [(c + half).to_bytes(width, "big") for c in chain(reversed(den), reversed(num))]
+    while n and count:
+        if n < count or n < size:  # keep N and D mod x^(n+1)
+            slots = slots[size - min(size, n + 1) : size] + slots[size + count - min(count, n + 1) :]
+            count, size = min(count, n + 1), min(size, n + 1)
+        # a product slot holds len(den) products below 2^(2 * bits), plus the sign
+        top, low = (int.from_bytes(s, "big") - half for s in (max(slots), min(slots)))
+        wide = (2 * max(top, -low).bit_length() + size.bit_length() + 8) // 8
+        if wide < width:  # a truncation or cancellation shrank the terms: repack narrower
+            old, half, width = half, 1 << 8 * wide - 1, wide
+            slots = [(int.from_bytes(s, "big") - old + half).to_bytes(wide, "big") for s in slots]
+        pad, bits = bytes(wide - width), 8 * wide
+        zero = pad + half.to_bytes(width, "big")  # a padded slot of value 0
+        # each half runs down from its top slot
+        ne, no = slots[size + 1 - count % 2 :: 2], slots[size + count % 2 :: 2]
+        de, do = slots[1 - size % 2 : size : 2], slots[size % 2 : size : 2]
+        ne, no, de, do = [
+            int.from_bytes(pad + pad.join(h), "big") - int.from_bytes(zero * len(h), "big")
+            for h in (ne, no, de, do)
+        ]
+        num = no * de - ne * do if n & 1 else ne * de - (no * do << bits)
+        den = de * de - (do * do << bits) if n > 1 else 0  # once n halves to 0, D is not read again
+        count = (count + size - (n & 1)) // 2
         n >>= 1
-    return num[0] if num else 0
+        width, half = wide, 1 << bits - 1
+        laid = count + size
+        both = num + (den << bits * count) + int.from_bytes(half.to_bytes(wide, "big") * laid, "big")
+        slots = _slicer(laid, wide)(both.to_bytes(laid * wide, "big"))
+    return int.from_bytes(slots[-1], "big") - half if count else 0
 
 
 def _halve_mod(num, den, n, m):
@@ -492,24 +514,3 @@ def _barrett(m, top, bits):
 def _slicer(count, width):
     # unpacks the bytes of `count` slots of `width` bytes into a tuple, in one call
     return struct.Struct(f"{width}s" * count).unpack
-
-
-def _pack(coeffs, width):
-    # Kronecker substitution: coefficient i fills bytes [i*width, (i+1)*width),
-    # stored as c + half; the halves of all slots come off the total
-    half = 1 << 8 * width - 1
-    packed = b"".join((c + half).to_bytes(width, "little") for c in coeffs)
-    return int.from_bytes(packed, "little") - _halves(len(coeffs), width)
-
-
-def _unpack(value, count, width):
-    # the `count` slots of a packed value, exact once each slot's half is back
-    half = 1 << 8 * width - 1
-    raw = (value + _halves(count, width)).to_bytes(count * width, "little")
-    return [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, len(raw), width)]
-
-
-def _halves(count, width):
-    # 2^(8*width - 1) in each of `count` slots, built from bytes: the
-    # division (2^(8*width*count) - 1) // (2^(8*width) - 1) is far slower
-    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")

@@ -240,3 +240,23 @@ def test_least_is_the_first_member():
     assert parse_setspec("mod:3:0,2-2,3,5").least() == 6
     assert parse_setspec("mod:3:0,2+4-2,3,5").least() == 4
     assert parse_setspec("set:").least() is None and parse_setspec("set:9,4").least() == 4
+
+
+def test_a_base_without_exceptions_is_built_once(monkeypatch):
+    # the base comes out of its builder checked and canonical, so with no
+    # + or - list after it the parser returns it as it is; ge:t would
+    # otherwise check its t - 1 removed values a second time
+    built = []
+    new = PartSet.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(PartSet, "__new__", staticmethod(counting))
+    cases = [("ge:5", 1), ("ap:7:3", 1), ("mod:3:0", 1), ("set:2", 1), ("all", 1)]
+    for spec, count in cases + [("not:ge:5", 2), ("ge:5-9", 2), ("ap:7:3+1", 2)]:
+        built.clear()
+        A = parse_setspec(spec)
+        assert len(built) == count, spec
+        assert A == parse_setspec(str(A)), spec

@@ -142,6 +142,42 @@ def test_products_that_fill_their_slots():
                     assert gf.coefficient(n) == gf.series(n)[n]
 
 
+# magnitudes up to 2^300, 2^k - 1 filling k bits and 2^k needing k + 1
+magnitudes = st.one_of(
+    st.integers(0, 2**300),
+    st.builds(lambda k, e: 2**k - e, st.integers(1, 300), st.integers(0, 1)),
+)
+
+
+@st.composite
+def wide_rows(draw):
+    # (num, den, n) with every row of one sign, so that no product slot
+    # cancels, num up to 3 * len(den) long and n up to 4 * len(den)
+    def row(size):
+        sign = draw(st.sampled_from((1, -1)))
+        return [sign * c for c in draw(st.lists(magnitudes, max_size=size))]
+
+    den = [1, *row(11)]
+    num = row(3 * len(den))
+    return num, den, draw(st.integers(0, 4 * len(den)))
+
+
+@given(wide_rows())
+@example(([2**300], [1], 3))  # odd n, N = [c], D = 1: no slot of N is left
+@example(([], [1, -(2**300)], 5))  # N = 0
+@example(([7, 2**300, -5], [1], 1))  # D = 1: Do is empty
+@example(([2**300 - 1, 3], [1, 0, 2**299, 0, -1], 7))  # an all-zero odd half of D
+@example(([-127, 127], [1, 127, -127], 5))  # the packed slots at 0 and 2^8 - 1
+@example(([63] * 7, [1, -63, 63, -63, 63, -63, 63], 13))  # products reach a slot's top bit
+@example(([63] * 15, [1, *(63 * (-1) ** i for i in range(1, 15))], 29))  # one bit short would carry
+@example(([1, 0, 0, 2**300], [1, 0, -1, -1], 4))  # N's top term, only in slots dropped after step 1
+@settings(max_examples=200, deadline=None)
+def test_exact_kernel_at_the_slot_edges_matches_series(args):
+    num, den, n = args
+    gf = RationalGF(poly(*num), poly(*den))
+    assert gf.coefficient(n) == gf.series(n)[n]
+
+
 WORST_MODULI = (2, 3, 97, 2**8 - 1, 2**7, 2**32 - 1, 2**31, 2**61 - 1, 2**64, 2**128 - 159, 10**40 + 1)
 # across the bit-length boundaries of len(den) in 1..300
 WORST_LENGTHS = (1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129, 255, 256, 257, 300)
@@ -207,9 +243,11 @@ def test_both_codecs_split_every_parity(args, m):
 
 def test_residue_slots_are_never_wider_than_the_signed_ones(monkeypatch):
     # the width the packed [N | D] is split at into its even and odd
-    # slots is at most the exact kernel's (2 * bitlen(m) + bitlen(len(den))
-    # + 8) // 8 for the same m and len(den), and it does not change from
-    # step to step
+    # slots is at most the width _halve pads the exact slots to for
+    # coefficients of bitlen(m) bits and the same len(den), (2 * bitlen(m)
+    # + bitlen(len(den)) + 8) // 8, and it does not change from step to
+    # step; _halve splits through _slicer too, but only coefficient_mod
+    # runs here
     widths = []
 
     def recording(count, width):
