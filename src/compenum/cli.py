@@ -54,9 +54,10 @@ from .polyring import coefficient_mod
 DISPLAY_DIGITS = 12
 # Exact results, and the packed coefficient a bylength row is read from,
 # are refused above this many bits, before any work: near it the exact
-# term takes seconds (`count not:mod:3:0 2000000`, 1.76 * 10^6 bits,
-# 1.5 s on CPython 3.11, 0.3 s of it the print through _int_str), the
-# bylength expansion grows faster still, and memory grows with both.
+# term takes most of a second (`count not:mod:3:0 2000000`, 1.76 * 10^6
+# bits, 0.6-0.7 s as a whole process on a 2-core host with CPython 3.11:
+# 0.36 s the term, 0.21 s the print through _int_str), the bylength
+# expansion grows faster still, and memory grows with both.
 MAX_EXACT_BITS = 2_000_000
 # A series is refused when (limit + 1) * composition_bits(A, limit), a
 # bound on the bits of all its terms, is above this, before any

@@ -32,7 +32,7 @@ def length_parts(A):
     composition_gf reduces it at y = 1."""
     P, Q, k = A.series_form()
     cyc = IntPolynomial((1,) + (0,) * (k - 1) + (-1,))  # 1 - x^k
-    return cyc, cyc, cyc * P + Q
+    return cyc, cyc, IntPolynomial(_step(list(P.coeffs) + [0] * k, k)) + Q
 
 
 def _unstep(p, e):
@@ -45,7 +45,11 @@ def _unstep(p, e):
 
 
 def _fold(p, d):
-    # p mod x^d - 1 for len(p) a multiple of d: its length-d chunks added
+    # p mod x^d - 1 for len(p) a multiple of d: its length-d chunks added,
+    # or, where the chunks outnumber the slots, each slot's residue class
+    # summed in C
+    if len(p) > d * d:
+        return [sum(p[j::d]) for j in range(d)]
     out = p[:d]
     for at in range(d, len(p), d):
         out = list(map(add, out, p[at : at + d]))

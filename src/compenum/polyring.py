@@ -18,10 +18,13 @@ integer (Kronecker substitution), so int multiplication does the
 convolution.  Either way N and D are packed once, as one integer
 [N | D], and stay packed: over Z each slot holds value + half and is
 padded in front to the products' width every step, and mod m the
-residues keep one width, every slot reduced at once.  The one series
-expander, expand, streams c_0, c_1, ... by the linear recurrence, for
-series and for the packed length rows, whose denominator it keeps split
-as low - 2^shift * high so that multiplying by 2^shift is a shift.  It
+residues keep one width, every slot reduced at once.  Over Z the last
+steps would square D at about the width of c_n to save a few terms, so
+the halving stops once n is small (TAIL_BYTES) and hands the N and D
+left to the one series expander, expand, which reads c_n off them.
+expand streams c_0, c_1, ... by the linear recurrence, for series and
+for the packed length rows, whose denominator it keeps split as
+low - 2^shift * high so that multiplying by 2^shift is a shift.  It
 reads only the nonzero taps of the sparser of its rows and (1 - x)
 times them, the step of the paper's lemma (_sparser, which
 LinearRecurrence.to_gf and the closed forms also take), and sums each
@@ -35,6 +38,17 @@ import math
 import struct
 from itertools import chain, islice, repeat, tee
 from operator import add, lshift, mul, sub
+
+# The exact halving reads c_n off the remaining N / D with expand once n
+# < 16, or once n < 4 where the slots are this many bytes or more: each
+# step squares D at the slot width, which nears that of c_n in the last
+# steps, while expand's cost grows as n times its taps.  On a 2-core host
+# with CPython 3.11, stopping at 16 rather than 4 is 1.3-1.5x faster on
+# slots of 100 B and 1.1-1.3x on slots of 1,000-1,500 B (`not:mod:3:0`,
+# `not:mod:12:0` and `mod:7:1,3` at n = 10^4 to 1.6 * 10^5);
+# `not:mod:3:0`, with the fewest taps, ties at 1,800 B and is 1.3x slower
+# at 3,600 B (26 against 20 ms), where `not:mod:12:0` still gains 10 %.
+TAIL_BYTES = 2048
 
 
 class IntPolynomial:
@@ -264,9 +278,11 @@ class RationalGF:
 
         About log2(n) steps of four products of halves of N and D, two of
         them squarings, on [N | D] packed once; coefficient_mod runs the
-        same kernel mod m.  The last steps multiply a few slots about the
-        size of c_n, so the cost follows bits(c_n) and den.degree, not
-        n * den.degree as streaming terms() does.
+        same kernel mod m.  The halving stops at n < 16 (n < 4 on slots of
+        TAIL_BYTES or more) and expand reads c_n off the N and D left:
+        the steps it saves would square D at about the width of c_n.  So
+        the cost follows bits(c_n) and den.degree, not n * den.degree as
+        streaming terms() does.
         """
         if n < 0:
             raise ValueError("n must be nonnegative")
@@ -401,13 +417,16 @@ def _halve(num, den, n):
     # stays packed: slots of value + half, big-endian, from D's top term
     # down to N's constant, so max and min compare them as bytes.  Each
     # step pads the slots in front to the products' width, subtracts half
-    # from every slot of the halves, and splits the results back.
+    # from every slot of the halves, and splits the results back.  Once n
+    # is small (TAIL_BYTES) the slots are unpacked and expand reads c_n
+    # off N / D: the steps left would square D at about the width of c_n
+    # for a few terms, and D(0) = 1 still, so N and D need no truncation.
     num, den = num[: n + 1], den[: n + 1]
     count, size = len(num), len(den)
     width = max(map(abs, chain(num, den))).bit_length() // 8 + 1
     half = 1 << 8 * width - 1
     slots = [(c + half).to_bytes(width, "big") for c in chain(reversed(den), reversed(num))]
-    while n and count:
+    while count and n >= (16 if width < TAIL_BYTES else 4):
         if n < count or n < size:  # keep N and D mod x^(n+1)
             slots = slots[size - min(size, n + 1) : size] + slots[size + count - min(count, n + 1) :]
             count, size = min(count, n + 1), min(size, n + 1)
@@ -427,14 +446,15 @@ def _halve(num, den, n):
             for h in (ne, no, de, do)
         ]
         num = no * de - ne * do if n & 1 else ne * de - (no * do << bits)
-        den = de * de - (do * do << bits) if n > 1 else 0  # once n halves to 0, D is not read again
+        den = de * de - (do * do << bits)
         count = (count + size - (n & 1)) // 2
         n >>= 1
         width, half = wide, 1 << bits - 1
         laid = count + size
         both = num + (den << bits * count) + int.from_bytes(half.to_bytes(wide, "big") * laid, "big")
         slots = _slicer(laid, wide)(both.to_bytes(laid * wide, "big"))
-    return int.from_bytes(slots[-1], "big") - half if count else 0
+    values = [int.from_bytes(s, "big") - half for s in reversed(slots)]  # N's constant first
+    return next(islice(expand(values[:count], values[count:]), n, None))
 
 
 def _halve_mod(num, den, n, m):

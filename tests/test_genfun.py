@@ -137,6 +137,25 @@ def test_each_fold_comes_once_and_equals_the_direct_fold(k):
             assert fold == [sum(den[j::d]) for j in range(d)]
 
 
+def test_fold_adds_the_chunks():
+    # both ways of folding: fewer chunks than slots, and more
+    rng = random.Random(3)
+    shapes = [(1, 1), (1, 40), (40, 1), (9, 1), (9, 9)]
+    shapes += [(rng.randint(1, 40), rng.randint(1, 80)) for _ in range(60)]
+    for d, chunks in shapes:
+        p = [rng.randint(-9, 9) for _ in range(d * chunks)]
+        want = [sum(chunk) for chunk in zip(*(p[at : at + d] for at in range(0, len(p), d)))]
+        assert genfun._fold(p, d) == want
+
+
+def test_length_parts_is_the_cleared_series_form():
+    for seed in range(200):
+        A = random_partset(random.Random(seed), 12)
+        P, Q, k = A.series_form()
+        cyc = IntPolynomial((1,) + (0,) * (k - 1) + (-1,))
+        assert length_parts(A) == (cyc, cyc, cyc * P + Q)
+
+
 def test_series_and_bylength_take_no_gcd(monkeypatch, capsys):
     def no_gcd(p, q):
         raise AssertionError("gcd taken")

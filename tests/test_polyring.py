@@ -178,6 +178,67 @@ def test_exact_kernel_at_the_slot_edges_matches_series(args):
     assert gf.coefficient(n) == gf.series(n)[n]
 
 
+
+def _terms_read_by_the_tail(monkeypatch):
+    # how many terms each tail of _halve reads from expand: n + 1 for the n
+    # it stopped at
+    reads = []
+
+    def counted(num, den):
+        reads.append(0)
+        for c in expand(num, den):
+            reads[-1] += 1
+            yield c
+
+    monkeypatch.setattr(polyring, "expand", counted)
+    return reads
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_the_halving_and_its_tail_agree_on_part_sets(seed, monkeypatch):
+    # narrow slots: n < 16 goes straight to the tail, n = 16..40 halves first
+    gf = composition_gf(random_partset(random.Random(seed), 12))
+    want = gf.series(40)
+    reads = _terms_read_by_the_tail(monkeypatch)
+    for n in range(41):
+        assert gf.coefficient(n) == want[n]
+        assert coefficient_mod(gf, n, 10**9 + 7) == want[n] % (10**9 + 7)
+        assert reads[-1] == (n + 1 if n < 16 else n // 2 ** (n.bit_length() - 4) + 1)
+
+
+def _power_rows(rng, k, length):
+    # N and D of `length` terms, D(0) = 1, coefficients +-2^j for j <= k,
+    # with +-2^k in each row
+    sign = lambda: rng.choice((1, -1))
+    num = [sign() << k] + [sign() << rng.randint(0, k) for _ in range(length - 1)]
+    den = [1, sign() << k] + [sign() << rng.randint(0, k) for _ in range(length - 2)]
+    return num, den
+
+
+@pytest.mark.parametrize("length", (2, 3, 6, 11))
+def test_wide_slots_halve_down_to_n_below_4(length, monkeypatch):
+    # 2^k in k + 1 bits packs into (k + 1) // 8 + 1 bytes: below TAIL_BYTES
+    # the tail takes n < 16 as it comes, from TAIL_BYTES on n halves below 4
+    rng = random.Random(length)
+    edge = 8 * polyring.TAIL_BYTES - 9  # the least k that packs into TAIL_BYTES
+    for k in (edge - 1, edge, 20_000):
+        gf = RationalGF(*map(IntPolynomial, _power_rows(rng, k, length)))
+        want = gf.series(20)
+        reads = _terms_read_by_the_tail(monkeypatch)
+        for n in range(21):
+            assert gf.coefficient(n) == want[n]
+            assert coefficient_mod(gf, n, 2**61 - 1) == want[n] % (2**61 - 1)
+            if 4 <= n < 16:
+                assert reads[-1] == (n + 1 if k < edge else n // 2 ** (n.bit_length() - 2) + 1)
+
+
+def test_n_0_and_a_zero_numerator_through_the_tail():
+    for num, den in _power_rows(random.Random(0), 20_000, 5), ([5, -3], [1, -1, -1]):
+        assert RationalGF(IntPolynomial(num), IntPolynomial(den)).coefficient(0) == num[0]
+        zero = RationalGF(IntPolynomial(), IntPolynomial(den))
+        assert [zero.coefficient(n) for n in (0, 1, 3, 15, 16, 17, 100)] == [0] * 7
+
+
 WORST_MODULI = (2, 3, 97, 2**8 - 1, 2**7, 2**32 - 1, 2**31, 2**61 - 1, 2**64, 2**128 - 159, 10**40 + 1)
 # across the bit-length boundaries of len(den) in 1..300
 WORST_LENGTHS = (1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129, 255, 256, 257, 300)
