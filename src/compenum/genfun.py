@@ -46,9 +46,12 @@ def _unstep(p, e):
 
 def _fold(p, d):
     # p mod x^d - 1 for len(p) a multiple of d: its length-d chunks added,
-    # or, where the chunks outnumber the slots, each slot's residue class
-    # summed in C
-    if len(p) > d * d:
+    # one list per chunk, or each slot's residue class summed, one strided
+    # slice per slot.  The sums cost less per term and more per slot; on
+    # CPython 3.11 they win past about 12 chunks, for d = 30 to 10^4 alike
+    # (d = 10^4: the adds take 0.17x the time of the sums at 2 chunks,
+    # 0.92x at 12 and 1.55x at 32; d = 1 and 10^6 terms: 430 against 19 ms)
+    if len(p) > 12 * d:
         return [sum(p[j::d]) for j in range(d)]
     out = p[:d]
     for at in range(d, len(p), d):

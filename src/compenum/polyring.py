@@ -413,23 +413,22 @@ def _halve(num, den, n):
     # in y = x^2, the term of Ne De - y No Do (n even) or No De - Ne Do (n
     # odd) over De^2 - y Do^2: four products of halves, two of them
     # squarings, and nothing computed only to be dropped; halve n and
-    # repeat, keeping N and D mod x^(n+1).  [N | D] is packed once and
-    # stays packed: slots of value + half, big-endian, from D's top term
-    # down to N's constant, so max and min compare them as bytes.  Each
-    # step pads the slots in front to the products' width, subtracts half
-    # from every slot of the halves, and splits the results back.  Once n
-    # is small (TAIL_BYTES) the slots are unpacked and expand reads c_n
-    # off N / D: the steps left would square D at about the width of c_n
-    # for a few terms, and D(0) = 1 still, so N and D need no truncation.
+    # repeat, keeping N and D mod x^(n+1) at the end of every step.
+    # [N | D] is packed once and stays packed: slots of value + half,
+    # big-endian, from D's top term down to N's constant, so max and min
+    # compare them as bytes.  Each step pads the slots in front to the
+    # products' width, subtracts half from every slot of the halves, and
+    # splits the results back.  Once n is small (TAIL_BYTES) the slots are
+    # unpacked and expand reads c_n off N / D: the steps left would square
+    # D at about the width of c_n for a few terms, and D(0) = 1 still.
+    # Both rows are already mod x^(n+1), so expand steps no tap it cannot
+    # reach, and an empty N, whatever n is left, is c_n = 0 at once.
     num, den = num[: n + 1], den[: n + 1]
     count, size = len(num), len(den)
     width = max(map(abs, chain(num, den))).bit_length() // 8 + 1
     half = 1 << 8 * width - 1
     slots = [(c + half).to_bytes(width, "big") for c in chain(reversed(den), reversed(num))]
     while count and n >= (16 if width < TAIL_BYTES else 4):
-        if n < count or n < size:  # keep N and D mod x^(n+1)
-            slots = slots[size - min(size, n + 1) : size] + slots[size + count - min(count, n + 1) :]
-            count, size = min(count, n + 1), min(size, n + 1)
         # a product slot holds len(den) products below 2^(2 * bits), plus the sign
         top, low = (int.from_bytes(s, "big") - half for s in (max(slots), min(slots)))
         wide = (2 * max(top, -low).bit_length() + size.bit_length() + 8) // 8
@@ -453,6 +452,11 @@ def _halve(num, den, n):
         laid = count + size
         both = num + (den << bits * count) + int.from_bytes(half.to_bytes(wide, "big") * laid, "big")
         slots = _slicer(laid, wide)(both.to_bytes(laid * wide, "big"))
+        if n < count or n < size:  # keep N and D mod x^(n+1)
+            slots = slots[size - min(size, n + 1) : size] + slots[size + count - min(count, n + 1) :]
+            count, size = min(count, n + 1), min(size, n + 1)
+    if not count:  # N mod x^(n+1) is 0, and so is c_n, however large n is
+        return 0
     values = [int.from_bytes(s, "big") - half for s in reversed(slots)]  # N's constant first
     return next(islice(expand(values[:count], values[count:]), n, None))
 

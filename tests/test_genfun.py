@@ -140,7 +140,7 @@ def test_each_fold_comes_once_and_equals_the_direct_fold(k):
 def test_fold_adds_the_chunks():
     # both ways of folding: fewer chunks than slots, and more
     rng = random.Random(3)
-    shapes = [(1, 1), (1, 40), (40, 1), (9, 1), (9, 9)]
+    shapes = [(1, 1), (1, 40), (40, 1), (9, 1), (9, 9), (9, 12), (9, 13)]
     shapes += [(rng.randint(1, 40), rng.randint(1, 80)) for _ in range(60)]
     for d, chunks in shapes:
         p = [rng.randint(-9, 9) for _ in range(d * chunks)]

@@ -180,18 +180,19 @@ def test_exact_kernel_at_the_slot_edges_matches_series(args):
 
 
 def _terms_read_by_the_tail(monkeypatch):
-    # how many terms each tail of _halve reads from expand: n + 1 for the n
-    # it stopped at
-    reads = []
+    # how many terms each tail of _halve reads from expand, n + 1 for the n
+    # it stopped at, and the lengths of the rows it hands over
+    reads, rows = [], []
 
     def counted(num, den):
         reads.append(0)
+        rows.append((len(num), len(den)))
         for c in expand(num, den):
             reads[-1] += 1
             yield c
 
     monkeypatch.setattr(polyring, "expand", counted)
-    return reads
+    return reads, rows
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -199,11 +200,12 @@ def test_the_halving_and_its_tail_agree_on_part_sets(seed, monkeypatch):
     # narrow slots: n < 16 goes straight to the tail, n = 16..40 halves first
     gf = composition_gf(random_partset(random.Random(seed), 12))
     want = gf.series(40)
-    reads = _terms_read_by_the_tail(monkeypatch)
+    reads, rows = _terms_read_by_the_tail(monkeypatch)
     for n in range(41):
         assert gf.coefficient(n) == want[n]
         assert coefficient_mod(gf, n, 10**9 + 7) == want[n] % (10**9 + 7)
         assert reads[-1] == (n + 1 if n < 16 else n // 2 ** (n.bit_length() - 4) + 1)
+        assert max(rows[-1]) <= reads[-1]  # N and D come mod x^(n+1)
 
 
 def _power_rows(rng, k, length):
@@ -224,10 +226,11 @@ def test_wide_slots_halve_down_to_n_below_4(length, monkeypatch):
     for k in (edge - 1, edge, 20_000):
         gf = RationalGF(*map(IntPolynomial, _power_rows(rng, k, length)))
         want = gf.series(20)
-        reads = _terms_read_by_the_tail(monkeypatch)
+        reads, rows = _terms_read_by_the_tail(monkeypatch)
         for n in range(21):
             assert gf.coefficient(n) == want[n]
             assert coefficient_mod(gf, n, 2**61 - 1) == want[n] % (2**61 - 1)
+            assert max(rows[-1]) <= reads[-1]
             if 4 <= n < 16:
                 assert reads[-1] == (n + 1 if k < edge else n // 2 ** (n.bit_length() - 2) + 1)
 
@@ -237,6 +240,23 @@ def test_n_0_and_a_zero_numerator_through_the_tail():
         assert RationalGF(IntPolynomial(num), IntPolynomial(den)).coefficient(0) == num[0]
         zero = RationalGF(IntPolynomial(), IntPolynomial(den))
         assert [zero.coefficient(n) for n in (0, 1, 3, 15, 16, 17, 100)] == [0] * 7
+
+
+def test_an_empty_numerator_at_any_n_never_reaches_the_tail(monkeypatch):
+    # N mod x^(n+1) = 0 is c_n = 0 at once, whether N starts empty or the
+    # halving empties it (1/1 at odd n, the set with no parts) while n is
+    # still huge: the tail would read n + 1 zeros off expand
+    def unread(num, den):
+        raise AssertionError("expand reached with an empty numerator")
+        yield
+
+    monkeypatch.setattr(polyring, "expand", unread)
+    one = RationalGF(ONE, ONE)
+    assert [one.coefficient(n) for n in (17, 2**61 + 1, 10**18 + 1)] == [0] * 3
+    assert count(parse_setspec("set:"), 10**18 + 1) == 0
+    for den in ([1, -1, -1], [1] + [-1] * 40, [1, -(2**20000)]):
+        zero = RationalGF(IntPolynomial(), IntPolynomial(den))
+        assert [zero.coefficient(n) for n in (0, 20, 10**12, 2**64)] == [0] * 4
 
 
 WORST_MODULI = (2, 3, 97, 2**8 - 1, 2**7, 2**32 - 1, 2**31, 2**61 - 1, 2**64, 2**128 - 159, 10**40 + 1)
