@@ -25,22 +25,22 @@ precision plus NEWTON_GUARD_BITS.  From then on each root is the exact
 dyadic point (a + bi) / 2^s that Newton produced, held as two integers,
 the known root 1 the point (2^s, 0), and the rest runs on integers: the
 snap onto the axis, the exact conjugates that stand in for the roots
-below it, the Gerschgorin-type inclusion disks (Carstensen 1991) with
-the pole separation check, the sort, after which the known root is
-dropped, the residues and their evaluation.  One fixed-point evaluator,
-_sparse_eval, serves Newton, the disks' value bounds and the residues:
-it gives q(z), and z q'(z) where asked, each with a rigorous running
-bound on its error, from the exact point or from any point within a
-given distance of it; _ball_mul bounds every product.  The disk radii
-are rigorous upper bounds, and pairwise disjoint disks hold one root
-each, so they certify the returned set however it was found; a set that
-fails any check raises ConvergenceError.  Every
-number the module returns is exact: points, residues and evaluated
-values are integers over a power of two, and radii, residuals, moduli
-and growth rates dyadic Fractions.  dyadic_str prints them.  Every
-step is deterministic.  Only squarefree denominators are supported:
-find_roots refuses a repeated factor with RepeatedRootError, since it
-makes the simple-pole formula wrong.
+below it, a Rouche disk around each point that holds exactly one root
+(certified from that point alone), one sort and sweep for the disks'
+disjointness and the pole separation check, the sort, after which the
+known root is dropped, the residues and their evaluation.  One
+fixed-point evaluator, _sparse_eval, serves Newton, the disks and the
+residues: it gives q(z), and z q'(z) where asked, each with a rigorous
+running bound on its error (Newton skips them), from the exact point or
+from any point within a given distance of it; _ball_mul bounds every
+product.  d pairwise disjoint disks of one root each hold all d roots,
+so they certify the returned set however it was found; a set that fails
+any check raises ConvergenceError.  Every number the module returns is
+exact: points, residues and evaluated values are integers over a power
+of two, and radii, residuals, moduli and growth rates dyadic Fractions.
+dyadic_str prints them.  Every step is deterministic.  Only squarefree
+denominators are supported: find_roots refuses a repeated factor with
+RepeatedRootError, since it makes the simple-pole formula wrong.
 
 eval_closed carries the disks through: each pole's radius bounds how
 far its residue and its power xi^-n may lie from the computed ones, so
@@ -75,7 +75,7 @@ MAX_DIGITS = 10_000
 # find_roots refuses, before any root work, an estimated cost above this
 # many seconds: 1e-5 * degree^2 * (1 + (digits / 92)^1.6), fitted within
 # a factor 1.7 to set:1,t and not:mod:k:0 (degree 5 to 1200, 16 to 10000
-# digits) on the host above.  The disks also hold a degree^2 matrix.
+# digits) on the host above.
 MAX_SECONDS = 10
 ABERTH_SWEEPS = 100
 NEWTON_STEPS = 20
@@ -175,8 +175,7 @@ class ComplexRoot(namedtuple("ComplexRoot", "point residual radius")):
     holds this root and no other are upper bounds, both exact dyadic
     Fractions.  q is the polynomial itself, or (1 - x) times it where
     the lemma's step is taken (see _sparse_form); there |q(z)| = |1 - z|
-    |poly(z)|, and the radius, from the d + 1 roots of q, can be up to
-    (d + 1) / d times what the d roots of poly alone would give."""
+    |poly(z)|."""
 
     __slots__ = ()
 
@@ -251,11 +250,11 @@ def _ball_mul(x, y, h=0):
     im, err) with err >= |re + im i - XY / 2^h| for every X within x's
     err of x and Y within y's of y.  That is (|x'| |dy| + (|y'| + |dy|)
     |dx|) / 2^h rounded up, with |x'| <= |re| + |im|, plus 2 units for
-    the floors when h > 0."""
+    the floors when h > 0, or None where x's err is None."""
     xr, xi, dx = x
     yr, yi, dy = y
-    err = (abs(xr) + abs(xi)) * dy + (abs(yr) + abs(yi) + dy) * dx
-    return (xr * yr - xi * yi) >> h, (xr * yi + xi * yr) >> h, -(-err >> h) + 2 if h else err
+    err = None if dx is None else (abs(xr) + abs(xi)) * dy + (abs(yr) + abs(yi) + dy) * dx
+    return (xr * yr - xi * yi) >> h, (xr * yi + xi * yr) >> h, -(-err >> h) + 2 if h and dx is not None else err
 
 
 def _power(a, b, err, e, w, top=None):
@@ -281,40 +280,42 @@ def _sparse_eval(taps, a, b, s, w, zerr=0, slope=False):
     2^s, s <= w, as integers (qr, qi) at scale 2^w with an integer err
     >= |qr + qi i - 2^w q(xi)| for every xi within zerr / 2^w of z (zerr
     = 0: xi = z).  With slope, z q'(z) and its bound follow as (dr, di,
-    derr); Newton and a residue's denominator read them, and only they
-    pay for the sums.  Each power z^e is the last one times z^gap
+    derr); Newton, the disks and a residue's denominator read them, and
+    only they pay for the sums.  Each power z^e is the last one times z^gap
     (_power), floored with its error bound by _ball_mul.  The tap sums
     are exact, so err sums |c| times the bounds, and derr |c| e times
-    them."""
+    them.  zerr = None skips every bound, and err and derr are None."""
     a, b = a << (w - s), b << (w - s)
-    qr = qi = dr = di = err = derr = 0
-    z, p, at = (a, b, zerr), (1 << w, 0, 0), 0
+    qr = qi = dr = di = 0
+    err = derr = None if zerr is None else 0
+    z, p, at = (a, b, zerr), (1 << w, 0, err), 0
     for e, c in taps:
         if e > at:
             p, at = _ball_mul(p, z if e - at == 1 else _power(*z, e - at, w)[:3], w), e
         pr, pi, perr = p
         qr, qi = qr + c * pr, qi + c * pi
-        err += abs(c) * perr
+        if err is not None:
+            err += abs(c) * perr
         if slope:
             dr, di = dr + c * e * pr, di + c * e * pi
-            derr += abs(c * e) * perr
+            derr = None if err is None else derr + abs(c * e) * perr
     return (qr, qi, err, dr, di, derr) if slope else (qr, qi, err)
 
 
-def _scale(taps, a, b, s):
-    """A scale w for _sparse_eval at z = (a + bi) / 2^s: 64 bits past s
-    and the likely rounding error, about 2 e |c| |z|^e units for a tap c
-    x^e.  The error bound that comes back holds at any w."""
+def _scale(taps):
+    """The scale w(a, b, s) for _sparse_eval on these taps at z = (a + bi)
+    / 2^s: 64 bits past s and the likely rounding error, about 2 e |c|
+    |z|^e units for a tap c x^e.  The error bound holds at any w."""
     top = taps[-1][0]
-    lift = top * max(0.0, math.log2(a * a + b * b + 1) / 2 - s)
-    return s + 64 + (2 * top * sum(abs(c) for _, c in taps)).bit_length() + math.ceil(lift)
+    bits = 64 + (2 * top * sum(abs(c) for _, c in taps)).bit_length()
+    return lambda a, b, s: s + bits + math.ceil(top * max(0.0, math.log2(a * a + b * b + 1) / 2 - s))
 
 
 def _newton_step(taps, a, b, w):
     """The Newton step q(z) / q'(z) at z = (a + bi) / 2^w as integers at
     scale 2^w, from q(z) and z q'(z) (_sparse_eval) as in _float_ratio.
     ConvergenceError where the step's denominator vanishes."""
-    qr, qi, _, dr, di, _ = _sparse_eval(taps, a, b, w, w, slope=True)
+    qr, qi, _, dr, di, _ = _sparse_eval(taps, a, b, w, w, None, slope=True)
     nr, ni = (qr * a - qi * b) >> w, (qr * b + qi * a) >> w  # z q(z)
     norm = dr * dr + di * di
     if not norm:
@@ -370,65 +371,64 @@ def _float_seeded_roots(taps, one, prec):
     return pts + [(1 << s, 0)] * one + [(0, 0)] * v, s
 
 
-def _inclusion_disks(taps, pts, s, digits):
-    """Pairs (r_i, e_i) with radius r_i >= d |q(z_i)| / (|lc| prod_{j != i}
-    |z_i - z_j|) and residual e_i >= |q(z_i)|, dyadic Fractions, at the
-    d points z_i = (a_i + b_i i) / 2^s, one per root of the polynomial q
-    with these taps.  ConvergenceError unless the disks |z - z_i| <= r_i are
-    pairwise disjoint and every two points are more than 10^-(digits-10)
-    apart: gap^2 * 10^(2(digits-10)) > 4^s.
+def _point_bounds(taps, scale, a, b, s):
+    """(w, V, L, Z) at z = (a + bi) / 2^s, w = scale(a, b, s), from one
+    _sparse_eval: V >= 2^w |q(z)|, L <= 2^w |z q'(z)| and Z >= 2^s |z|,
+    or at z = 0, Z = 1 and L = 2^(w - s) |q'(0)| off the x^1 tap."""
+    w = scale(a, b, s)
+    qr, qi, err, dr, di, derr = _sparse_eval(taps, a, b, s, w, slope=True)
+    slope = math.isqrt(dr * dr + di * di) - derr if a or b else abs(dict(taps[:2]).get(1, 0)) << (w - s)
+    return w, math.isqrt(qr * qr + qi * qi) + 1 + err, slope, math.isqrt(a * a + b * b) + 1
 
-    The union of these disks holds every root of q, and a connected
-    component of m of them holds exactly m roots (Braess and Hadeler
-    1973; Carstensen, Numer. Math. 1991), so pairwise disjoint disks
-    hold one root each.  Each residual depends only on its own point and
-    s: the exact conjugate of the point before it, as _pair emits them,
-    takes that point's bound, since |q(conj z)| = |q(z)| for real q.  The
-    gaps |z_i - z_j|^2 are exact integers at scale 4^s, and each point's
-    product of them is formed on its own.  |q(z_i)| is bounded above by
-    _sparse_eval's value plus its error bound, the product of gaps is
-    rounded down and each radius is rounded up to a 41-bit dyadic, so
-    every r_i is a rigorous upper bound.
-    """
-    d, lc = len(pts), taps[-1][1]
-    gaps = [[(a - c) ** 2 + (b - e) ** 2 for c, e in pts] for a, b in pts]
-    mantissas, exponents, residuals = [], [], []  # r_i <= mantissas[i] * 2^-exponents[i]
+
+def _inclusion_disks(taps, pts, s, digits):
+    """Pairs (r_i, e_i), dyadic Fractions, at the points z_i = (a_i + b_i
+    i) / 2^s, one per root of q with these taps: |x - z_i| <= r_i holds
+    exactly one root of q, and e_i >= |q(z_i)|.  By Rouche's theorem it
+    does where, with V, L, Z of _point_bounds, R = ceil(17 V Z / (8 L))
+    (r = R / 2^s, about 2.1 |q / q'|) and K / 2^s >= sum |c| e (e - 1)
+    (|z| + r)^(e - 2) >= |q''| on the disk, from _sparse_eval,
+
+        V Z 2^(2s + 1) + K R^2 Z 2^(w - s) < L R 2^(2s + 1),
+
+    that is V / 2^w + |q''| r^2 / 2 < L 2^s r / (2^w Z) <= |q'(z)| r: on
+    the circle q(x) - q'(z)(x - z) is smaller than q'(z)(x - z).  An exact
+    conjugate of the point before it takes that point's pair.
+    ConvergenceError unless every point passes and the disks pass _sweep."""
+    scale, disks = _scale(taps), []
+    bend = [(e - 2, abs(c) * e * (e - 1)) for e, c in taps if e > 1]
     for i, (a, b) in enumerate(pts):
-        # |q(conj z)| = |q(z)| for real q: an exact conjugate reuses the bound
         if not (i and pts[i - 1] == (a, -b)):
-            w = _scale(taps, a, b, s)
-            qr, qi, err = _sparse_eval(taps, a, b, s, w)
-            value = math.isqrt(qr * qr + qi * qi) + 1 + err  # >= 2^w |q(z_i)|
-            residual = _dyadic(value, w)
-        residuals.append(residual)
-        low, shift = 1, 0  # low * 2^shift <= prod_{j != i} gaps[i][j]
-        for j, g in enumerate(gaps[i]):
-            if j != i:
-                low *= g
-                excess = low.bit_length() - 64
-                if excess > 0:
-                    low, shift = low >> excess, shift + excess
-        if not low:
-            raise ConvergenceError("root inclusion disks overlap")
-        # r_i^2 <= num / den * 2^e, scaled by 4^t to about 2^80
-        num, den = d * d * value * value, lc * lc * low
-        e = 2 * s * (d - 1) - 2 * w - shift
-        t = (80 - num.bit_length() + den.bit_length() - e) // 2
-        k = 2 * t + e
-        q = -(-(num << max(k, 0)) // (den << max(-k, 0)))
-        root = math.isqrt(q)
-        mantissas.append(root + (root * root < q))
-        exponents.append(t)
-    scale = 10 ** (2 * (digits - 10))
-    for i in range(d):
-        for j in range(i):
-            m = max(exponents[i], exponents[j], s)
-            reach = (mantissas[i] << (m - exponents[i])) + (mantissas[j] << (m - exponents[j]))
-            if reach * reach >= gaps[i][j] << (2 * (m - s)):
+            w, value, slope, size = _point_bounds(taps, scale, a, b, s)
+            radius = -(-17 * value * size // (8 * slope)) if slope > 0 else 0
+            k, _, kerr = _sparse_eval(bend, size + radius, 0, s, s)
+            left = (value << 2 * s + 1) + ((k + kerr) * radius * radius << w - s)
+            if left * size >= slope * radius << 2 * s + 1:
                 raise ConvergenceError("root inclusion disks overlap")
-            if gaps[i][j] * scale <= 1 << (2 * s):
-                raise ConvergenceError("poles too close to separate at this precision")
-    return [(_dyadic(u, t), e) for u, t, e in zip(mantissas, exponents, residuals)]
+            disk = radius, _dyadic(value, w)
+        disks.append(disk)
+    _sweep(pts, [r for r, _ in disks], s, digits)
+    return [(_dyadic(r, s), e) for r, e in disks]
+
+
+def _sweep(pts, radii, s, digits):
+    """ConvergenceError "root inclusion disks overlap" unless the disks
+    of radius R_i around the points, all at scale 2^s, are pairwise
+    disjoint, and else "poles too close to separate at this precision"
+    unless every two are more than 10^-(digits-10) apart.  Both fail only
+    within max(R_i + R_max, 10^-(digits-10)) in Re z: one sort, one sweep."""
+    tol, one, close = 10 ** (digits - 10), 1 << s, False
+    reach, ranked = max(max(radii, default=0), -(-one // tol)), sorted(zip(pts, radii))
+    for n, ((a, b), r) in enumerate(ranked):
+        m = n + 1
+        while m < len(ranked) and ranked[m][0][0] <= a + r + reach:
+            (c, e), t = ranked[m]
+            gap, m = (a - c) ** 2 + (b - e) ** 2, m + 1
+            if (r + t) ** 2 >= gap:
+                raise ConvergenceError("root inclusion disks overlap")
+            close = close or gap * tol * tol <= one * one
+    if close:
+        raise ConvergenceError("poles too close to separate at this precision")
 
 
 def _pair(pts, s, digits):
@@ -557,18 +557,18 @@ class PartialFraction(
     __slots__ = ()
 
 
-def _residue(ntaps, dtaps, a, b, s, prec, radius):
+def _residue(ntaps, dtaps, scales, a, b, s, prec, radius):
     """r = -N(z) / (z D'(z)) at z = (a + bi) / 2^s as integers (re, im,
     k, err): r = (re + im i) / 2^k, found to about prec + 32 bits and
     kept so, and err / 2^k >= |r - r(xi)| for the root xi within `radius`
     of z.  N and z D' come from the taps of N and D, read by _sparse_eval
-    with the radius as the error of z, then one exact complex division,
-    floored.  Where the lemma's step is taken they are the taps of
-    (1 - x) N and (1 - x) D, whose quotient is the same at every root of
-    D.  Of a quotient A' / B' of values within eA and eB of A and B,
+    at the larger of their `scales` with the radius as the error of z,
+    then one exact complex division, floored.  Where the lemma's step is
+    taken they are the taps of (1 - x) N and (1 - x) D, whose quotient is
+    the same at every root of D.  Of a quotient A' / B' of values within eA and eB of A and B,
     |A / B - A' / B'| <= (eA |B'| + |A'| eB) / (|B'| (|B'| - eB)).
     ConvergenceError where eB reaches |B'|."""
-    w = max(_scale(ntaps, a, b, s), _scale(dtaps, a, b, s))
+    w = max(scale(a, b, s) for scale in scales)
     zerr = -(-(radius.numerator << w) // radius.denominator)  # radius, up, at 2^w
     nr, ni, nerr = _sparse_eval(ntaps, a, b, s, w, zerr)
     _, _, _, dr, di, derr = _sparse_eval(dtaps, a, b, s, w, zerr, slope=True)
@@ -607,7 +607,7 @@ def partial_fractions(gf, digits=50):
     quot, _ = divmod_fractions(num, den)
     ntaps, dtaps, one = _sparse_form(num.coeffs, den.coeffs)
     poles = _find_roots(den, dtaps, one, digits)
-    prec = _prec(digits)
+    prec, scales = _prec(digits), (_scale(ntaps), _scale(dtaps))
     parts = []
     for i, pole in enumerate(poles):
         a, b, s = pole.point
@@ -616,7 +616,7 @@ def partial_fractions(gf, digits=50):
             re, im, k, err = parts[-1]
             parts.append((re, -im, k, err))
         else:
-            parts.append(_residue(ntaps, dtaps, a, b, s, prec, pole.radius))
+            parts.append(_residue(ntaps, dtaps, scales, a, b, s, prec, pole.radius))
     top = max(k for _, _, k, _ in parts)
     real = sum(re << (top - k) for re, _, k, _ in parts)
     imag = sum(im << (top - k) for _, im, k, _ in parts)

@@ -493,14 +493,15 @@ def _exact_value(coeffs, a, b, s):
 @given(_bound_cases())
 @settings(max_examples=200, deadline=None)
 def test_value_bound_holds_exactly(case):
-    # the residual _inclusion_disks gives a point is at least |q(z)|, and
-    # the evaluator's q(z) lies within its own error bound, against q
-    # summed in Fractions
+    # the value bound V / 2^w of _point_bounds, a disk's residual, is at
+    # least |q(z)|, and the evaluator's q(z) lies within its own error
+    # bound, against q summed in Fractions
     cs, taps, (a, b, s) = case
-    [(_, residual)] = closedform._inclusion_disks(taps, [(a, b)], s, 16)
+    w, value, _, _ = closedform._point_bounds(taps, closedform._scale(taps), a, b, s)
+    residual = Fraction(value, 2**w)
     er, ei = _exact_value(cs, a, b, s)
     assert er * er + ei * ei <= residual**2
-    w = closedform._scale(taps, a, b, s)
+    w = closedform._scale(taps)(a, b, s)
     qr, qi, err = closedform._sparse_eval(taps, a, b, s, w)
     assert (qr - er * 2**w) ** 2 + (qi - ei * 2**w) ** 2 <= err * err
 
@@ -511,16 +512,138 @@ def test_sparse_eval_bounds_hold_around_the_point(case, zerr, reach, turn):
     # with zerr, q and z q' at z bound q and xi q' at any xi within
     # zerr / 2^w of z, here one on a ray at `reach` of that distance
     q, taps, (a, b, s) = case
-    w = closedform._scale(taps, a, b, s)
+    w = closedform._scale(taps)(a, b, s)
     shift = cmath.exp(2j * math.pi * turn) * reach * zerr
     xa, xb = (a << (w - s)) + int(shift.real), (b << (w - s)) + int(shift.imag)
     assume((xa - (a << (w - s))) ** 2 + (xb - (b << (w - s))) ** 2 <= zerr * zerr)
     qr, qi, err, dr, di, derr = closedform._sparse_eval(taps, a, b, s, w, zerr, slope=True)
     assert closedform._sparse_eval(taps, a, b, s, w, zerr) == (qr, qi, err)
+    # Newton reads the same floored values without the error terms
+    assert closedform._sparse_eval(taps, a, b, s, w, None, slope=True) == (qr, qi, None, dr, di, None)
     er, ei = _exact_value(q, xa, xb, w)
     assert (qr - er * 2**w) ** 2 + (qi - ei * 2**w) ** 2 <= err * err
     er, ei = _exact_value([e * c for e, c in enumerate(q)], xa, xb, w)  # x q'(x)
     assert (dr - er * 2**w) ** 2 + (di - ei * 2**w) ** 2 <= derr * derr
+
+
+@given(_bound_cases())
+@settings(max_examples=200, deadline=None)
+def test_slope_and_size_bounds_hold_exactly(case):
+    # Z >= 2^s |z| and L <= 2^w |z q'(z)| of _point_bounds, against q'
+    # summed in Fractions; at z = 0, L 2^s / 2^w is |q'(0)| and Z = 1
+    cs, taps, (a, b, s) = case
+    scale = closedform._scale(taps)
+    w, _, slope, size = closedform._point_bounds(taps, scale, a, b, s)
+    assert size * size >= a * a + b * b
+    dr, di = _exact_value([k * c for k, c in enumerate(cs)][1:], a, b, s)
+    zr, zi = Fraction(a, 2**s), Fraction(b, 2**s)
+    er, ei = (dr * zr - di * zi) * 2**w, (dr * zi + di * zr) * 2**w  # 2^w z q'(z)
+    assert slope <= 0 or slope * slope <= er * er + ei * ei
+    w, _, slope, size = closedform._point_bounds(taps, scale, 0, 0, s)
+    assert size == 1 and slope == abs(cs[1] if len(cs) > 1 else 0) << (w - s)
+
+
+def _factored(rng):
+    """An integer polynomial as a product of one to four random factors
+    p x - q and x^2 + u x + v, some squared, with its roots to the
+    working precision: roots that are close, repeated, conjugate, 0."""
+    cs, roots = [1], []
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < 0.5:
+            p, q = rng.randint(1, 2 ** rng.randint(0, 12)), rng.randint(-40, 40)
+            factor, new = [-q, p], [mp.mpf(q) / p]
+        else:
+            u, v = rng.randint(-6, 6), rng.randint(-9, 9)
+            disc = mp.sqrt(mp.mpc(u * u - 4 * v))
+            factor, new = [v, u, 1], [(-u + disc) / 2, (-u - disc) / 2]
+        for _ in range(2 if rng.random() < 0.2 else 1):
+            cs = [sum(cs[i] * factor[k - i] for i in range(len(cs)) if 0 <= k - i < len(factor))
+                  for k in range(len(cs) + len(factor) - 1)]
+            roots += new
+    return cs, roots
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=150, deadline=None)
+def test_an_accepted_disk_holds_exactly_one_root(seed):
+    # each point passes or fails on its own, and a disk that passes holds
+    # exactly one root of q, counted with multiplicity: points at 2^-k
+    # from a root, anywhere in a box, and 0
+    rng = random.Random(seed)
+    with mp.workdps(80):
+        cs, roots = _factored(rng)
+        taps = [(e, c) for e, c in enumerate(cs) if c]
+        s = rng.randint(20, 70)
+        trials = [mp.mpc(0)] + [mp.mpc(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(4)]
+        trials += [
+            xi + mp.ldexp(rng.random(), -rng.randint(0, s)) * mp.expjpi(2 * rng.random())
+            for xi in roots
+        ]
+        for z in trials:
+            a, b = int(mp.nint(mp.ldexp(z.real, s))), int(mp.nint(mp.ldexp(z.imag, s)))
+            try:
+                [(radius, _)] = closedform._inclusion_disks(taps, [(a, b)], s, 16)
+            except ConvergenceError:
+                continue
+            z = mp.mpc(mp.ldexp(a, -s), mp.ldexp(b, -s))
+            assert sum(abs(xi - z) <= _mpf(radius) for xi in roots) == 1
+
+
+def test_disks_certify_exact_points_and_refuse_others():
+    # 1 + x^2 at its roots +-i and at points off them: a point between
+    # the roots, or near one with a disk that would reach the other, fails
+    s = 40
+    taps = [(0, 1), (2, 1)]
+    disks = closedform._inclusion_disks(taps, [(0, 1 << s), (0, -(1 << s))], s, 16)
+    assert all(radius <= Fraction(8, 2**s) for radius, _ in disks)
+    for point in ((0, 0), (1 << (s - 1), 0), (0, 1 << (s - 1)), (1 << s, 1 << s)):
+        with pytest.raises(ConvergenceError, match="^root inclusion disks overlap$"):
+            closedform._inclusion_disks(taps, [point], s, 16)
+
+
+def _all_pairs(pts, radii, s, digits):
+    """_sweep's verdict from every pair: overlapping disks first, then
+    points closer than 10^-(digits-10); None where neither."""
+    overlap = close = False
+    for i, (a, b) in enumerate(pts):
+        for j, (c, e) in enumerate(pts[:i]):
+            gap = (a - c) ** 2 + (b - e) ** 2
+            overlap = overlap or (radii[i] + radii[j]) ** 2 >= gap
+            close = close or gap * 10 ** (2 * (digits - 10)) <= 4**s
+    if overlap:
+        return "root inclusion disks overlap"
+    return "poles too close to separate at this precision" if close else None
+
+
+@given(st.integers(0, 2**32), st.sampled_from((16, 17)))
+@settings(max_examples=400, deadline=None)
+def test_sweep_matches_all_pairs(seed, digits):
+    # random points at scale 2^24, where the threshold 10^-(digits-10)
+    # is about 17 or 2 units: exact conjugates, equal real parts, close
+    # pairs, and radii from 0 to far past the spacing
+    rng = random.Random(seed)
+    s, pts, radii = 24, [], []
+    for _ in range(rng.randint(0, 14)):
+        kind = rng.randrange(5) if pts else 4
+        a, b = rng.choice(pts) if pts else (0, 0)
+        if kind == 0:
+            b = -b
+        elif kind == 1:
+            b = rng.randint(-1000, 1000)
+        elif kind == 2:
+            a, b = a + rng.randint(-12, 12), b + rng.randint(-12, 12)
+        elif kind == 3:
+            a, b = a + rng.randint(-300, 300), b + rng.randint(-300, 300)
+        else:
+            a, b = rng.randint(-1000, 1000), rng.randint(-1000, 1000)
+        pts.append((a, b))
+        radii.append(rng.choice((0, rng.randint(0, 3), rng.randint(0, 40), rng.randint(0, 400))))
+    try:
+        closedform._sweep(pts, radii, s, digits)
+        verdict = None
+    except ConvergenceError as exc:
+        verdict = str(exc)
+    assert verdict == _all_pairs(pts, radii, s, digits)
 
 
 def _in_ball(ball, reach, t):
@@ -546,6 +669,7 @@ def test_ball_mul_bounds_every_product_of_the_balls(x, y, h, rx, tx, ry, ty):
     # every exact product X Y / 2^h of X in x's ball and Y in y's lies
     # within the returned error of the floored result
     pr, pi, err = closedform._ball_mul(x, y, h)
+    assert closedform._ball_mul((*x[:2], None), y, h) == (pr, pi, None)
     (xr, xi), (yr, yi) = _in_ball(x, rx, tx), _in_ball(y, ry, ty)
     er, ei = (xr * yr - xi * yi) / 2**h, (xr * yi + xi * yr) / 2**h
     assert (er - pr) ** 2 + (ei - pi) ** 2 <= err * err
