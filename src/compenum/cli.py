@@ -15,10 +15,11 @@ and packed bylength rows (slots sized by genfun.composition_bits) over
 MAX_EXACT_BITS, on series, mod-3 tables, recurrence seeds and the seeds
 of `verify thm2` and `verify thm3 --k` whose terms are bounded above
 MAX_SERIES_BITS in all, on --digits outside 16..closedform.MAX_DIGITS,
-and on closed forms whose estimated cost exceeds closedform.MAX_SECONDS
-or whose poles or residues do not certify at the requested precision
-(diagnostics on standard error).  Output is deterministic for identical
-inputs.
+on closed forms whose estimated cost exceeds closedform.MAX_SECONDS or
+whose poles or residues do not certify at the requested precision, and
+on an `eval-closed` value past 10^decimal.MAX_EMAX, which dyadic_str
+cannot print (diagnostics on standard error).  Output is deterministic
+for identical inputs.
 Each command imports only the modules it runs: `import compenum.cli`
 loads the parser, genfun, partset and polyring, `bylength` adds
 bivariate, `recurrence` and `nth --recurrence-file` recurrence and json,
@@ -235,20 +236,6 @@ def cmd_recurrence(args):
     return 0
 
 
-def _poly_part_str(poly_part):
-    pieces = []
-    for i, q in enumerate(poly_part):
-        if q == 0:
-            continue
-        if i == 0:
-            pieces.append(str(q))
-        elif i == 1:
-            pieces.append(f"{q}*x")
-        else:
-            pieces.append(f"{q}*x^{i}")
-    return " + ".join(pieces) if pieces else "0"
-
-
 def _closed_form(args):
     # (gf, its partial fractions) for closed-form and eval-closed
     from . import closedform
@@ -263,7 +250,8 @@ def cmd_closed_form(args):
 
     gf, pf = _closed_form(args)
     print(f"generating function: {gf}")
-    print(f"polynomial part: {_poly_part_str(pf.poly_part)}")
+    # (), 1 or 1/2: the lemma's numerator never has the larger degree (README)
+    print(f"polynomial part: {pf.poly_part[0] if pf.poly_part else 0}")
     if not pf.poles:
         print("poles: none (coefficients terminate)")
         return 0

@@ -124,7 +124,8 @@ def dyadic_str(man, exp, digits):
     stripped, leaving x.0 for an integer.  Beyond 2^+-3500 the
     digits come from an exact decimal product rounded down at digits +
     20 digits instead, so they can differ in the last place only where
-    a value lies that close to a rounding boundary."""
+    a value lies that close to a rounding boundary, and ValueError where
+    the value is past 10^decimal.MAX_EMAX, which a Decimal cannot hold."""
     if not man:
         return "0.0"
     sign, man = "-" * (man < 0), abs(man)
@@ -141,7 +142,12 @@ def dyadic_str(man, exp, digits):
             prec=digits + 20, rounding=decimal.ROUND_DOWN,
             Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
         )
-        _, tail, places = context.multiply(man, context.power(2, exp)).as_tuple()
+        try:
+            _, tail, places = context.multiply(man, context.power(2, exp)).as_tuple()
+        except decimal.Overflow:
+            raise ValueError(
+                f"the value, near 2^{top}, is past 10^{decimal.MAX_EMAX}, the decimal exponent limit"
+            ) from None
         text, places = "".join(map(str, tail)), -places
     point = len(text) - places - 1  # the decimal exponent
     if len(text) > digits and text[digits] in "56789":
@@ -543,7 +549,7 @@ def _find_roots(poly, taps, one, digits):
 
 
 class PartialFraction(
-    namedtuple("PartialFraction", "poly_part poles residue_coeffs residue_errors", defaults=((),))
+    namedtuple("PartialFraction", "poly_part poles residue_coeffs residue_errors")
 ):
     """poly_part: exact Fraction coefficients of the division quotient,
     indexed by n (empty for proper fractions).  poles, residue_coeffs
@@ -552,7 +558,7 @@ class PartialFraction(
     to about 32 bits past the working precision (the digits passed to
     partial_fractions, which are not kept), and its error e, at the
     same scale 2^k, bounds its distance e / 2^k from the true residue at
-    the root in the pole's disk; residue_errors defaults to ()."""
+    the root in the pole's disk."""
 
     __slots__ = ()
 
@@ -603,7 +609,7 @@ def partial_fractions(gf, digits=50):
     num, den = gf.num, gf.den
     if not num or den.degree < 1:
         # the zero series, or den is the constant 1: the series is num itself
-        return PartialFraction(tuple(map(Fraction, num.coeffs)), (), ())
+        return PartialFraction(tuple(map(Fraction, num.coeffs)), (), (), ())
     quot, _ = divmod_fractions(num, den)
     ntaps, dtaps, one = _sparse_form(num.coeffs, den.coeffs)
     poles = _find_roots(den, dtaps, one, digits)
@@ -654,7 +660,7 @@ def eval_closed(pf, n):
         raise ValueError("n must be nonnegative")
     w = (pf.poles[0].point[2] if pf.poles else 0) + EVAL_GUARD_BITS
     terms = []  # (Re, error, x, k, weight): Re / 2^(w + k - x), the error alike
-    for pole, (re, im, k), rerr in zip(pf.poles, pf.residue_coeffs, pf.residue_errors):
+    for pole, (re, im, k), rerr in zip(pf.poles, pf.residue_coeffs, pf.residue_errors, strict=True):
         a, b, s = pole.point
         if b < 0:
             continue  # the conjugate of a pole above the axis: counted there

@@ -35,6 +35,11 @@ class SetSpecError(ValueError):
         self.position = position
 
 
+def _ints(values):
+    # every value an int and none a bool, checked once per type
+    return all(issubclass(t, int) and t is not bool for t in set(map(type, values)))
+
+
 class PartSet(namedtuple("PartSet", "modulus residues added removed")):
     """modulus k, the residues in 0..k-1 of the periodic pattern, and
     the added and removed exception values, all frozensets."""
@@ -48,10 +53,10 @@ class PartSet(namedtuple("PartSet", "modulus residues added removed")):
         residues = frozenset(residues)
         added = frozenset(added)
         removed = frozenset(removed)
-        if not all(isinstance(r, int) and 0 <= r < k for r in residues):
+        if not _ints(residues) or residues and not 0 <= min(residues) <= max(residues) < k:
             raise ValueError("residues must lie in 0..modulus-1")
         for exc in (added, removed):
-            if not all(isinstance(v, int) and v >= 1 for v in exc):
+            if not _ints(exc) or exc and min(exc) < 1:
                 raise ValueError("exception values must be positive integers")
         if added & removed:
             raise ValueError("added and removed exceptions overlap")

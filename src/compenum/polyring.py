@@ -418,7 +418,9 @@ def _halve(num, den, n):
     # big-endian, from D's top term down to N's constant, so max and min
     # compare them as bytes.  Each step pads the slots in front to the
     # products' width, subtracts half from every slot of the halves, and
-    # splits the results back.  Once n is small (TAIL_BYTES) the slots are
+    # splits the results back.  Slots only widen: where a truncation or
+    # cancellation shrinks the terms they keep their width, which holds
+    # the products all the same.  Once n is small (TAIL_BYTES) the slots are
     # unpacked and expand reads c_n off N / D: the steps left would square
     # D at about the width of c_n for a few terms, and D(0) = 1 still.
     # Both rows are already mod x^(n+1), so expand steps no tap it cannot
@@ -431,10 +433,7 @@ def _halve(num, den, n):
     while count and n >= (16 if width < TAIL_BYTES else 4):
         # a product slot holds len(den) products below 2^(2 * bits), plus the sign
         top, low = (int.from_bytes(s, "big") - half for s in (max(slots), min(slots)))
-        wide = (2 * max(top, -low).bit_length() + size.bit_length() + 8) // 8
-        if wide < width:  # a truncation or cancellation shrank the terms: repack narrower
-            old, half, width = half, 1 << 8 * wide - 1, wide
-            slots = [(int.from_bytes(s, "big") - old + half).to_bytes(wide, "big") for s in slots]
+        wide = max(width, (2 * max(top, -low).bit_length() + size.bit_length() + 8) // 8)
         pad, bits = bytes(wide - width), 8 * wide
         zero = pad + half.to_bytes(width, "big")  # a padded slot of value 0
         # each half runs down from its top slot

@@ -486,6 +486,22 @@ def test_eval_closed(capsys):
     assert code == 0 and out == "101902\n"
     code, out, _ = run_cli(capsys, "eval-closed", "not:mod:3:0", "0")
     assert out == "1\n"
+    # set:, whose only composition is the empty one, has no poles
+    assert run_cli(capsys, "eval-closed", "set:", "0") == (0, "1\n", "")
+    assert run_cli(capsys, "eval-closed", "set:", "3") == (0, "0\n", "")
+
+
+def test_eval_closed_past_the_decimal_exponent_range_refused(capsys):
+    # c(n) = 2^(n-1): at n = 10^18 a 301029995663981195-digit number prints,
+    # at 10^20 its exponent is past what a Decimal holds
+    code, out, _ = run_cli(capsys, "eval-closed", "all", str(10**18), "--digits", "16")
+    assert code == 0 and out == "8.17916367543e+301029995663981194\n"
+    code, out, err = run_cli(capsys, "eval-closed", "all", str(10**20), "--digits", "16")
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: the value, near 2^{10**20}, is past 10^{decimal.MAX_EMAX}, "
+        "the decimal exponent limit\n"
+    )
 
 
 def test_closed_form_report(capsys):
@@ -498,6 +514,12 @@ def test_closed_form_report(capsys):
     assert "nearest-integer rounding valid: yes" in out
     code, out, _ = run_cli(capsys, "closed-form", "not:ap:1:3")
     assert "nearest-integer rounding valid: no" in out
+    code, out, _ = run_cli(capsys, "closed-form", "set:")
+    assert code == 0 and out == (
+        "generating function: (1) / (1)\n"
+        "polynomial part: 1\n"
+        "poles: none (coefficients terminate)\n"
+    )
 
 
 def test_closed_form_finds_roots_once(capsys, monkeypatch):

@@ -24,7 +24,7 @@ from compenum.closedform import (
 from compenum.genfun import composition_gf, count
 from compenum.oracle import random_partset
 from compenum.partset import parse_setspec
-from compenum.polyring import IntPolynomial, RationalGF, _step
+from compenum.polyring import IntPolynomial, RationalGF, _step, divmod_fractions
 
 # denominator -> (real root, conjugate pair), 10 digit reference values
 REFERENCE_ROOTS = {
@@ -170,8 +170,6 @@ def _census_sets():
 
 
 def test_closed_form_records_are_frozen_tuples():
-    empty = closedform.PartialFraction((), (), ())
-    assert empty == closedform.PartialFraction((), (), (), residue_errors=())
     pf = partial_fractions(composition_gf(parse_setspec("not:mod:3:0")), 16)
     for record in (pf, pf.poles[0], dominance_report(pf)):
         with pytest.raises(AttributeError):
@@ -179,6 +177,12 @@ def test_closed_form_records_are_frozen_tuples():
         copy = pickle.loads(pickle.dumps(record))
         assert type(copy) is type(record) and copy == record and hash(copy) == hash(record)
     assert pickle.loads(pickle.dumps(pf.poles[0])).modulus == pf.poles[0].modulus
+    # every field is given, and a record whose errors do not match its
+    # poles is refused rather than summed over fewer poles
+    with pytest.raises(TypeError):
+        closedform.PartialFraction(pf.poly_part, pf.poles, pf.residue_coeffs)
+    with pytest.raises(ValueError):
+        eval_closed(pf._replace(residue_errors=()), 20)
 
 
 @pytest.mark.parametrize("digits", [16, 50])
@@ -429,11 +433,23 @@ def test_partial_fractions_builds_the_denominators_sparse_form_once(monkeypatch)
 
 def test_zero_numerator_is_the_zero_series():
     pf = partial_fractions(RationalGF(0, poly([1, -1, -1])), 16)
-    assert pf == closedform.PartialFraction((), (), ())
+    assert pf == closedform.PartialFraction((), (), (), ())
     for n in (0, 1, 7):
         value, error, _, exact = eval_closed(pf, n)
         assert (value, error, exact) == (0, 0, 0)
     assert dominance_report(pf).classifications == ()
+
+
+@given(st.integers(0, 2**32), st.sampled_from((1, 6, 12, 24)))
+@settings(max_examples=200, deadline=None)
+def test_polynomial_part_is_none_one_or_a_half(seed, max_modulus):
+    # the lemma's N = 1 - x^k: with exceptions deg D = k + deg P > deg N,
+    # without them both degrees are k and the quotient is 1 / (1 + q_k),
+    # q_k = 1 where residue 0 is in the set; the reduction keeps this
+    A = random_partset(random.Random(seed), max_modulus)
+    gf = composition_gf(A)
+    quot = divmod_fractions(gf.num, gf.den)[0]
+    assert quot == (() if A.added or A.removed else (Fraction(1, 1 + (0 in A.residues)),))
 
 
 @pytest.mark.parametrize("digits", [16, 50])
@@ -1053,6 +1069,32 @@ def test_dyadic_str_far_from_one(man, exp):
     # rounding boundary they are nstr's
     for digits in (5, 12):
         assert closedform.dyadic_str(man, exp, digits) == _nstr(man, exp, digits)
+
+
+def _above_ties(rng, digits, count):
+    """`count` dyadics ceil(t 2^F) / 2^F, F = 200..400, just above a tie t
+    at digit digits + 1 that is not itself dyadic, with t from about
+    10^-100 to 10^digits, as (man, exp, t)."""
+    out = []
+    while len(out) < count:
+        m = rng.randrange(10 ** (digits - 1), 10**digits)
+        t = Fraction(10 * m + 5, 10 ** (digits - rng.randint(-100, digits - 2)))
+        if t.denominator & (t.denominator - 1):  # not a power of 2
+            f = rng.randint(200, 400)
+            out.append((-(-(t.numerator << f) // t.denominator), -f, t))
+    return out
+
+
+@pytest.mark.parametrize("digits", [5, 12])
+def test_dyadic_str_matches_nstr_just_above_ties(digits):
+    # exact half-up rounding would print t rounded up for all of these;
+    # dyadic_str truncates first, as nstr does, and so rounds most of
+    # them down, and the CLI's output relies on printing what nstr prints
+    cases = _above_ties(random.Random(digits), digits, 2500)
+    for man, exp, _ in cases:
+        assert closedform.dyadic_str(man, exp, digits) == _nstr(man, exp, digits)
+    down = sum(Fraction(closedform.dyadic_str(man, exp, digits)) < t for man, exp, t in cases)
+    assert down > len(cases) // 2
 
 
 @given(st.integers(0, 2**32), st.sampled_from((16, 20, 32, 50, 80)), st.integers(0, 200))

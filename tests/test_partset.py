@@ -1,5 +1,6 @@
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -133,6 +134,18 @@ def test_partset_is_a_frozen_checked_record():
     assert type(C) is PartSet and C == A and str(C) == str(A)
     for args in ((0,), (True,), (3, {3}), (3, {1}, {0}), (3, {1}, {2}, {2})):
         with pytest.raises(ValueError):
+            PartSet(*args)
+    # bools are refused wherever an integer goes, as the modulus and
+    # membership refuse them: str would print mod:2:True+2, which does not parse
+    for args, message in (
+        ((2, {True}, {2}), "residues must lie in 0..modulus-1"),
+        ((3, {False}), "residues must lie in 0..modulus-1"),
+        ((3, {1}, {True}), "exception values must be positive integers"),
+        ((3, {1}, (), {4, True}), "exception values must be positive integers"),
+        ((3, {1.0}), "residues must lie in 0..modulus-1"),
+        ((3, {1}, {2.0}), "exception values must be positive integers"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             PartSet(*args)
 
 

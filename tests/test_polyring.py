@@ -170,7 +170,8 @@ def wide_rows(draw):
 @example(([-127, 127], [1, 127, -127], 5))  # the packed slots at 0 and 2^8 - 1
 @example(([63] * 7, [1, -63, 63, -63, 63, -63, 63], 13))  # products reach a slot's top bit
 @example(([63] * 15, [1, *(63 * (-1) ** i for i in range(1, 15))], 29))  # one bit short would carry
-@example(([1, 0, 0, 2**300], [1, 0, -1, -1], 4))  # N's top term, only in slots dropped after step 1
+@example(([1, 0, 0, 2**300], [1, 0, -1, -1], 4))  # n < 16: the tail alone reads N's top term
+@example(([2**300, -(2**300), -(2**300)], [1, -1, -1], 33))  # N = 2^300 D: step 1 cancels N, slots stay wide
 @settings(max_examples=200, deadline=None)
 def test_exact_kernel_at_the_slot_edges_matches_series(args):
     num, den, n = args
